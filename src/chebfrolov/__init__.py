@@ -21,16 +21,13 @@ from .cubature import (
 )
 from .enumeration import (
     Box,
-    EnumState,
     LatticePoint,
     apply_generator,
     butterfly_merge,
-    clamp_bounds,
     count_points,
+    enumerate_batches,
     enumerate_recursive,
     enumerate_stream,
-    interval_mean,
-    split_k1_ranges,
 )
 from .lattice import (
     DEFAULT_MAX_LEVEL,
@@ -66,7 +63,6 @@ __all__ = [
     "DEFAULT_MAX_LEVEL",
     "DiagLadder",
     "DoubleBoxCheck",
-    "EnumState",
     "Integrand",
     "IntegrationResult",
     "LatticePoint",
@@ -80,14 +76,13 @@ __all__ = [
     "build_vandermonde",
     "butterfly_merge",
     "chebyshev_root",
-    "clamp_bounds",
     "count_points",
     "det_magnitude",
     "double_box_check",
+    "enumerate_batches",
     "enumerate_recursive",
     "enumerate_stream",
     "integrate",
-    "interval_mean",
     "load_golden_table",
     "map_to_unit",
     "oracle_enumerate",
@@ -96,7 +91,6 @@ __all__ = [
     "rescaled_chebyshev",
     "root_permutation",
     "sample_shift",
-    "split_k1_ranges",
     "standard_box",
     "unimodular_check",
 ]

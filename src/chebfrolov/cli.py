@@ -126,9 +126,7 @@ def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     box = _resolve_box(args, level)
     ladder = build_diag_ladder(level)
     start = time.monotonic()
-    n_points = count_points(
-        level, box, ladder, boundary_eps=args.boundary_eps, threads=args.threads
-    )
+    n_points = count_points(level, box, ladder, boundary_eps=args.boundary_eps)
     elapsed = time.monotonic() - start
     scale = _resolve_scale(args)
     summary = {
@@ -164,9 +162,7 @@ def _run_integrate(args: argparse.Namespace, out: TextIO, shift: RandomShift | N
     ladder = build_diag_ladder(level)
     f = INTEGRANDS[args.integrand]
     start = time.monotonic()
-    result = integrate(
-        spec, f, ladder, shift, compensated=args.compensated, threads=args.threads
-    )
+    result = integrate(spec, f, ladder, shift, compensated=args.compensated)
     elapsed = time.monotonic() - start
     summary = {
         "d": level.d,
@@ -271,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_args(p_count)
     p_count.add_argument("--box", type=float, nargs="+", help="2d floats: lower then upper corner")
     p_count.add_argument("--boundary-eps", type=float, default=0.0)
-    p_count.add_argument("--threads", type=int, default=1)
     _add_common_output(p_count)
     p_count.set_defaults(func=_cmd_count)
 
@@ -293,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_scale_args(p_int)
         p_int.add_argument("--integrand", choices=sorted(INTEGRANDS), default="cospi")
         p_int.add_argument("--compensated", action="store_true", help="Kahan accumulation")
-        p_int.add_argument("--threads", type=int, default=1)
         if name == "integrate-random":
             p_int.add_argument("--seed", type=int, default=0)
         _add_common_output(p_int)

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .enumeration import Box, DiagLadder, apply_generator, enumerate_stream, split_k1_ranges
+import numpy as np
+
+from .enumeration import Box, DiagLadder, apply_generator, enumerate_batches
 from .lattice import Level, det_magnitude
 
 #: Evaluation contract for integrands: total on the closed centered unit cube.
@@ -149,22 +150,20 @@ def map_to_unit(
     :class:`ConsistencyError` if the result leaves the cube by more than
     ``NODE_TOLERANCE`` (which would indicate an enumeration/mapping mismatch).
     """
-    s = spec.shrink
-    if shift is None:
-        node = tuple(s * xi for xi in x)
-    else:
-        if shift_vector is None:
-            raise ValueError("shift_vector is required when a shift is given")
-        node = tuple(
-            s * (xi + avi) / ui for xi, avi, ui in zip(x, shift_vector, shift.u)
-        )
-    bound = 0.5 + NODE_TOLERANCE
-    for c in node:
-        if not -bound <= c <= bound:
-            raise ConsistencyError(
-                f"node coordinate {c!r} outside [-1/2, 1/2] beyond tolerance"
-            )
-    return node
+    if shift is not None and shift_vector is None:
+        raise ValueError("shift_vector is required when a shift is given")
+    node = _nodes(np.array([x], dtype=float), spec.shrink, shift, shift_vector)
+    return tuple(node[0].tolist())
+
+
+def _nodes(X, s, shift, shift_vector):
+    """``map_to_unit`` for every row of X at once, with one cube check."""
+    nodes = s * X if shift is None else s * (X + shift_vector) / shift.u
+    inside = np.abs(nodes) <= 0.5 + NODE_TOLERANCE
+    if not inside.all():
+        c = float(nodes[~inside][0])
+        raise ConsistencyError(f"node coordinate {c!r} outside [-1/2, 1/2] beyond tolerance")
+    return nodes
 
 
 class IntegrationResult(NamedTuple):
@@ -179,7 +178,6 @@ def integrate(
     shift: RandomShift | None = None,
     *,
     compensated: bool = False,
-    threads: int = 1,
 ) -> IntegrationResult:
     """Weighted sum of f over the cubature nodes, plus the node count.
 
@@ -189,11 +187,12 @@ def integrate(
     dilation (the identity shift reproduces the deterministic value
     bit-for-bit).
 
-    Nodes are streamed: each enumerated lattice point is mapped into the unit
-    cube and fed to ``f`` immediately, so nothing is stored.  ``compensated``
-    switches the accumulator to Kahan summation.  ``threads`` > 1 splits the
-    outermost coordinate range across a thread pool; the result may then
-    differ by floating-point reassociation (relative ~1e-12).
+    Nodes come from :func:`enumerate_batches`: each batch is mapped into the
+    unit cube and checked in numpy, with the same operations as
+    :func:`map_to_unit`, then fed to ``f`` one node tuple at a time in
+    lexicographic order, so only one batch is held.  The sum is a plain
+    sequential ``+=`` (``sum()`` compensates on Python 3.12+, which would
+    change the value); ``compensated`` switches it to Kahan summation.
     """
     level = spec.level
     if shift is None:
@@ -203,37 +202,21 @@ def integrate(
     else:
         box, shift_vector = randomized_box(spec, shift, ladder)
         node_weight = spec.weight / math.prod(shift.u)
-
-    def run_chunk(k1_range: tuple[int, int] | None) -> tuple[float, int]:
-        total = 0.0
-        carry = 0.0
+    s = spec.shrink
+    total = 0.0
+    carry = 0.0
+    count = 0
+    for _, X in enumerate_batches(level, box, ladder):
+        nodes = _nodes(X, s, shift, shift_vector)
+        count += len(nodes)
+        values = map(f, map(tuple, nodes.tolist()))
         if compensated:
-
-            def consume(point) -> None:
-                nonlocal total, carry
-                fx = f(map_to_unit(point.x, spec, shift, shift_vector))
+            for fx in values:
                 y = fx - carry
                 t = total + y
                 carry = (t - total) - y
                 total = t
-
         else:
-
-            def consume(point) -> None:
-                nonlocal total
-                total += f(map_to_unit(point.x, spec, shift, shift_vector))
-
-        emitted = enumerate_stream(level, box, ladder, consume, k1_range=k1_range)
-        return total, emitted
-
-    if threads <= 1:
-        total, count = run_chunk(None)
-    else:
-        ranges = split_k1_ranges(level, box, ladder, threads)
-        total, count = 0.0, 0
-        if ranges:
-            with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-                for part, emitted in pool.map(run_chunk, ranges):
-                    total += part
-                    count += emitted
+            for fx in values:
+                total += fx
     return IntegrationResult(node_weight * total, count)

@@ -1,26 +1,38 @@
 """Enumeration of generator-lattice points inside axis-parallel boxes.
 
-Two equivalent algorithms are provided.  ``enumerate_recursive`` materialises
-the point set by recursively splitting a box constraint in dimension 2**(L+1)
-into two constraints in dimension 2**L: the first half-block must land
-between the half-means of the corners, and once its image is fixed the second
-half-block is confined to clamped residual bounds with the level diagonal
-divided out.  ``enumerate_stream`` is the constant-memory form of the same
-reduction: d nested integer loops whose bound tables are refreshed
-incrementally, with partial generator images maintained by FFT-style
-butterfly merges keyed by the 2-adic valuation of the coordinate index.
+``enumerate_recursive`` materialises the point set by recursively splitting
+a box constraint in dimension 2**(L+1) into two constraints in dimension
+2**L: the first half-block must land between the half-means of the corners,
+and once its image is fixed the second half-block is confined to clamped
+residual bounds with the level diagonal divided out.
 
-Both visit points in lexicographic order of the integer coordinates k and
-perform identical floating-point operations, so their outputs agree
+Everything else runs on one traversal kernel, the constant-memory form of
+the same reduction: nested integer loops over k_1..k_{d-1} whose bound
+tables are refreshed incrementally, with partial generator images maintained
+by FFT-style butterfly merges keyed by the 2-adic valuation of the coordinate
+index.  For each prefix the innermost coordinate k_d ranges over an integer
+run [lo, hi], which the kernel hands to one of three leaves:
+
+- ``count_points`` adds the run length inline;
+- ``enumerate_stream`` loops k_d in Python, finishing each image with the
+  last butterfly chain, and calls a consumer per point;
+- ``enumerate_batches`` records the run and its prefix, and builds the
+  points of a whole batch of runs in numpy, images by the same merge tree,
+  to yield ``(K, X)`` arrays.
+
+All of them visit points in lexicographic order of the integer coordinates k
+and perform identical floating-point operations, so their outputs agree
 bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .lattice import DiagLadder, Level
 
@@ -161,10 +173,12 @@ class EnumState:
     [(a-1)*2**L, a*2**L), so total state is Theta(n * 2**n) floats per table
     regardless of how many points are emitted.  ``valuation[i]`` caches
     (r, p) with i = 2**r * p and p odd, which names the slots to refresh
-    after coordinate i is fixed.
+    after coordinate i is fixed.  ``k[i]`` is the current value of
+    coordinate i for 1 <= i < d, so ``k[1:]`` is the prefix of an innermost
+    run.
     """
 
-    __slots__ = ("level", "alpha", "beta", "gamma", "valuation")
+    __slots__ = ("level", "alpha", "beta", "gamma", "valuation", "k")
 
     def __init__(self, level: Level, box: Box) -> None:
         if box.dimension != level.d:
@@ -187,11 +201,22 @@ class EnumState:
             for t in range(w):
                 bj[t] = (bp[t] + bp[w + t]) / 2.0
                 gj[t] = (gp[t] + gp[w + t]) / 2.0
-        val = [(0, 0)] * (d + 1)
-        for i in range(1, d + 1):
-            r = (i & -i).bit_length() - 1
-            val[i] = (r, i >> r)
-        self.valuation = val
+        self.valuation = _valuations(d)
+        self.k = [0] * d
+
+
+@lru_cache(maxsize=None)
+def _valuations(d: int) -> tuple[tuple[int, int], ...]:
+    """(r, p) with i = 2**r * p, p odd, for i = 1..d (index 0 unused).
+
+    Shared by every traversal of dimension d; caching it takes an O(d) loop
+    out of the set-up of each small-box query.
+    """
+    val = [(0, 0)] * (d + 1)
+    for i in range(1, d + 1):
+        r = (i & -i).bit_length() - 1
+        val[i] = (r, i >> r)
+    return tuple(val)
 
 
 def _require_compatible(level: Level, box: Box, ladder: DiagLadder) -> None:
@@ -252,21 +277,69 @@ def enumerate_stream(
     consumer: Consumer,
     *,
     boundary_eps: float = 0.0,
-    k1_range: tuple[int, int] | None = None,
 ) -> int:
     """Stream every lattice point in the box through ``consumer``; return the count.
 
     Points are visited in lexicographic order of k.  The consumer receives an
     immutable :class:`LatticePoint` (value copies); exceptions it raises
     propagate and abort the traversal.  State is allocated once up front and
-    does not grow with the number of emissions.  ``k1_range`` (inclusive)
-    restricts the outermost coordinate; the chunked parallel mode partitions
-    work this way.
+    does not grow with the number of emissions.
     """
     _require_compatible(level, box, ladder)
     eps = _check_eps(boundary_eps)
     state = EnumState(level, box)
-    return _traverse(state, ladder, consumer, eps, k1_range)
+    d = level.d
+    last = d - 1
+    ks = state.k
+    a0 = state.alpha[0]
+    an = state.alpha[level.n]
+    plans = _refresh_schedules(state, ladder)
+    chain = plans[0][d]
+
+    def emit(lo: int, hi: int) -> None:
+        prefix = tuple(ks[1:])
+        for k in range(lo, hi + 1):
+            a0[last] = float(k)
+            for src, dst, dl, base, mid, w in chain:
+                if w == 1:
+                    a1 = src[base]
+                    prod = dl[0] * src[mid]
+                    dst[base] = a1 + prod
+                    dst[mid] = a1 - prod
+                else:
+                    for t in range(w):
+                        a1 = src[base + t]
+                        prod = dl[t] * src[mid + t]
+                        dst[base + t] = a1 + prod
+                        dst[mid + t] = a1 - prod
+            consumer(LatticePoint(prefix + (k,), tuple(an)))
+
+    return next(_walk(state, ladder, eps, emit, plans))
+
+
+def enumerate_batches(
+    level: Level,
+    box: Box,
+    ladder: DiagLadder,
+    size: int = 1024,
+    *,
+    boundary_eps: float = 0.0,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the lattice points in the box as ``(K, X)`` array batches.
+
+    ``K`` (int64) and ``X`` (float64) have shape (m, d) with 1 <= m <= ``size``;
+    every batch but the last has exactly ``size`` rows.  Rows follow the
+    lexicographic k order of :func:`enumerate_stream`, and ``X`` is
+    bit-identical to the streamed images: the merge tree runs over a whole
+    batch with the operations the traversal performs per point.  Long
+    innermost runs are split across batches, so memory stays O(size * d).
+    Arguments are checked by this call, before the first batch is asked for.
+    """
+    _require_compatible(level, box, ladder)
+    eps = _check_eps(boundary_eps)
+    if size < 1:
+        raise ValueError(f"batch size must be >= 1, got {size}")
+    return _batches(EnumState(level, box), ladder, eps, size)
 
 
 def count_points(
@@ -275,73 +348,17 @@ def count_points(
     ladder: DiagLadder,
     *,
     boundary_eps: float = 0.0,
-    threads: int = 1,
 ) -> int:
     """Number of lattice points in the box, without storing or emitting them.
 
     Matches ``enumerate_stream`` with a counting consumer exactly; the
     innermost loop is collapsed to a closed-form integer count, which is what
-    makes large scales cheap.  ``threads`` > 1 splits the outermost
-    coordinate range into contiguous chunks processed by a thread pool.
+    makes large scales cheap.
     """
     _require_compatible(level, box, ladder)
     eps = _check_eps(boundary_eps)
-    if threads <= 1 or level.d == 1:
-        return _count(EnumState(level, box), ladder, eps, None)
-    ranges = split_k1_ranges(level, box, ladder, threads, boundary_eps=eps)
-    if not ranges:
-        return 0
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [
-            pool.submit(_count, EnumState(level, box), ladder, eps, rng)
-            for rng in ranges
-        ]
-        return sum(f.result() for f in futures)
-
-
-def split_k1_ranges(
-    level: Level,
-    box: Box,
-    ladder: DiagLadder,
-    parts: int,
-    *,
-    boundary_eps: float = 0.0,
-) -> list[tuple[int, int]]:
-    """Split the feasible range of the outermost coordinate into <= ``parts`` chunks.
-
-    Chunks are contiguous, inclusive, disjoint, and cover the full range;
-    the union of chunked traversals equals the serial emission set.
-    """
-    _require_compatible(level, box, ladder)
-    eps = _check_eps(boundary_eps)
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
     state = EnumState(level, box)
-    lo = math.ceil(state.beta[0][0] - eps)
-    hi = math.floor(state.gamma[0][0] + eps)
-    if hi < lo:
-        return []
-    total = hi - lo + 1
-    parts = min(parts, total)
-    step, extra = divmod(total, parts)
-    ranges = []
-    start = lo
-    for p in range(parts):
-        size = step + (1 if p < extra else 0)
-        ranges.append((start, start + size - 1))
-        start += size
-    return ranges
-
-
-def _outer_range(state, eps, k1_range, ceil, floor):
-    lo = ceil(state.beta[0][0] - eps)
-    hi = floor(state.gamma[0][0] + eps)
-    if k1_range is not None:
-        if k1_range[0] > lo:
-            lo = k1_range[0]
-        if k1_range[1] < hi:
-            hi = k1_range[1]
-    return lo, hi
+    return next(_walk(state, ladder, eps, None, _refresh_schedules(state, ladder)))
 
 
 def _refresh_schedules(state, ladder):
@@ -349,8 +366,9 @@ def _refresh_schedules(state, ladder):
 
     For i with 2-adic valuation r > 0: ``merges[i]`` lists the butterfly
     steps (src, dst, diag, base, mid, width) bottom-up, and ``clamps[i]``
-    bundles the level-r sibling clamp plus the mean cascade back to level 0.
-    Entries alias the state's own table rows, so a plan is tied to its state.
+    (i < d) bundles the level-r sibling clamp plus the mean cascade back to
+    level 0.  ``merges[d]`` is the final chain the leaves run.  Entries
+    alias the state's own table rows, so a plan is tied to its state.
     """
     d = 1 << state.level.n
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
@@ -385,39 +403,49 @@ def _refresh_schedules(state, ladder):
     return merges, clamps
 
 
-def _traverse(state, ladder, consumer, eps, k1_range):
-    """Iterative nested-loop traversal emitting every point (hot path)."""
+def _walk(state, ladder, eps, leaf, plans):
+    """The traversal kernel: fix k_1..k_{d-1}, hand each innermost run to a leaf.
+
+    For each prefix k_1..k_{d-1} whose range [lo, hi] for k_d is nonempty,
+    the run length is added to the count inline; with a ``leaf``,
+    ``leaf(lo, hi)`` is called while ``state.k[1:]`` holds the prefix and
+    ``state.alpha`` its partial images, and a true result pauses the walk.
+    A generator: it yields None at each pause and finally yields the number
+    of points, so a walk that never pauses costs one ``next``.  With d = 1
+    the outer range is the only run.
+    """
     n = state.level.n
     d = 1 << n
     ceil, floor = math.ceil, math.floor
-    lo, hi = _outer_range(state, eps, k1_range, ceil, floor)
+    lo = ceil(state.beta[0][0] - eps)
+    hi = floor(state.gamma[0][0] + eps)
     if d == 1:
-        count = 0
-        for k in range(lo, hi + 1):
-            consumer(LatticePoint((k,), (float(k),)))
-            count += 1
-        return count
+        if hi < lo:
+            yield 0
+            return
+        if leaf is not None and leaf(lo, hi):
+            yield None
+        yield hi - lo + 1
+        return
 
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
     a0, b0, g0 = alpha[0], beta[0], gamma[0]
     b1, g1 = beta[1], gamma[1]
-    an = alpha[n]
     d0 = ladder.levels[0][0]
-    merges, clamps = _refresh_schedules(state, ladder)
+    merges, clamps = plans
 
-    kvec = [0] * d
-    nxt = [0] * (d + 1)  # next candidate for k_i
-    end = [0] * (d + 1)  # inclusive end of the current k_i range
-    nxt[1], end[1] = lo, hi
+    last = d - 1  # odd, so the innermost run is cut in the odd branch
+    ks = state.k  # current k_i; starts one below its range
+    end = [0] * d  # inclusive end of the current k_i range
+    ks[1], end[1] = lo - 1, hi
     count = 0
     i = 1
     while i:
-        k = nxt[i]
+        k = ks[i] + 1
         if k > end[i]:
             i -= 1
             continue
-        nxt[i] = k + 1
-        kvec[i - 1] = k
+        ks[i] = k
         if i & 1:
             # odd i: the new scalar is its own partial image; clamp its sibling
             a = float(k)
@@ -426,11 +454,19 @@ def _traverse(state, ladder, consumer, eps, k1_range):
             lo2 = a - g1[i]
             hi1 = g1[i - 1] - a
             hi2 = a - b1[i]
-            b0[i] = (lo1 if lo1 > lo2 else lo2) / d0
-            g0[i] = (hi1 if hi1 < hi2 else hi2) / d0
-            i += 1
-            nxt[i] = ceil(b0[i - 1] - eps)
-            end[i] = floor(g0[i - 1] + eps)
+            # k_{i+1} ranges over [flo, fhi]; its real bounds are never read
+            # again, so unlike the even branch this one does not store them
+            flo = ceil((lo1 if lo1 > lo2 else lo2) / d0 - eps)
+            fhi = floor((hi1 if hi1 < hi2 else hi2) / d0 + eps)
+            if i == last:
+                if fhi >= flo:
+                    count += fhi - flo + 1
+                    if leaf is not None and leaf(flo, fhi):
+                        yield None
+            else:
+                i += 1
+                ks[i] = flo - 1
+                end[i] = fhi
             continue
         # even i: butterfly-refresh the partial images along the 2-adic chain
         a0[i - 1] = float(k)
@@ -446,10 +482,6 @@ def _traverse(state, ladder, consumer, eps, k1_range):
                     prod = dl[t] * src[mid + t]
                     dst[base + t] = a1 + prod
                     dst[mid + t] = a1 - prod
-        if i == d:
-            consumer(LatticePoint(tuple(kvec), tuple(an)))
-            count += 1
-            continue
         # clamp the sibling block at level r, then cascade means to level 0
         pb, pg, cb, cg, ar, dl, start, w, casc = clamps[i]
         for t in range(w):
@@ -465,86 +497,77 @@ def _traverse(state, ladder, consumer, eps, k1_range):
                 cbj[i + t] = (pbj[i + t] + pbj[i + w + t]) / 2.0
                 cgj[i + t] = (pgj[i + t] + pgj[i + w + t]) / 2.0
         i += 1
-        nxt[i] = ceil(b0[i - 1] - eps)
+        ks[i] = ceil(b0[i - 1] - eps) - 1
         end[i] = floor(g0[i - 1] + eps)
-    return count
+    yield count
 
 
-def _count(state, ladder, eps, k1_range):
-    """Counting traversal: the innermost loop collapses to a range length."""
-    n = state.level.n
-    d = 1 << n
-    ceil, floor = math.ceil, math.floor
-    lo, hi = _outer_range(state, eps, k1_range, ceil, floor)
-    if d == 1:
-        return hi - lo + 1 if hi >= lo else 0
+def _batches(state, ladder, eps, size):
+    """Generator behind :func:`enumerate_batches`.
 
-    alpha, beta, gamma = state.alpha, state.beta, state.gamma
-    a0, b0, g0 = alpha[0], beta[0], gamma[0]
-    b1, g1 = beta[1], gamma[1]
-    d0 = ladder.levels[0][0]
-    merges, clamps = _refresh_schedules(state, ladder)
+    The leaf records each run as one row (lo, hi, k_1, ..., k_{d-1}); once
+    ``size`` points are pending the walk pauses, and the full batches are
+    built in numpy, images included (see :func:`_images`).
+    """
+    d = 1 << state.level.n
+    last = d - 1
+    ks = state.k
+    runs: list[int] = []
+    extend = runs.extend
+    pending = 0
 
-    last = d - 1  # odd, so the collapsed innermost count lives in the odd branch
-    nxt = [0] * d
-    end = [0] * d
-    nxt[1], end[1] = lo, hi
-    count = 0
-    i = 1
-    while i:
-        k = nxt[i]
-        if k > end[i]:
-            i -= 1
-            continue
-        nxt[i] = k + 1
-        if i & 1:
-            a = float(k)
-            a0[i - 1] = a
-            lo1 = b1[i - 1] - a
-            lo2 = a - g1[i]
-            hi1 = g1[i - 1] - a
-            hi2 = a - b1[i]
-            blast = (lo1 if lo1 > lo2 else lo2) / d0
-            glast = (hi1 if hi1 < hi2 else hi2) / d0
-            b0[i] = blast
-            g0[i] = glast
-            if i == last:
-                flo = ceil(blast - eps)
-                fhi = floor(glast + eps)
-                if fhi >= flo:
-                    count += fhi - flo + 1
-            else:
-                i += 1
-                nxt[i] = ceil(blast - eps)
-                end[i] = floor(glast + eps)
-            continue
-        a0[i - 1] = float(k)
-        for src, dst, dl, base, mid, w in merges[i]:
-            if w == 1:
-                a1 = src[base]
-                prod = dl[0] * src[mid]
-                dst[base] = a1 + prod
-                dst[mid] = a1 - prod
-            else:
-                for t in range(w):
-                    a1 = src[base + t]
-                    prod = dl[t] * src[mid + t]
-                    dst[base + t] = a1 + prod
-                    dst[mid + t] = a1 - prod
-        pb, pg, cb, cg, ar, dl, start, w, casc = clamps[i]
-        for t in range(w):
-            a = ar[start + t]
-            lo1 = pb[start + t] - a
-            lo2 = a - pg[i + t]
-            hi1 = pg[start + t] - a
-            hi2 = a - pb[i + t]
-            cb[i + t] = (lo1 if lo1 > lo2 else lo2) / dl[t]
-            cg[i + t] = (hi1 if hi1 < hi2 else hi2) / dl[t]
-        for pbj, pgj, cbj, cgj, w in casc:
-            for t in range(w):
-                cbj[i + t] = (pbj[i + t] + pbj[i + w + t]) / 2.0
-                cgj[i + t] = (pgj[i + t] + pgj[i + w + t]) / 2.0
-        i += 1
-        nxt[i] = ceil(b0[i - 1] - eps)
-        end[i] = floor(g0[i - 1] + eps)
-    return count
+    def record(lo: int, hi: int) -> bool:
+        nonlocal pending
+        extend((lo, hi))
+        extend(ks[1:])
+        pending += hi - lo + 1
+        return pending >= size
+
+    def build(upto: int):
+        """Yield the pending points [0, upto) as batches; keep the rest pending."""
+        nonlocal pending
+        table = np.array(runs, dtype=np.int64).reshape(-1, d + 1)
+        lengths = table[:, 1] - table[:, 0] + 1
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        for a in range(0, upto, size):
+            b = min(a + size, upto)
+            r0 = int(np.searchsorted(ends, a, side="right"))
+            r1 = int(np.searchsorted(starts, b, side="left"))
+            rep = np.minimum(ends[r0:r1], b) - np.maximum(starts[r0:r1], a)
+            K = np.empty((b - a, d), dtype=np.int64)
+            K[:, :last] = np.repeat(table[r0:r1, 2:], rep, axis=0)
+            K[:, last] = np.arange(b - a) + np.repeat(table[r0:r1, 0] - starts[r0:r1] + a, rep)
+            yield K, _images(ladder, K)
+        r0 = int(np.searchsorted(ends, upto, side="right"))
+        del runs[: r0 * (d + 1)]
+        if runs:
+            runs[0] += upto - int(starts[r0])  # the first run is cut: later lo
+        pending -= upto
+
+    walk = _walk(state, ladder, eps, record, _refresh_schedules(state, ladder))
+    while next(walk) is None:
+        yield from build(pending - pending % size)
+    if pending:
+        yield from build(pending)
+
+
+def _images(ladder, K):
+    """Generator images of the rows of K, bit-identical to the streamed ones.
+
+    Runs the merge tree of :func:`apply_generator` on all rows at once:
+    round j pairs the 2**(j-1)-blocks and maps (A, Y) to (A + D*Y, A - D*Y)
+    with D the ladder diagonal at level j - 1, the operations the traversal
+    performs one point at a time.
+    """
+    m, d = K.shape
+    X = K.astype(np.float64)
+    w = 1
+    for diag in ladder.levels[: d.bit_length() - 1]:
+        pairs = X.reshape(m, d // (2 * w), 2, w)
+        A = pairs[:, :, 0, :]
+        prod = np.array(diag[:w]) * pairs[:, :, 1, :]
+        pairs[:, :, 1, :] = A - prod
+        A += prod
+        w *= 2
+    return X

@@ -4,6 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
+from chebfrolov import cubature
 from chebfrolov import (
     ConsistencyError,
     CubatureSpec,
@@ -237,15 +238,6 @@ class TestIntegrate:
         assert kahan.node_count == plain.node_count
         assert kahan.value == pytest.approx(plain.value, rel=1e-12)
 
-    def test_threaded_agrees(self):
-        level = Level(2)
-        spec = CubatureSpec(level, float(2**10))
-        ladder = build_diag_ladder(level)
-        serial = integrate(spec, product_of_cosines, ladder)
-        parallel = integrate(spec, product_of_cosines, ladder, threads=4)
-        assert parallel.node_count == serial.node_count
-        assert parallel.value == pytest.approx(serial.value, rel=1e-12)
-
     def test_integrand_error_propagates(self):
         level = Level(1)
         spec = CubatureSpec(level, 16.0)
@@ -268,3 +260,78 @@ class TestIntegrate:
         truth = (2.0 / math.pi) ** 2
         se = statistics.stdev(values) / math.sqrt(len(values))
         assert abs(statistics.fmean(values) - truth) < 4 * se
+
+
+def per_node_reference(spec, f, ladder, shift=None, compensated=False):
+    """integrate written node by node: stream, map_to_unit, sequential sum."""
+    if shift is None:
+        box, shift_vector, weight = standard_box(spec), None, spec.weight
+    else:
+        box, shift_vector = randomized_box(spec, shift, ladder)
+        weight = spec.weight / math.prod(shift.u)
+    total = carry = 0.0
+    points = []
+    enumerate_stream(spec.level, box, ladder, points.append)
+    for p in points:
+        fx = f(map_to_unit(p.x, spec, shift, shift_vector))
+        if compensated:
+            y = fx - carry
+            t = total + y
+            carry = (t - total) - y
+            total = t
+        else:
+            total += fx
+    return weight * total, len(points)
+
+
+class TestIntegrateMatchesPerNodeReference:
+    CASES = [(0, 2**11), (1, 2**12), (2, 2**10), (3, 2**9)]
+
+    @pytest.mark.parametrize("n,scale", CASES)
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_deterministic(self, n, scale, compensated):
+        level = Level(n)
+        spec = CubatureSpec(level, float(scale))
+        ladder = build_diag_ladder(level)
+        result = integrate(spec, product_of_cosines, ladder, compensated=compensated)
+        value, count = per_node_reference(spec, product_of_cosines, ladder, None, compensated)
+        assert result.node_count == count > 0
+        assert result.value == value  # bit-for-bit, not approximately
+
+    @pytest.mark.parametrize("n,scale", CASES)
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_randomized(self, n, scale, compensated):
+        level = Level(n)
+        spec = CubatureSpec(level, float(scale))
+        ladder = build_diag_ladder(level)
+        for seed in (3, 11):
+            shift = sample_shift(seed, level.d)
+            result = integrate(spec, product_of_cosines, ladder, shift, compensated=compensated)
+            value, count = per_node_reference(spec, product_of_cosines, ladder, shift, compensated)
+            assert result.node_count == count > 0
+            assert result.value == value
+
+    def test_integrand_sees_the_mapped_nodes_in_order(self):
+        level = Level(2)
+        spec = CubatureSpec(level, 300.0)
+        ladder = build_diag_ladder(level)
+        shift = sample_shift(8, 4)
+        box, shift_vector = randomized_box(spec, shift, ladder)
+        points = []
+        enumerate_stream(level, box, ladder, points.append)
+        seen = []
+        integrate(spec, lambda x: seen.append(x) or 0.0, ladder, shift)
+        assert seen == [map_to_unit(p.x, spec, shift, shift_vector) for p in points]
+        assert all(type(x) is tuple and type(x[0]) is float for x in seen)
+
+    @pytest.mark.parametrize("randomized", [False, True])
+    def test_batch_guard_raises(self, monkeypatch, randomized):
+        level = Level(2)
+        spec = CubatureSpec(level, 256.0)
+        ladder = build_diag_ladder(level)
+        shift = sample_shift(4, 4) if randomized else None
+        calls = []
+        monkeypatch.setattr(cubature, "NODE_TOLERANCE", -0.45)
+        with pytest.raises(ConsistencyError, match="outside"):
+            integrate(spec, lambda x: calls.append(x) or 1.0, ladder, shift)
+        assert calls == []  # the first batch already fails its check

@@ -3,25 +3,29 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebfrolov import (
     Box,
     CubatureSpec,
-    EnumState,
     LatticePoint,
     Level,
     apply_generator,
     build_diag_ladder,
     build_generator_matrix,
     butterfly_merge,
-    clamp_bounds,
     count_points,
+    enumerate_batches,
     enumerate_recursive,
     enumerate_stream,
-    interval_mean,
-    split_k1_ranges,
+    oracle_enumerate,
+    randomized_box,
+    sample_shift,
     standard_box,
 )
+from chebfrolov.enumeration import EnumState, clamp_bounds, interval_mean
+from chebfrolov.verify import ORACLE_TOLERANCE
 
 SQRT2 = math.sqrt(2.0)
 
@@ -381,35 +385,135 @@ class TestCount:
         assert ks == {tuple(-c for c in k) for k in ks}
 
 
-class TestParallelChunks:
-    def test_ranges_partition_outer_interval(self):
-        level = Level(2)
-        ladder = build_diag_ladder(level)
-        box = cubature_box(2, 2**8)
-        ranges = split_k1_ranges(level, box, ladder, 4)
-        assert 1 <= len(ranges) <= 4
-        for (a, b), (c, _) in zip(ranges, ranges[1:]):
-            assert b + 1 == c and a <= b
+def collect_batches(level, box, ladder, size):
+    """Every batch as (K, X); checks shapes, dtypes and that only the last is short."""
+    batches = list(enumerate_batches(level, box, ladder, size))
+    for j, (K, X) in enumerate(batches):
+        assert K.dtype == np.int64 and X.dtype == np.float64
+        assert K.shape == X.shape and K.shape[1] == level.d
+        assert 1 <= len(K) <= size
+        assert len(K) == size or j == len(batches) - 1
+    return batches
 
-    def test_chunk_union_equals_serial(self):
-        level = Level(2)
-        ladder = build_diag_ladder(level)
-        box = cubature_box(2, 2**8)
-        serial = {p.k for p in collect(level, box, ladder)}
-        union = set()
-        for rng_pair in split_k1_ranges(level, box, ladder, 5):
-            chunk = {p.k for p in collect(level, box, ladder, k1_range=rng_pair)}
-            assert not (chunk & union)
-            union |= chunk
-        assert union == serial
 
-    def test_threaded_count_matches(self):
-        level = Level(2)
-        ladder = build_diag_ladder(level)
-        box = cubature_box(2, 2**10)
-        assert count_points(level, box, ladder, threads=4) == count_points(level, box, ladder)
+def assert_batches_match_stream(level, box, ladder, size):
+    points = collect(level, box, ladder)
+    batches = collect_batches(level, box, ladder, size)
+    rows = [(tuple(k), tuple(x)) for K, X in batches for k, x in zip(K.tolist(), X.tolist())]
+    assert rows == [(p.k, p.x) for p in points]
+    if points:
+        # bit-for-bit, signed zeros included
+        X = np.concatenate([X for _, X in batches])
+        assert X.tobytes() == np.array([p.x for p in points]).tobytes()
+    return len(points)
 
-    def test_empty_box_has_no_ranges(self):
+
+class TestBatches:
+    @pytest.mark.parametrize("n", range(6))
+    def test_standard_and_randomized_boxes(self, n):
+        level = Level(n)
+        ladder = build_diag_ladder(level)
+        spec = CubatureSpec(level, float(2 ** (10 if n < 4 else 5 if n == 4 else 2)))
+        boxes = [standard_box(spec)] + [
+            randomized_box(spec, sample_shift(seed, level.d), ladder)[0] for seed in (1, 2)
+        ]
+        for box in boxes:
+            for size in (1, 7, 1024):
+                assert assert_batches_match_stream(level, box, ladder, size) > 0
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_small_off_centre_boxes(self, n):
+        rng = random.Random(600 + n)
+        level = Level(n)
+        ladder = build_diag_ladder(level)
+        span = 5.0 if n < 4 else 2.5
+        for _ in range(8):
+            box = random_box(rng, level.d, span)
+            shift = tuple(rng.uniform(-30.0, 30.0) for _ in range(level.d))
+            box = Box(
+                tuple(a + c for a, c in zip(box.lower, shift)),
+                tuple(b + c for b, c in zip(box.upper, shift)),
+            )
+            for size in (1, 7, 1024):
+                assert_batches_match_stream(level, box, ladder, size)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_empty_box_yields_nothing(self, n):
+        level = Level(n)
+        ladder = build_diag_ladder(level)
+        box = Box((1.0,) * level.d, (-1.0,) * level.d)
+        assert collect_batches(level, box, ladder, 7) == []
+
+    def test_runs_split_across_batches(self):
+        # d = 2 at N = 2**12: innermost runs are ~45 points long, so a batch
+        # of 16 rows always cuts a run, and some batches hold pieces of two
         level = Level(1)
         ladder = build_diag_ladder(level)
-        assert split_k1_ranges(level, Box((1.0, 0.0), (-1.0, 1.0)), ladder, 3) == []
+        box = cubature_box(1, 2**12)
+        batches = collect_batches(level, box, ladder, 16)
+        firsts = {tuple(K[0, :-1]) for K, _ in batches}
+        assert len(firsts) < len(batches)
+        assert any(len(set(map(tuple, K[:, :-1].tolist()))) > 1 for K, _ in batches)
+        assert assert_batches_match_stream(level, box, ladder, 16) == 4095
+
+    def test_one_dimension_is_one_long_run(self):
+        # d = 1 has no butterfly chain, and its single run is longer than a batch
+        level = Level(0)
+        ladder = build_diag_ladder(level)
+        box = Box((-1000.5,), (999.2,))
+        batches = collect_batches(level, box, ladder, 7)
+        assert len(batches) == 2000 // 7 + 1
+        K = np.concatenate([K for K, _ in batches])
+        X = np.concatenate([X for _, X in batches])
+        assert K[:, 0].tolist() == list(range(-1000, 1000))
+        assert X[:, 0].tolist() == [float(k) for k in range(-1000, 1000)]
+        assert_batches_match_stream(level, box, ladder, 7)
+
+    def test_boundary_eps_passed_through(self):
+        level = Level(0)
+        ladder = build_diag_ladder(level)
+        box = Box((0.2,), (0.9,))
+        assert collect_batches(level, box, ladder, 4) == []
+        (K, X), = enumerate_batches(level, box, ladder, 4, boundary_eps=0.25)
+        assert K[:, 0].tolist() == [0, 1]
+
+    def test_bad_arguments_raise_at_call(self):
+        level = Level(1)
+        ladder = build_diag_ladder(level)
+        with pytest.raises(ValueError):
+            enumerate_batches(level, Box.symmetric(1.0, 2), ladder, 0)
+        with pytest.raises(ValueError):
+            enumerate_batches(level, Box.symmetric(1.0, 4), ladder)
+        with pytest.raises(ValueError):
+            enumerate_batches(level, Box.symmetric(1.0, 2), ladder, boundary_eps=-1.0)
+
+
+corner = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def level_and_box(draw):
+    n = draw(st.integers(min_value=0, max_value=3))
+    d = 1 << n
+    pairs = draw(st.lists(st.tuples(corner, corner), min_size=d, max_size=d))
+    return Level(n), Box(tuple(min(p) for p in pairs), tuple(max(p) for p in pairs))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(level_and_box(), st.sampled_from([1, 3, 1024]))
+def test_batches_agree_with_oracle(case, size):
+    # The oracle accepts images up to ORACLE_TOLERANCE outside the box, while
+    # the enumerator decides on the exact box; they must agree on every point
+    # whose image is farther than twice that from every face.
+    level, box = case
+    ladder = build_diag_ladder(level)
+    rows = [
+        k for K, _ in enumerate_batches(level, box, ladder, size) for k in map(tuple, K.tolist())
+    ]
+    oracle = oracle_enumerate(level, box)
+    emitted = set(rows)
+    assert rows == [p.k for p in oracle if p.k in emitted]
+    band = 2 * ORACLE_TOLERANCE
+    for p in oracle:
+        if all(lo + band < x < hi - band for x, lo, hi in zip(p.x, box.lower, box.upper)):
+            assert p.k in emitted
