@@ -1,8 +1,8 @@
 """Chebyshev-Frolov lattice point enumeration and lattice-rule cubature.
 
 Enumerates the points of the block-recursive Chebyshev lattices (dimension
-d = 2**n) inside arbitrary axis-parallel boxes, either all at once or as a
-constant-memory stream, and uses them as nodes for deterministic and
+d = 2**n) inside arbitrary axis-parallel boxes, as a count, a constant-memory
+stream or numpy batches, and uses them as nodes for deterministic and
 randomized equal-weight cubature over the centered unit cube.  A brute-force
 oracle and golden count tables back everything up.
 """
@@ -23,10 +23,8 @@ from .enumeration import (
     Box,
     LatticePoint,
     apply_generator,
-    butterfly_merge,
     count_points,
     enumerate_batches,
-    enumerate_recursive,
     enumerate_stream,
 )
 from .lattice import (
@@ -74,13 +72,11 @@ __all__ = [
     "build_diag_ladder",
     "build_generator_matrix",
     "build_vandermonde",
-    "butterfly_merge",
     "chebyshev_root",
     "count_points",
     "det_magnitude",
     "double_box_check",
     "enumerate_batches",
-    "enumerate_recursive",
     "enumerate_stream",
     "integrate",
     "load_golden_table",

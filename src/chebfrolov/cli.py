@@ -26,7 +26,6 @@ from typing import Callable, Sequence, TextIO
 
 from .cubature import (
     CubatureSpec,
-    RandomShift,
     integrate,
     sample_shift,
     standard_box,
@@ -73,13 +72,10 @@ def _resolve_level(args: argparse.Namespace) -> Level:
     cap = _max_level_cap()
     if getattr(args, "dim", None) is not None and getattr(args, "level", None) is not None:
         raise UsageError("give either --dim or --level, not both")
-    try:
-        if getattr(args, "dim", None) is not None:
-            return Level.from_dimension(args.dim, max_n=cap)
-        if getattr(args, "level", None) is not None:
-            return Level(args.level, max_n=cap)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if getattr(args, "dim", None) is not None:
+        return Level.from_dimension(args.dim, max_n=cap)
+    if getattr(args, "level", None) is not None:
+        return Level(args.level, max_n=cap)
     raise UsageError("one of --dim or --level is required")
 
 
@@ -87,7 +83,10 @@ def _resolve_scale(args: argparse.Namespace) -> float | None:
     if args.scale is not None and args.log2_scale is not None:
         raise UsageError("give either --scale or --log2-scale, not both")
     if args.log2_scale is not None:
-        return float(2**args.log2_scale)
+        try:
+            return math.ldexp(1.0, args.log2_scale)
+        except OverflowError:
+            raise UsageError(f"--log2-scale {args.log2_scale} overflows a double")
     if args.scale is not None:
         if not (math.isfinite(args.scale) and args.scale > 0):
             raise UsageError(f"--scale must be positive and finite, got {args.scale}")
@@ -95,8 +94,7 @@ def _resolve_scale(args: argparse.Namespace) -> float | None:
     return None
 
 
-def _resolve_box(args: argparse.Namespace, level: Level) -> Box:
-    scale = _resolve_scale(args)
+def _resolve_box(args: argparse.Namespace, level: Level, scale: float | None) -> Box:
     corners = getattr(args, "box", None)
     if (scale is None) == (corners is None):
         raise UsageError("give exactly one of a scale (--scale/--log2-scale) or --box")
@@ -108,8 +106,6 @@ def _resolve_box(args: argparse.Namespace, level: Level) -> Box:
             f"--box needs {2 * d} values for dimension {d} "
             f"(lower corner then upper corner), got {len(corners)}"
         )
-    if not all(math.isfinite(v) for v in corners):
-        raise UsageError("--box values must be finite (no NaN/inf)")
     return Box(tuple(corners[:d]), tuple(corners[d:]))
 
 
@@ -117,47 +113,45 @@ def _scale_number(scale: float) -> float | int:
     return int(scale) if scale == int(scale) else scale
 
 
-def _emit(text: str, out: TextIO) -> None:
-    out.write(text + "\n")
-
-
 def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     level = _resolve_level(args)
-    box = _resolve_box(args, level)
+    scale = _resolve_scale(args)
+    box = _resolve_box(args, level, scale)
     ladder = build_diag_ladder(level)
     start = time.monotonic()
     n_points = count_points(level, box, ladder, boundary_eps=args.boundary_eps)
     elapsed = time.monotonic() - start
-    scale = _resolve_scale(args)
     summary = {
         "d": level.d,
         "N": _scale_number(scale) if scale is not None else None,
         "count": n_points,
         "seconds": elapsed,
     }
-    _emit(json.dumps(summary), out)
+    print(json.dumps(summary), file=out)
     return 0
 
 
 def _cmd_points(args: argparse.Namespace, out: TextIO) -> int:
     level = _resolve_level(args)
-    box = _resolve_box(args, level)
+    box = _resolve_box(args, level, _resolve_scale(args))
     ladder = build_diag_ladder(level)
     if args.header and args.format == "csv":
-        _emit(",".join(f"x{j + 1}" for j in range(level.d)), out)
+        print(",".join(f"x{j + 1}" for j in range(level.d)), file=out)
 
     def consume(point: LatticePoint) -> None:
-        _emit(format_point(point, args.format, args.precision), out)
+        print(format_point(point, args.format, args.precision), file=out)
 
     enumerate_stream(level, box, ladder, consume, boundary_eps=args.boundary_eps)
     return 0
 
 
-def _run_integrate(args: argparse.Namespace, out: TextIO, shift: RandomShift | None) -> int:
+def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
     level = _resolve_level(args)
     scale = _resolve_scale(args)
     if scale is None:
         raise UsageError("integrate needs --scale or --log2-scale")
+    seed = getattr(args, "seed", None)  # integrate-random only
+    shift = None if seed is None else sample_shift(seed, level.d)
     spec = CubatureSpec(level, scale)
     ladder = build_diag_ladder(level)
     f = INTEGRANDS[args.integrand]
@@ -173,27 +167,14 @@ def _run_integrate(args: argparse.Namespace, out: TextIO, shift: RandomShift | N
         "seconds": elapsed,
     }
     if shift is not None:
-        summary["seed"] = shift.seed
-    _emit(json.dumps(summary), out)
+        summary["seed"] = seed
+    print(json.dumps(summary), file=out)
     return 0
-
-
-def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
-    return _run_integrate(args, out, None)
-
-
-def _cmd_integrate_random(args: argparse.Namespace, out: TextIO) -> int:
-    level = _resolve_level(args)
-    shift = sample_shift(args.seed, level.d)
-    return _run_integrate(args, out, shift)
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     cap = _max_level_cap()
-    try:
-        max_level = Level.from_dimension(args.max_dim, max_n=cap)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    max_level = Level.from_dimension(args.max_dim, max_n=cap)
     max_log2 = args.max_log2_scale
     failures = 0
 
@@ -201,19 +182,19 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         check = unimodular_check(Level(n, max_n=cap))
         status = "PASS" if check.passed else "FAIL"
         failures += not check.passed
-        _emit(
+        print(
             f"unimodular n={n}: {status} "
             f"(int_dev={check.max_integer_deviation:.2e}, det_dev={check.det_deviation:.2e})",
-            out,
+            file=out,
         )
 
     for record, observed, match in reproduce_table(max_level, max_log2):
         status = "PASS" if match else "FAIL"
         failures += not match
-        _emit(
+        print(
             f"golden d={record.d} log2N={record.log2n}: {status} "
             f"(expected={record.count}, observed={observed})",
-            out,
+            file=out,
         )
 
     for record in load_golden_table():
@@ -223,22 +204,32 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         check = double_box_check(level, float(2**record.log2n))
         status = "PASS" if check.agree else "FAIL"
         failures += not check.agree
-        _emit(
+        print(
             f"double-box d={record.d} log2N={record.log2n}: {status} "
             f"(direct={check.direct}, filtered={check.filtered})",
-            out,
+            file=out,
         )
 
-    _emit(f"RESULT: {'PASS' if failures == 0 else f'FAIL ({failures} checks)'}", out)
+    print(f"RESULT: {'PASS' if failures == 0 else f'FAIL ({failures} checks)'}", file=out)
     return 0 if failures == 0 else 1
 
 
 def _cmd_table(args: argparse.Namespace, out: TextIO) -> int:
-    _emit("d,log2N,count", out)
+    print("d,log2N,count", file=out)
     for record in load_golden_table():
         if record.d <= args.max_dim and record.log2n <= args.max_log2_scale:
-            _emit(f"{record.d},{record.log2n},{record.count}", out)
+            print(f"{record.d},{record.log2n},{record.count}", file=out)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _add_level_args(parser: argparse.ArgumentParser) -> None:
@@ -275,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_args(p_points)
     p_points.add_argument("--box", type=float, nargs="+", help="2d floats: lower then upper corner")
     p_points.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_points.add_argument("--precision", type=int, default=17,
+    p_points.add_argument("--precision", type=_positive_int, default=17,
                           help="significant digits for CSV output (17 round-trips doubles)")
     p_points.add_argument("--header", action="store_true", help="emit a x1..xd CSV header")
     p_points.add_argument("--boundary-eps", type=float, default=0.0)
     _add_common_output(p_points)
     p_points.set_defaults(func=_cmd_points)
 
-    for name, func in (("integrate", _cmd_integrate), ("integrate-random", _cmd_integrate_random)):
+    for name in ("integrate", "integrate-random"):
         p_int = sub.add_parser(name, help=f"{name} a built-in integrand")
         _add_level_args(p_int)
         _add_scale_args(p_int)
@@ -291,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "integrate-random":
             p_int.add_argument("--seed", type=int, default=0)
         _add_common_output(p_int)
-        p_int.set_defaults(func=func)
+        p_int.set_defaults(func=_cmd_integrate)
 
     p_verify = sub.add_parser("verify", help="run consistency and golden-count checks")
     p_verify.add_argument("--max-dim", type=int, default=8)
@@ -310,9 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     """Dispatch a parsed configuration; returns the process exit code."""
-    out: TextIO
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}")
+        with fh:
             return args.func(args, fh)
     return args.func(args, sys.stdout)
 
@@ -322,10 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

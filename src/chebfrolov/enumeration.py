@@ -1,17 +1,15 @@
 """Enumeration of generator-lattice points inside axis-parallel boxes.
 
-``enumerate_recursive`` materialises the point set by recursively splitting
-a box constraint in dimension 2**(L+1) into two constraints in dimension
-2**L: the first half-block must land between the half-means of the corners,
-and once its image is fixed the second half-block is confined to clamped
-residual bounds with the level diagonal divided out.
-
-Everything else runs on one traversal kernel, the constant-memory form of
-the same reduction: nested integer loops over k_1..k_{d-1} whose bound
-tables are refreshed incrementally, with partial generator images maintained
-by FFT-style butterfly merges keyed by the 2-adic valuation of the coordinate
-index.  For each prefix the innermost coordinate k_d ranges over an integer
-run [lo, hi], which the kernel hands to one of three leaves:
+A box constraint in dimension 2**(L+1) splits into two constraints in
+dimension 2**L: the first half-block image must land between the half-means
+of the corners, and once it is fixed the second half-block image is confined
+to clamped residual bounds with the level diagonal divided out.  One
+traversal kernel runs that reduction in constant memory: nested integer
+loops over k_1..k_{d-1} whose bound tables are refreshed incrementally, with
+partial generator images maintained by FFT-style butterfly merges keyed by
+the 2-adic valuation of the coordinate index.  For each prefix the innermost
+coordinate k_d ranges over an integer run [lo, hi], which the kernel hands
+to one of three leaves:
 
 - ``count_points`` adds the run length inline;
 - ``enumerate_stream`` loops k_d in Python, finishing each image with the
@@ -22,7 +20,7 @@ run [lo, hi], which the kernel hands to one of three leaves:
 
 All of them visit points in lexicographic order of the integer coordinates k
 and perform identical floating-point operations, so their outputs agree
-bit-for-bit.
+bit-for-bit, with each other and with :func:`apply_generator`.
 """
 
 from __future__ import annotations
@@ -74,78 +72,11 @@ class LatticePoint(NamedTuple):
 Consumer = Callable[[LatticePoint], None]
 
 
-def interval_mean(level: int, values: Sequence[float]) -> tuple[float, ...]:
-    """Componentwise mean of the two halves of a length-2**(level+1) vector."""
-    half = 1 << level
-    if len(values) != 2 * half:
-        raise ValueError(f"expected length {2 * half}, got {len(values)}")
-    return tuple((values[t] + values[half + t]) / 2.0 for t in range(half))
-
-
-def clamp_bounds(
-    level: int,
-    anchor: Sequence[float],
-    lower: Sequence[float],
-    upper: Sequence[float],
-    ladder: DiagLadder,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Bounds for the second half-block image once the first contributes ``anchor``.
-
-    For the 2**(level+1)-dimensional box [lower, upper] and a fixed image
-    ``anchor`` of the first half-block, a second half-block image y is
-    feasible iff lo <= y <= hi componentwise, where
-
-        lo = max(lower_1 - anchor, anchor - upper_2) / D,
-        hi = min(upper_1 - anchor, anchor - lower_2) / D,
-
-    with subscripts naming corner halves and D the ladder diagonal at
-    ``level``.  Whenever lower <= upper and anchor sits between the half
-    means, lo <= hi (the slice is nonempty).
-    """
-    half = 1 << level
-    dl = ladder.level(level)
-    if len(anchor) != half:
-        raise ValueError(f"anchor length {len(anchor)} != {half}")
-    if len(lower) != 2 * half or len(upper) != 2 * half:
-        raise ValueError(f"corner length must be {2 * half}")
-    lo = []
-    hi = []
-    for t in range(half):
-        a = anchor[t]
-        lo.append(max(lower[t] - a, a - upper[half + t]) / dl[t])
-        hi.append(min(upper[t] - a, a - lower[half + t]) / dl[t])
-    return tuple(lo), tuple(hi)
-
-
-def butterfly_merge(
-    level: int,
-    first: Sequence[float],
-    second: Sequence[float],
-    ladder: DiagLadder,
-) -> tuple[float, ...]:
-    """Combine two level-(level-1) block images into one level-``level`` image.
-
-    Returns (first + D*second ; first - D*second) with D the ladder diagonal
-    at ``level - 1`` -- the same shape of update a radix-2 FFT applies to its
-    even/odd halves.
-    """
-    if level < 1:
-        raise ValueError("merge level must be >= 1")
-    half = 1 << (level - 1)
-    dl = ladder.level(level - 1)
-    if len(first) != half or len(second) != half:
-        raise ValueError(f"both halves must have length {half}")
-    prods = [dl[t] * second[t] for t in range(half)]
-    return tuple(first[t] + prods[t] for t in range(half)) + tuple(
-        first[t] - prods[t] for t in range(half)
-    )
-
-
 def apply_generator(ladder: DiagLadder, coords: Sequence[float]) -> tuple[float, ...]:
     """Apply the generator to a real vector via rounds of butterfly merges.
 
-    Uses exactly the merge tree of the streaming traversal, so for integer
-    coords the result matches emitted point images bit-for-bit.
+    Uses exactly the merge tree of the traversal (see :func:`_images`), so
+    for integer coords the result matches emitted point images bit-for-bit.
     """
     d = len(coords)
     n = d.bit_length() - 1
@@ -153,41 +84,46 @@ def apply_generator(ladder: DiagLadder, coords: Sequence[float]) -> tuple[float,
         raise ValueError(f"vector length must be a power of two, got {d}")
     if ladder.depth < n:
         raise ValueError(f"ladder depth {ladder.depth} < required {n}")
-    blocks: list[tuple[float, ...]] = [(float(c),) for c in coords]
-    lvl = 1
-    while len(blocks) > 1:
-        blocks = [
-            butterfly_merge(lvl, blocks[j], blocks[j + 1], ladder)
-            for j in range(0, len(blocks), 2)
-        ]
-        lvl += 1
-    return blocks[0]
+    return tuple(_images(ladder, np.array([coords], dtype=np.float64))[0].tolist())
 
 
 class EnumState:
-    """Mutable tables driving one streaming traversal (not shareable mid-flight).
+    """Mutable tables driving one traversal (not shareable mid-flight).
 
-    Three stacked tables with one flat row of length d per level 0..n:
-    partial generator images (``alpha``) and running lower/upper bound
+    Checks its arguments once: the box must have the lattice dimension, the
+    ladder must reach the level, and ``boundary_eps`` must be finite and
+    >= 0.  Three stacked tables with one flat row of length d per level
+    0..n: partial generator images (``alpha``) and running lower/upper bound
     vectors (``beta``/``gamma``).  Level-L slot a occupies flat indices
     [(a-1)*2**L, a*2**L), so total state is Theta(n * 2**n) floats per table
     regardless of how many points are emitted.  ``valuation[i]`` caches
     (r, p) with i = 2**r * p and p odd, which names the slots to refresh
-    after coordinate i is fixed.  ``k[i]`` is the current value of
-    coordinate i for 1 <= i < d, so ``k[1:]`` is the prefix of an innermost
-    run.
+    after coordinate i is fixed, and ``merges``/``clamps`` are the refresh
+    plans built from it (see :func:`_refresh_schedules`).  ``k[i]`` is the
+    current value of coordinate i for 1 <= i < d, so ``k[1:]`` is the prefix
+    of an innermost run.
     """
 
-    __slots__ = ("level", "alpha", "beta", "gamma", "valuation", "k")
+    __slots__ = (
+        "level", "ladder", "eps", "alpha", "beta", "gamma", "valuation", "k",
+        "merges", "clamps",
+    )
 
-    def __init__(self, level: Level, box: Box) -> None:
+    def __init__(self, level: Level, box: Box, ladder: DiagLadder, boundary_eps: float) -> None:
         if box.dimension != level.d:
             raise ValueError(
                 f"box dimension {box.dimension} != lattice dimension {level.d}"
             )
+        if ladder.depth < level.n:
+            raise ValueError(f"ladder depth {ladder.depth} < level {level.n}")
+        eps = float(boundary_eps)
+        if not (eps >= 0.0 and math.isfinite(eps)):
+            raise ValueError(f"boundary_eps must be finite and >= 0, got {boundary_eps}")
         n = level.n
         d = level.d
         self.level = level
+        self.ladder = ladder
+        self.eps = eps
         self.alpha = [[0.0] * d for _ in range(n + 1)]
         self.beta = [[0.0] * d for _ in range(n + 1)]
         self.gamma = [[0.0] * d for _ in range(n + 1)]
@@ -203,6 +139,7 @@ class EnumState:
                 gj[t] = (gp[t] + gp[w + t]) / 2.0
         self.valuation = _valuations(d)
         self.k = [0] * d
+        self.merges, self.clamps = _refresh_schedules(self)
 
 
 @lru_cache(maxsize=None)
@@ -217,57 +154,6 @@ def _valuations(d: int) -> tuple[tuple[int, int], ...]:
         r = (i & -i).bit_length() - 1
         val[i] = (r, i >> r)
     return tuple(val)
-
-
-def _require_compatible(level: Level, box: Box, ladder: DiagLadder) -> None:
-    if box.dimension != level.d:
-        raise ValueError(
-            f"box dimension {box.dimension} != lattice dimension {level.d}"
-        )
-    if ladder.depth < level.n:
-        raise ValueError(f"ladder depth {ladder.depth} < level {level.n}")
-
-
-def _check_eps(boundary_eps: float) -> float:
-    eps = float(boundary_eps)
-    if not (eps >= 0.0 and math.isfinite(eps)):
-        raise ValueError(f"boundary_eps must be finite and >= 0, got {boundary_eps}")
-    return eps
-
-
-def enumerate_recursive(
-    level: Level,
-    box: Box,
-    ladder: DiagLadder,
-    *,
-    boundary_eps: float = 0.0,
-) -> list[LatticePoint]:
-    """All lattice points k with lower <= (generator) k <= upper.
-
-    Returns the duplicate-free point set as a list in lexicographic k order
-    (identical to the streaming emission order).  Materialises everything;
-    use ``enumerate_stream`` when memory matters.
-    """
-    _require_compatible(level, box, ladder)
-    eps = _check_eps(boundary_eps)
-    raw = _set_recursive(level.n, box.lower, box.upper, ladder, eps)
-    return [LatticePoint(k, x) for k, x in raw]
-
-
-def _set_recursive(n, lower, upper, ladder, eps):
-    if n == 0:
-        lo = math.ceil(lower[0] - eps)
-        hi = math.floor(upper[0] + eps)
-        return [((k,), (float(k),)) for k in range(lo, hi + 1)]
-    L = n - 1
-    first_lo = interval_mean(L, lower)
-    first_hi = interval_mean(L, upper)
-    out = []
-    for k1, a1 in _set_recursive(L, first_lo, first_hi, ladder, eps):
-        lo2, hi2 = clamp_bounds(L, a1, lower, upper, ladder)
-        for k2, a2 in _set_recursive(L, lo2, hi2, ladder, eps):
-            out.append((k1 + k2, butterfly_merge(n, a1, a2, ladder)))
-    return out
 
 
 def enumerate_stream(
@@ -285,16 +171,12 @@ def enumerate_stream(
     propagate and abort the traversal.  State is allocated once up front and
     does not grow with the number of emissions.
     """
-    _require_compatible(level, box, ladder)
-    eps = _check_eps(boundary_eps)
-    state = EnumState(level, box)
-    d = level.d
-    last = d - 1
+    state = EnumState(level, box, ladder, boundary_eps)
+    last = level.d - 1
     ks = state.k
     a0 = state.alpha[0]
     an = state.alpha[level.n]
-    plans = _refresh_schedules(state, ladder)
-    chain = plans[0][d]
+    chain = state.merges[level.d]
 
     def emit(lo: int, hi: int) -> None:
         prefix = tuple(ks[1:])
@@ -314,7 +196,7 @@ def enumerate_stream(
                         dst[mid + t] = a1 - prod
             consumer(LatticePoint(prefix + (k,), tuple(an)))
 
-    return next(_walk(state, ladder, eps, emit, plans))
+    return next(_walk(state, emit))
 
 
 def enumerate_batches(
@@ -335,11 +217,10 @@ def enumerate_batches(
     innermost runs are split across batches, so memory stays O(size * d).
     Arguments are checked by this call, before the first batch is asked for.
     """
-    _require_compatible(level, box, ladder)
-    eps = _check_eps(boundary_eps)
+    state = EnumState(level, box, ladder, boundary_eps)
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
-    return _batches(EnumState(level, box), ladder, eps, size)
+    return _batches(state, size)
 
 
 def count_points(
@@ -355,13 +236,10 @@ def count_points(
     innermost loop is collapsed to a closed-form integer count, which is what
     makes large scales cheap.
     """
-    _require_compatible(level, box, ladder)
-    eps = _check_eps(boundary_eps)
-    state = EnumState(level, box)
-    return next(_walk(state, ladder, eps, None, _refresh_schedules(state, ladder)))
+    return next(_walk(EnumState(level, box, ladder, boundary_eps), None))
 
 
-def _refresh_schedules(state, ladder):
+def _refresh_schedules(state):
     """Per-coordinate update plans for even indices (odd ones are inlined).
 
     For i with 2-adic valuation r > 0: ``merges[i]`` lists the butterfly
@@ -372,7 +250,7 @@ def _refresh_schedules(state, ladder):
     """
     d = 1 << state.level.n
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
-    diag = ladder.levels
+    diag = state.ladder.levels
     merges = [()] * (d + 1)
     clamps = [None] * (d + 1)
     for i in range(2, d + 1, 2):
@@ -403,7 +281,7 @@ def _refresh_schedules(state, ladder):
     return merges, clamps
 
 
-def _walk(state, ladder, eps, leaf, plans):
+def _walk(state, leaf):
     """The traversal kernel: fix k_1..k_{d-1}, hand each innermost run to a leaf.
 
     For each prefix k_1..k_{d-1} whose range [lo, hi] for k_d is nonempty,
@@ -416,6 +294,7 @@ def _walk(state, ladder, eps, leaf, plans):
     """
     n = state.level.n
     d = 1 << n
+    eps = state.eps
     ceil, floor = math.ceil, math.floor
     lo = ceil(state.beta[0][0] - eps)
     hi = floor(state.gamma[0][0] + eps)
@@ -431,8 +310,8 @@ def _walk(state, ladder, eps, leaf, plans):
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
     a0, b0, g0 = alpha[0], beta[0], gamma[0]
     b1, g1 = beta[1], gamma[1]
-    d0 = ladder.levels[0][0]
-    merges, clamps = plans
+    d0 = state.ladder.levels[0][0]
+    merges, clamps = state.merges, state.clamps
 
     last = d - 1  # odd, so the innermost run is cut in the odd branch
     ks = state.k  # current k_i; starts one below its range
@@ -502,7 +381,7 @@ def _walk(state, ladder, eps, leaf, plans):
     yield count
 
 
-def _batches(state, ladder, eps, size):
+def _batches(state, size):
     """Generator behind :func:`enumerate_batches`.
 
     The leaf records each run as one row (lo, hi, k_1, ..., k_{d-1}); once
@@ -538,14 +417,14 @@ def _batches(state, ladder, eps, size):
             K = np.empty((b - a, d), dtype=np.int64)
             K[:, :last] = np.repeat(table[r0:r1, 2:], rep, axis=0)
             K[:, last] = np.arange(b - a) + np.repeat(table[r0:r1, 0] - starts[r0:r1] + a, rep)
-            yield K, _images(ladder, K)
+            yield K, _images(state.ladder, K)
         r0 = int(np.searchsorted(ends, upto, side="right"))
         del runs[: r0 * (d + 1)]
         if runs:
             runs[0] += upto - int(starts[r0])  # the first run is cut: later lo
         pending -= upto
 
-    walk = _walk(state, ladder, eps, record, _refresh_schedules(state, ladder))
+    walk = _walk(state, record)
     while next(walk) is None:
         yield from build(pending - pending % size)
     if pending:
@@ -555,8 +434,8 @@ def _batches(state, ladder, eps, size):
 def _images(ladder, K):
     """Generator images of the rows of K, bit-identical to the streamed ones.
 
-    Runs the merge tree of :func:`apply_generator` on all rows at once:
-    round j pairs the 2**(j-1)-blocks and maps (A, Y) to (A + D*Y, A - D*Y)
+    Runs the traversal's merge tree on all rows at once (a copy of K, which
+    may be integer or real): round j pairs the 2**(j-1)-blocks and maps (A, Y) to (A + D*Y, A - D*Y)
     with D the ladder diagonal at level j - 1, the operations the traversal
     performs one point at a time.
     """

@@ -1,8 +1,10 @@
 """Independent correctness machinery.
 
-Three unrelated routes confirm the enumeration: a brute-force oracle that
-inverts the dense generator and tests every integer vector in a bounding
-box, a two-scale consistency check that enumerates the double-scale box and
+Four routes confirm the enumeration: a brute-force oracle that inverts the
+dense generator and tests every integer vector in a bounding box, a
+recursive reference that applies the half-mean and clamp split of the box
+directly (no traversal kernel, images from :func:`apply_generator`), a
+two-scale consistency check that enumerates the double-scale box and
 filters, and regression against an embedded table of known-good node counts
 for the standard cubature boxes (data/golden_counts.csv, columns
 d, log2N, count).
@@ -13,15 +15,17 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from functools import lru_cache
 from importlib import resources
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .cubature import CubatureSpec, standard_box
-from .enumeration import Box, LatticePoint, count_points, enumerate_stream
+from .enumeration import Box, LatticePoint, apply_generator, count_points, enumerate_stream
 from .lattice import (
+    DiagLadder,
     Level,
     build_diag_ladder,
     build_generator_matrix,
@@ -34,8 +38,10 @@ ORACLE_MAX_LEVEL = 3
 #: Hard cap on candidate vectors the oracle will sweep.
 _ORACLE_MAX_CANDIDATES = 1 << 24
 
-#: Membership slack of the oracle; matches the enumeration tolerance so a
-#: disagreement isolates an algorithmic bug, not rounding.
+#: Membership slack of the oracle, absorbing the rounding of its dense
+#: product ``G k``.  It is not an enumeration tolerance: the enumerators
+#: decide on the exact box (``boundary_eps=0``), so the oracle may also
+#: accept points whose image lies within this distance outside a face.
 ORACLE_TOLERANCE = 1e-9
 
 
@@ -128,6 +134,72 @@ def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:
             flush()
     flush()
     return accepted
+
+
+def interval_mean(level: int, values: Sequence[float]) -> tuple[float, ...]:
+    """Componentwise mean of the two halves of a length-2**(level+1) vector."""
+    half = 1 << level
+    return tuple((values[t] + values[half + t]) / 2.0 for t in range(half))
+
+
+def clamp_bounds(
+    level: int,
+    anchor: Sequence[float],
+    lower: Sequence[float],
+    upper: Sequence[float],
+    ladder: DiagLadder,
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Bounds for the second half-block image once the first contributes ``anchor``.
+
+    For the 2**(level+1)-dimensional box [lower, upper] and a fixed image
+    ``anchor`` of the first half-block, a second half-block image y is
+    feasible iff lo <= y <= hi componentwise, where
+
+        lo = max(lower_1 - anchor, anchor - upper_2) / D,
+        hi = min(upper_1 - anchor, anchor - lower_2) / D,
+
+    with subscripts naming corner halves and D the ladder diagonal at
+    ``level``.  Whenever lower <= upper and anchor sits between the half
+    means, lo <= hi (the slice is nonempty).
+    """
+    half = 1 << level
+    dl = ladder.level(level)
+    lo = []
+    hi = []
+    for t in range(half):
+        a = anchor[t]
+        lo.append(max(lower[t] - a, a - upper[half + t]) / dl[t])
+        hi.append(min(upper[t] - a, a - lower[half + t]) / dl[t])
+    return tuple(lo), tuple(hi)
+
+
+def recursive_enumerate(level: Level, box: Box) -> list[LatticePoint]:
+    """Reference enumeration by the explicit divide-and-conquer recursion.
+
+    The first half-block k1 ranges over the points between the half-means of
+    the corners; for each, its image ``apply_generator(ladder, k1)`` fixes
+    the clamped bounds of the second half-block.  Shares no code with the
+    kernel ``_walk``, decides on the exact box like it, and returns the
+    same list as streaming into a list, bit-for-bit, at any level.
+    """
+    if box.dimension != level.d:
+        raise ValueError(f"box dimension {box.dimension} != {level.d}")
+    ladder = build_diag_ladder(level)
+    return [
+        LatticePoint(k, apply_generator(ladder, k))
+        for k in _recursive_ks(level.n, box.lower, box.upper, ladder)
+    ]
+
+
+def _recursive_ks(n, lower, upper, ladder):
+    if n == 0:
+        return [(k,) for k in range(math.ceil(lower[0]), math.floor(upper[0]) + 1)]
+    L = n - 1
+    out = []
+    for k1 in _recursive_ks(L, interval_mean(L, lower), interval_mean(L, upper), ladder):
+        lo2, hi2 = clamp_bounds(L, apply_generator(ladder, k1), lower, upper, ladder)
+        out.extend(k1 + k2 for k2 in _recursive_ks(L, lo2, hi2, ladder))
+    return out
 
 
 def double_box_check(level: Level, scale: float) -> DoubleBoxCheck:

@@ -22,7 +22,6 @@ from chebfrolov import (
     count_points,
     det_magnitude,
     double_box_check,
-    enumerate_recursive,
     enumerate_stream,
     integrate,
     load_golden_table,
@@ -33,6 +32,7 @@ from chebfrolov import (
     standard_box,
     unimodular_check,
 )
+from chebfrolov.verify import recursive_enumerate
 
 #: (dimension, max log2N) ranges exercised at desk scale.
 MEDIUM_RANGES = {2: 20, 4: 20, 8: 14, 16: 10, 32: 2}
@@ -114,7 +114,7 @@ def test_oracle_equivalence():
             box = random_box(rng, level.d)
             boxes += 1
             want = {p.k for p in oracle_enumerate(level, box)}
-            rec = {p.k for p in enumerate_recursive(level, box, ladder)}
+            rec = {p.k for p in recursive_enumerate(level, box)}
             streamed = set()
             enumerate_stream(level, box, ladder, lambda p: streamed.add(p.k))
             if not (want == rec == streamed):

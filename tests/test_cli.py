@@ -1,10 +1,13 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chebfrolov
 from chebfrolov import LatticePoint
 from chebfrolov.cli import format_point, main
 
@@ -187,6 +190,26 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "count", "--log2-scale", "2")
         assert code == 2
 
+    def test_log2_scale_overflow(self, capsys):
+        code, _, err = run_cli(capsys, "count", "--dim", "2", "--log2-scale", "2000")
+        assert code == 2
+        assert "--log2-scale" in err
+
+    def test_unwritable_out_file(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, _, err = run_cli(
+            capsys, "count", "--dim", "2", "--log2-scale", "1", "--out", str(target)
+        )
+        assert code == 2
+        assert "x.json" in err
+
+    def test_precision_below_one(self, capsys):
+        # rejected by the parser, before any point is formatted
+        with pytest.raises(SystemExit) as exc:
+            main(["points", "--dim", "1", "--box", "-1.5", "1.5", "--precision", "0"])
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
 
 @pytest.mark.skipif(shutil.which("chebfrolov") is None, reason="console script not installed")
 def test_console_script_entry_point():
@@ -200,10 +223,14 @@ def test_console_script_entry_point():
 
 
 def test_module_invocation():
+    # the child must import the same package as this process, installed or not
+    src = str(Path(chebfrolov.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "chebfrolov.cli", "count", "--dim", "2", "--log2-scale", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 3
