@@ -87,11 +87,7 @@ def _resolve_scale(args: argparse.Namespace) -> float | None:
             return math.ldexp(1.0, args.log2_scale)
         except OverflowError:
             raise UsageError(f"--log2-scale {args.log2_scale} overflows a double")
-    if args.scale is not None:
-        if not (math.isfinite(args.scale) and args.scale > 0):
-            raise UsageError(f"--scale must be positive and finite, got {args.scale}")
-        return args.scale
-    return None
+    return args.scale
 
 
 def _resolve_box(args: argparse.Namespace, level: Level, scale: float | None) -> Box:

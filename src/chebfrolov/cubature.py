@@ -42,7 +42,8 @@ class CubatureSpec:
     """Level plus scale N; shrink and weight are derived.
 
     Invariants: ``shrink**d * |det| * N == 1`` and ``weight * N == 1`` up to
-    relative 1e-12.
+    relative 1e-12.  Scales whose shrink or box half-width 1/(2 shrink) is
+    not a positive finite double are refused.
     """
 
     level: Level
@@ -53,6 +54,15 @@ class CubatureSpec:
         if not (math.isfinite(s) and s > 0.0):
             raise ValueError(f"scale must be a positive finite real, got {self.scale}")
         object.__setattr__(self, "scale", s)
+        try:
+            shrink = self.shrink
+        except OverflowError:
+            shrink = math.inf
+        if not (0.0 < shrink < math.inf and 0.5 / shrink < math.inf):
+            raise ValueError(
+                f"scale {self.scale} is out of range for d = {self.level.d}: "
+                "the shrink or the box half-width is not a positive finite double"
+            )
 
     @property
     def shrink(self) -> float:

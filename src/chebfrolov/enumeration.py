@@ -5,15 +5,17 @@ dimension 2**L: the first half-block image must land between the half-means
 of the corners, and once it is fixed the second half-block image is confined
 to clamped residual bounds with the level diagonal divided out.  One
 traversal kernel runs that reduction in constant memory: nested integer
-loops over k_1..k_{d-1} whose bound tables are refreshed incrementally, with
-partial generator images maintained by FFT-style butterfly merges keyed by
-the 2-adic valuation of the coordinate index.  For each prefix the innermost
-coordinate k_d ranges over an integer run [lo, hi], which the kernel hands
-to one of three leaves:
+loops over k_1..k_{d-1}, with partial generator images maintained by
+FFT-style butterfly merges keyed by the 2-adic valuation of the coordinate
+index.  The kernel is Python source generated for one level, ladder and
+leaf, compiled on first use and cached: every bound and image slot is a
+local variable, every ladder entry a literal, and every merge, clamp and
+mean is written out.  For each prefix the innermost coordinate k_d ranges
+over an integer run [lo, hi], which goes to one of three leaves:
 
 - ``count_points`` adds the run length inline;
-- ``enumerate_stream`` loops k_d in Python, finishing each image with the
-  last butterfly chain, and calls a consumer per point;
+- ``enumerate_stream`` loops k_d, finishing each image with the last
+  butterfly chain, and calls a consumer per point;
 - ``enumerate_batches`` records the run and its prefix, and builds the
   points of a whole batch of runs in numpy, images by the same merge tree,
   to yield ``(K, X)`` arrays.
@@ -87,75 +89,6 @@ def apply_generator(ladder: DiagLadder, coords: Sequence[float]) -> tuple[float,
     return tuple(_images(ladder, np.array([coords], dtype=np.float64))[0].tolist())
 
 
-class EnumState:
-    """Mutable tables driving one traversal (not shareable mid-flight).
-
-    Checks its arguments once: the box must have the lattice dimension, the
-    ladder must reach the level, and ``boundary_eps`` must be finite and
-    >= 0.  Three stacked tables with one flat row of length d per level
-    0..n: partial generator images (``alpha``) and running lower/upper bound
-    vectors (``beta``/``gamma``).  Level-L slot a occupies flat indices
-    [(a-1)*2**L, a*2**L), so total state is Theta(n * 2**n) floats per table
-    regardless of how many points are emitted.  ``valuation[i]`` caches
-    (r, p) with i = 2**r * p and p odd, which names the slots to refresh
-    after coordinate i is fixed, and ``merges``/``clamps`` are the refresh
-    plans built from it (see :func:`_refresh_schedules`).  ``k[i]`` is the
-    current value of coordinate i for 1 <= i < d, so ``k[1:]`` is the prefix
-    of an innermost run.
-    """
-
-    __slots__ = (
-        "level", "ladder", "eps", "alpha", "beta", "gamma", "valuation", "k",
-        "merges", "clamps",
-    )
-
-    def __init__(self, level: Level, box: Box, ladder: DiagLadder, boundary_eps: float) -> None:
-        if box.dimension != level.d:
-            raise ValueError(
-                f"box dimension {box.dimension} != lattice dimension {level.d}"
-            )
-        if ladder.depth < level.n:
-            raise ValueError(f"ladder depth {ladder.depth} < level {level.n}")
-        eps = float(boundary_eps)
-        if not (eps >= 0.0 and math.isfinite(eps)):
-            raise ValueError(f"boundary_eps must be finite and >= 0, got {boundary_eps}")
-        n = level.n
-        d = level.d
-        self.level = level
-        self.ladder = ladder
-        self.eps = eps
-        self.alpha = [[0.0] * d for _ in range(n + 1)]
-        self.beta = [[0.0] * d for _ in range(n + 1)]
-        self.gamma = [[0.0] * d for _ in range(n + 1)]
-        self.beta[n][:] = box.lower
-        self.gamma[n][:] = box.upper
-        # cascade the corner means down to scalar bounds for coordinate 1
-        for j in range(n - 1, -1, -1):
-            w = 1 << j
-            bp, gp = self.beta[j + 1], self.gamma[j + 1]
-            bj, gj = self.beta[j], self.gamma[j]
-            for t in range(w):
-                bj[t] = (bp[t] + bp[w + t]) / 2.0
-                gj[t] = (gp[t] + gp[w + t]) / 2.0
-        self.valuation = _valuations(d)
-        self.k = [0] * d
-        self.merges, self.clamps = _refresh_schedules(self)
-
-
-@lru_cache(maxsize=None)
-def _valuations(d: int) -> tuple[tuple[int, int], ...]:
-    """(r, p) with i = 2**r * p, p odd, for i = 1..d (index 0 unused).
-
-    Shared by every traversal of dimension d; caching it takes an O(d) loop
-    out of the set-up of each small-box query.
-    """
-    val = [(0, 0)] * (d + 1)
-    for i in range(1, d + 1):
-        r = (i & -i).bit_length() - 1
-        val[i] = (r, i >> r)
-    return tuple(val)
-
-
 def enumerate_stream(
     level: Level,
     box: Box,
@@ -168,35 +101,11 @@ def enumerate_stream(
 
     Points are visited in lexicographic order of k.  The consumer receives an
     immutable :class:`LatticePoint` (value copies); exceptions it raises
-    propagate and abort the traversal.  State is allocated once up front and
-    does not grow with the number of emissions.
+    propagate and abort the traversal.  The kernel's state is a fixed set of
+    local variables and does not grow with the number of emissions.
     """
-    state = EnumState(level, box, ladder, boundary_eps)
-    last = level.d - 1
-    ks = state.k
-    a0 = state.alpha[0]
-    an = state.alpha[level.n]
-    chain = state.merges[level.d]
-
-    def emit(lo: int, hi: int) -> None:
-        prefix = tuple(ks[1:])
-        for k in range(lo, hi + 1):
-            a0[last] = float(k)
-            for src, dst, dl, base, mid, w in chain:
-                if w == 1:
-                    a1 = src[base]
-                    prod = dl[0] * src[mid]
-                    dst[base] = a1 + prod
-                    dst[mid] = a1 - prod
-                else:
-                    for t in range(w):
-                        a1 = src[base + t]
-                        prod = dl[t] * src[mid + t]
-                        dst[base + t] = a1 + prod
-                        dst[mid + t] = a1 - prod
-            consumer(LatticePoint(prefix + (k,), tuple(an)))
-
-    return next(_walk(state, emit))
+    kernel, eps = _prepare(level, box, ladder, boundary_eps, "stream")
+    return kernel(box.lower, box.upper, eps, consumer)
 
 
 def enumerate_batches(
@@ -217,10 +126,12 @@ def enumerate_batches(
     innermost runs are split across batches, so memory stays O(size * d).
     Arguments are checked by this call, before the first batch is asked for.
     """
-    state = EnumState(level, box, ladder, boundary_eps)
+    kernel, eps = _prepare(level, box, ladder, boundary_eps, "batches")
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
-    return _batches(state, size)
+    runs: list[int] = []
+    walk = kernel(box.lower, box.upper, eps, runs.extend, size)
+    return _batches(walk, runs, ladder, level.d, size)
 
 
 def count_points(
@@ -236,175 +147,248 @@ def count_points(
     innermost loop is collapsed to a closed-form integer count, which is what
     makes large scales cheap.
     """
-    return next(_walk(EnumState(level, box, ladder, boundary_eps), None))
+    kernel, eps = _prepare(level, box, ladder, boundary_eps, "count")
+    return kernel(box.lower, box.upper, eps)
 
 
-def _refresh_schedules(state):
-    """Per-coordinate update plans for even indices (odd ones are inlined).
+def _prepare(level, box, ladder, boundary_eps, leaf):
+    """Check an entry point's arguments; return its kernel and ``eps``.
 
-    For i with 2-adic valuation r > 0: ``merges[i]`` lists the butterfly
-    steps (src, dst, diag, base, mid, width) bottom-up, and ``clamps[i]``
-    (i < d) bundles the level-r sibling clamp plus the mean cascade back to
-    level 0.  ``merges[d]`` is the final chain the leaves run.  Entries
-    alias the state's own table rows, so a plan is tied to its state.
+    The box must have the lattice dimension, the ladder must reach the
+    level, and ``boundary_eps`` must be finite and >= 0.
     """
-    d = 1 << state.level.n
-    alpha, beta, gamma = state.alpha, state.beta, state.gamma
-    diag = state.ladder.levels
-    merges = [()] * (d + 1)
-    clamps = [None] * (d + 1)
-    for i in range(2, d + 1, 2):
-        r = state.valuation[i][0]
-        steps = []
-        for j in range(1, r + 1):
-            w = 1 << (j - 1)
-            mid = i - w
-            steps.append((alpha[j - 1], alpha[j], diag[j - 1], mid - w, mid, w))
-        merges[i] = tuple(steps)
-        if i < d:
-            w = 1 << r
-            casc = tuple(
-                (beta[j + 1], gamma[j + 1], beta[j], gamma[j], 1 << j)
-                for j in range(r - 1, -1, -1)
-            )
-            clamps[i] = (
-                beta[r + 1],
-                gamma[r + 1],
-                beta[r],
-                gamma[r],
-                alpha[r],
-                diag[r],
-                i - w,
-                w,
-                casc,
-            )
-    return merges, clamps
+    if box.dimension != level.d:
+        raise ValueError(f"box dimension {box.dimension} != lattice dimension {level.d}")
+    if ladder.depth < level.n:
+        raise ValueError(f"ladder depth {ladder.depth} < level {level.n}")
+    eps = float(boundary_eps)
+    if not (eps >= 0.0 and math.isfinite(eps)):
+        raise ValueError(f"boundary_eps must be finite and >= 0, got {boundary_eps}")
+    return _kernel(level.n, ladder.levels[: level.n], leaf), eps
 
 
-def _walk(state, leaf):
-    """The traversal kernel: fix k_1..k_{d-1}, hand each innermost run to a leaf.
+#: Loops per generated function.  CPython refuses more than 20 statically
+#: nested blocks, so deeper kernels nest one closure per run of this many
+#: coordinates.
+_SEGMENT = 16
 
-    For each prefix k_1..k_{d-1} whose range [lo, hi] for k_d is nonempty,
-    the run length is added to the count inline; with a ``leaf``,
-    ``leaf(lo, hi)`` is called while ``state.k[1:]`` holds the prefix and
-    ``state.alpha`` its partial images, and a true result pauses the walk.
-    A generator: it yields None at each pause and finally yields the number
-    of points, so a walk that never pauses costs one ``next``.  With d = 1
-    the outer range is the only run.
+#: From this level on, the count kernel enumerates only the first half-block
+#: and adds the level n-1 count of each clamped second-half box (the split
+#: of the paper): the second half reuses the level n-1 kernel, so the source
+#: compiled for level n is 40 % shorter.
+_SPLIT = 5
+
+
+@lru_cache(maxsize=64)
+def _kernel(n, diag, leaf):
+    """The traversal kernel of one leaf, specialised to a level and its ladder.
+
+    Generated and compiled on first use (see :func:`_kernel_source`);
+    ``diag`` is ``ladder.levels[:n]``, whose values become literals.
     """
-    n = state.level.n
+    code = compile(_kernel_source(n, diag, leaf), f"<{leaf} kernel, d={1 << n}>", "exec")
+    namespace = {
+        "ceil": math.ceil,
+        "floor": math.floor,
+        "LatticePoint": LatticePoint,
+        # builds a LatticePoint without the Python frame of its __new__
+        "new": tuple.__new__,
+    }
+    if leaf == "count" and n >= _SPLIT:
+        namespace["half"] = _kernel(n - 1, diag[:-1], leaf)
+    exec(code, namespace)
+    return namespace["kernel"]
+
+
+def _kernel_source(n, diag, leaf):
+    """Python source of ``kernel(lower, upper, eps, ...)`` for one leaf.
+
+    Bound tables become local names: ``a{L}_{f}``, ``b{L}_{f}`` and
+    ``g{L}_{f}`` are flat slot f of the level-L partial images and of the
+    lower and upper bounds (level-L slot s covers f in [s*2**L, (s+1)*2**L)).
+    The corners are unpacked into level n and their means cascaded down to
+    level 0.  Then one ``for`` per coordinate k_i, i = 1..d-1, in
+    lexicographic order:
+
+    - odd i: the new scalar is its own partial image and clamps its level-1
+      sibling, which bounds k_{i+1} directly;
+    - even i = 2**r * p (p odd): butterfly merges refresh the partial images
+      of levels 1..r, the level-r sibling block is clamped, and its bounds
+      are cascaded to level 0, where slot i bounds k_{i+1}.
+
+    The innermost coordinate k_d is left as the integer run [lo, hi], which
+    goes to the leaf: ``count`` adds its length, ``stream`` loops k_d, runs
+    the last butterfly chain and calls ``consumer`` per point, and
+    ``batches`` records the run as (lo, hi, k_1, ..., k_{d-1}) through
+    ``extend`` and yields the number of pending points to build once at
+    least ``size`` are pending, then once more at the end.  From level
+    ``_SPLIT`` on, ``count`` stops at k_{d/2} instead: the clamped
+    second-half box goes to ``half``, the level n-1 count kernel, whose
+    cascade and loops perform the operations this kernel would.
+
+    Every run of ``_SEGMENT`` coordinates past the first is a nested closure
+    ``seg{i}(lo, hi)``; only the one holding the leaf assigns a shared name
+    (the accumulator, declared ``nonlocal``).
+    """
     d = 1 << n
-    eps = state.eps
-    ceil, floor = math.ceil, math.floor
-    lo = ceil(state.beta[0][0] - eps)
-    hi = floor(state.gamma[0][0] + eps)
+    # the coordinate whose loop assigns the accumulator
+    stop = d // 2 if leaf == "count" and n >= _SPLIT else d - 1
+    acc = "pending" if leaf == "batches" else "count"
+    call = "yield from " if leaf == "batches" else ""
+
+    def run(prefix):
+        """The leaf for a nonempty run [lo, hi] of k_d after the prefix."""
+        if leaf == "count":
+            return ["count += hi - lo + 1"]
+        if leaf == "batches":
+            return [
+                f"extend({_tup(['lo', 'hi'] + prefix)})",
+                "pending += hi - lo + 1",
+                "if pending >= size:",
+                "    yield pending - pending % size",
+                "    pending %= size",
+            ]
+        image = _tup([f"a{n}_{f}" for f in range(d)])
+        return [
+            "count += hi - lo + 1",
+            f"prefix = {_tup(prefix)}",
+            "for k in range(lo, hi + 1):",
+            *_indent([f"a0_{d - 1} = float(k)", *_merges(d, diag)]),
+            f"    consumer(new(LatticePoint, (prefix + (k,), {image})))",
+        ]
+
+    def nest(i, lo, hi, first, head):
+        """The loop of k_i over [lo, hi] with everything inside it."""
+        if i - first == _SEGMENT:
+            head += [f"def seg{i}(lo, hi):", *_indent(segment(i))]
+            return [f"{call}seg{i}({lo}, {hi})"]
+        body = [f"a0_{i - 1} = float(k{i})"]
+        if i % 2:
+            a, dl = f"a0_{i - 1}", _lit(diag[0][0])
+            body += [
+                f"lo1 = b1_{i - 1} - {a}",
+                f"lo2 = {a} - g1_{i}",
+                f"hi1 = g1_{i - 1} - {a}",
+                f"hi2 = {a} - b1_{i}",
+                f"lo = ceil((lo1 if lo1 > lo2 else lo2) / {dl} - eps)",
+                f"hi = floor((hi1 if hi1 < hi2 else hi2) / {dl} + eps)",
+            ]
+            if i == d - 1:
+                body += ["if hi >= lo:", *_indent(run([f"k{j}" for j in range(1, d)]))]
+            else:
+                body += nest(i + 1, "lo", "hi", first, head)
+        else:
+            body += _merges(i, diag) + _clamp(i, diag)
+            if i == stop:
+                lower, upper = (_tup([f"{c}{n - 1}_{f}" for f in range(i, d)]) for c in "bg")
+                body.append(f"count += half({lower}, {upper}, eps)")
+            else:
+                body += _means(i, (i & -i).bit_length() - 1)
+                body += nest(i + 1, f"ceil(b0_{i} - eps)", f"floor(g0_{i} + eps)", first, head)
+        return [f"for k{i} in range({lo}, {hi} + 1):", *_indent(body)]
+
+    def segment(first):
+        head = [f"nonlocal {acc}"] if stop - first < _SEGMENT else []
+        loops = nest(first, "lo", "hi", first, head)
+        return head + loops
+
+    head = []
     if d == 1:
-        if hi < lo:
-            yield 0
-            return
-        if leaf is not None and leaf(lo, hi):
-            yield None
-        yield hi - lo + 1
-        return
-
-    alpha, beta, gamma = state.alpha, state.beta, state.gamma
-    a0, b0, g0 = alpha[0], beta[0], gamma[0]
-    b1, g1 = beta[1], gamma[1]
-    d0 = state.ladder.levels[0][0]
-    merges, clamps = state.merges, state.clamps
-
-    last = d - 1  # odd, so the innermost run is cut in the odd branch
-    ks = state.k  # current k_i; starts one below its range
-    end = [0] * d  # inclusive end of the current k_i range
-    ks[1], end[1] = lo - 1, hi
-    count = 0
-    i = 1
-    while i:
-        k = ks[i] + 1
-        if k > end[i]:
-            i -= 1
-            continue
-        ks[i] = k
-        if i & 1:
-            # odd i: the new scalar is its own partial image; clamp its sibling
-            a = float(k)
-            a0[i - 1] = a
-            lo1 = b1[i - 1] - a
-            lo2 = a - g1[i]
-            hi1 = g1[i - 1] - a
-            hi2 = a - b1[i]
-            # k_{i+1} ranges over [flo, fhi]; its real bounds are never read
-            # again, so unlike the even branch this one does not store them
-            flo = ceil((lo1 if lo1 > lo2 else lo2) / d0 - eps)
-            fhi = floor((hi1 if hi1 < hi2 else hi2) / d0 + eps)
-            if i == last:
-                if fhi >= flo:
-                    count += fhi - flo + 1
-                    if leaf is not None and leaf(flo, fhi):
-                        yield None
-            else:
-                i += 1
-                ks[i] = flo - 1
-                end[i] = fhi
-            continue
-        # even i: butterfly-refresh the partial images along the 2-adic chain
-        a0[i - 1] = float(k)
-        for src, dst, dl, base, mid, w in merges[i]:
-            if w == 1:
-                a1 = src[base]
-                prod = dl[0] * src[mid]
-                dst[base] = a1 + prod
-                dst[mid] = a1 - prod
-            else:
-                for t in range(w):
-                    a1 = src[base + t]
-                    prod = dl[t] * src[mid + t]
-                    dst[base + t] = a1 + prod
-                    dst[mid + t] = a1 - prod
-        # clamp the sibling block at level r, then cascade means to level 0
-        pb, pg, cb, cg, ar, dl, start, w, casc = clamps[i]
-        for t in range(w):
-            a = ar[start + t]
-            lo1 = pb[start + t] - a
-            lo2 = a - pg[i + t]
-            hi1 = pg[start + t] - a
-            hi2 = a - pb[i + t]
-            cb[i + t] = (lo1 if lo1 > lo2 else lo2) / dl[t]
-            cg[i + t] = (hi1 if hi1 < hi2 else hi2) / dl[t]
-        for pbj, pgj, cbj, cgj, w in casc:
-            for t in range(w):
-                cbj[i + t] = (pbj[i + t] + pbj[i + w + t]) / 2.0
-                cgj[i + t] = (pgj[i + t] + pgj[i + w + t]) / 2.0
-        i += 1
-        ks[i] = ceil(b0[i - 1] - eps) - 1
-        end[i] = floor(g0[i - 1] + eps)
-    yield count
+        loops = ["lo = ceil(b0_0 - eps)", "hi = floor(g0_0 + eps)", "if hi >= lo:", *_indent(run([]))]
+    else:
+        loops = nest(1, "ceil(b0_0 - eps)", "floor(g0_0 + eps)", 1, head)
+    params = {"count": "", "stream": ", consumer", "batches": ", extend, size"}[leaf]
+    end = ["if pending:", "    yield pending"] if leaf == "batches" else ["return count"]
+    body = [
+        f"{_tup([f'b{n}_{f}' for f in range(d)])} = lower",
+        f"{_tup([f'g{n}_{f}' for f in range(d)])} = upper",
+        *_means(0, n),
+        f"{acc} = 0",
+        *head,
+        *loops,
+        *end,
+    ]
+    return "\n".join([f"def kernel(lower, upper, eps{params}):", *_indent(body), ""])
 
 
-def _batches(state, size):
+def _merges(i, diag):
+    """Butterfly merges refreshing the partial images once k_i (i even) is set.
+
+    With i = 2**r * p, p odd: level j = 1..r pairs the two 2**(j-1)-blocks
+    ending at i and maps (A, Y) to (A + D*Y, A - D*Y), D the ladder diagonal
+    at level j - 1.  For i = d this is the chain that finishes an image.
+    """
+    r = (i & -i).bit_length() - 1
+    lines = []
+    for j in range(1, r + 1):
+        w = 1 << (j - 1)
+        mid = i - w
+        for t in range(mid - w, mid):
+            lines += [
+                f"prod = {_lit(diag[j - 1][t - mid + w])} * a{j - 1}_{t + w}",
+                f"a{j}_{t} = a{j - 1}_{t} + prod",
+                f"a{j}_{t + w} = a{j - 1}_{t} - prod",
+            ]
+    return lines
+
+
+def _clamp(i, diag):
+    """Bounds of the level-r sibling block once k_i (i = 2**r * p < d) is set."""
+    r = (i & -i).bit_length() - 1
+    start = i - (1 << r)
+    lines = []
+    for t in range(1 << r):
+        a, dl = f"a{r}_{start + t}", _lit(diag[r][t])
+        lines += [
+            f"lo1 = b{r + 1}_{start + t} - {a}",
+            f"lo2 = {a} - g{r + 1}_{i + t}",
+            f"hi1 = g{r + 1}_{start + t} - {a}",
+            f"hi2 = {a} - b{r + 1}_{i + t}",
+            f"b{r}_{i + t} = (lo1 if lo1 > lo2 else lo2) / {dl}",
+            f"g{r}_{i + t} = (hi1 if hi1 < hi2 else hi2) / {dl}",
+        ]
+    return lines
+
+
+def _means(i, top):
+    """Cascade the level-``top`` bounds at slot i down to level 0 by half-means."""
+    lines = []
+    for j in range(top - 1, -1, -1):
+        w = 1 << j
+        for t in range(i, i + w):
+            lines += [
+                f"b{j}_{t} = (b{j + 1}_{t} + b{j + 1}_{t + w}) / 2.0",
+                f"g{j}_{t} = (g{j + 1}_{t} + g{j + 1}_{t + w}) / 2.0",
+            ]
+    return lines
+
+
+def _lit(value):
+    """A ladder entry as a literal that parses back to the same double."""
+    if not math.isfinite(value):
+        raise ValueError(f"ladder entries must be finite, got {value!r}")
+    return repr(float(value))
+
+
+def _tup(names):
+    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
+
+
+def _indent(lines):
+    return ["    " + line for line in lines]
+
+
+def _batches(walk, runs, ladder, d, size):
     """Generator behind :func:`enumerate_batches`.
 
-    The leaf records each run as one row (lo, hi, k_1, ..., k_{d-1}); once
-    ``size`` points are pending the walk pauses, and the full batches are
-    built in numpy, images included (see :func:`_images`).
+    ``walk`` is the batch kernel: it appends each run as one row (lo, hi,
+    k_1, ..., k_{d-1}) to ``runs`` and yields how many pending points to
+    build, a multiple of ``size`` or, at the end, all of them.  Each batch
+    is built in numpy, images included (see :func:`_images`); the points
+    not built stay in ``runs``.
     """
-    d = 1 << state.level.n
     last = d - 1
-    ks = state.k
-    runs: list[int] = []
-    extend = runs.extend
-    pending = 0
-
-    def record(lo: int, hi: int) -> bool:
-        nonlocal pending
-        extend((lo, hi))
-        extend(ks[1:])
-        pending += hi - lo + 1
-        return pending >= size
-
-    def build(upto: int):
-        """Yield the pending points [0, upto) as batches; keep the rest pending."""
-        nonlocal pending
+    for upto in walk:
         table = np.array(runs, dtype=np.int64).reshape(-1, d + 1)
         lengths = table[:, 1] - table[:, 0] + 1
         ends = np.cumsum(lengths)
@@ -417,18 +401,11 @@ def _batches(state, size):
             K = np.empty((b - a, d), dtype=np.int64)
             K[:, :last] = np.repeat(table[r0:r1, 2:], rep, axis=0)
             K[:, last] = np.arange(b - a) + np.repeat(table[r0:r1, 0] - starts[r0:r1] + a, rep)
-            yield K, _images(state.ladder, K)
+            yield K, _images(ladder, K)
         r0 = int(np.searchsorted(ends, upto, side="right"))
         del runs[: r0 * (d + 1)]
         if runs:
             runs[0] += upto - int(starts[r0])  # the first run is cut: later lo
-        pending -= upto
-
-    walk = _walk(state, record)
-    while next(walk) is None:
-        yield from build(pending - pending % size)
-    if pending:
-        yield from build(pending)
 
 
 def _images(ladder, K):

@@ -179,8 +179,9 @@ def recursive_enumerate(level: Level, box: Box) -> list[LatticePoint]:
     The first half-block k1 ranges over the points between the half-means of
     the corners; for each, its image ``apply_generator(ladder, k1)`` fixes
     the clamped bounds of the second half-block.  Shares no code with the
-    kernel ``_walk``, decides on the exact box like it, and returns the
-    same list as streaming into a list, bit-for-bit, at any level.
+    generated traversal kernel, decides on the exact box like it, and
+    returns the same list as streaming into a list, bit-for-bit, at any
+    level.
     """
     if box.dimension != level.d:
         raise ValueError(f"box dimension {box.dimension} != {level.d}")

@@ -195,6 +195,27 @@ class TestUsageErrors:
         assert code == 2
         assert "--log2-scale" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--dim", "2", "--log2-scale", "1023"),
+            ("count", "--dim", "32", "--log2-scale", "1023"),
+            ("integrate", "--dim", "2", "--log2-scale", "1023"),
+            ("count", "--dim", "1", "--scale", "1e-320"),
+        ],
+    )
+    def test_scale_out_of_double_range(self, capsys, argv):
+        # |det| N overflows (shrink 0) or the shrink itself overflows
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "out of range" in err
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_scale(self, capsys, scale):
+        code, _, err = run_cli(capsys, "count", "--dim", "2", "--scale", scale)
+        assert code == 2
+        assert "scale" in err
+
     def test_unwritable_out_file(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, _, err = run_cli(

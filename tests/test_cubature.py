@@ -41,6 +41,13 @@ class TestCubatureSpec:
             with pytest.raises(ValueError):
                 CubatureSpec(Level(1), bad)
 
+    def test_rejects_scale_outside_double_range(self):
+        # shrink 0 (|det| N overflows) and shrink overflow (|det| N subnormal)
+        for n, bad in ((1, 2.0**1023), (5, 2.0**1023), (0, 1e-320)):
+            with pytest.raises(ValueError, match="out of range"):
+                CubatureSpec(Level(n), bad)
+        assert 0.0 < standard_box(CubatureSpec(Level(0), 1e-300)).upper[0] < 1e-299
+
 
 class TestStandardBox:
     def test_half_width_level_one(self):

@@ -1,14 +1,21 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chebfrolov
 from chebfrolov import (
     Box,
     CubatureSpec,
+    DiagLadder,
     LatticePoint,
     Level,
     apply_generator,
@@ -22,7 +29,7 @@ from chebfrolov import (
     sample_shift,
     standard_box,
 )
-from chebfrolov.enumeration import EnumState
+from chebfrolov.enumeration import _kernel
 from chebfrolov.verify import ORACLE_TOLERANCE, clamp_bounds, interval_mean, recursive_enumerate
 
 SQRT2 = math.sqrt(2.0)
@@ -279,23 +286,104 @@ class TestStream:
                 inner_ks = {p.k for p in collect(level, inner, ladder)}
                 assert inner_ks <= outer_ks
 
-    def test_state_tables_have_fixed_footprint(self):
-        level = Level(3)
-        box = Box.symmetric(4.0, 8)
-        state = EnumState(level, box, build_diag_ladder(level), 0.0)
-        for table in (state.alpha, state.beta, state.gamma):
-            assert len(table) == level.n + 1
-            assert all(len(row) == level.d for row in table)
-        # valuation decomposes every index as odd * 2**r
-        for i in range(1, level.d + 1):
-            r, p = state.valuation[i]
-            assert i == (1 << r) * p and p % 2 == 1
-
     def test_dimension_mismatch_rejected(self):
         level = Level(1)
         ladder = build_diag_ladder(level)
         with pytest.raises(ValueError):
             enumerate_stream(level, Box.symmetric(1.0, 4), ladder, lambda p: None)
+
+
+class TestKernels:
+    """The traversal kernel is generated per (level, ladder values, leaf) on first use."""
+
+    def test_import_compiles_no_kernel(self):
+        src = str(Path(chebfrolov.__file__).resolve().parent.parent)
+        code = "import chebfrolov.enumeration as e; print(e._kernel.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "0"
+
+    def test_same_level_and_ladder_reuse_one_kernel(self):
+        level = Level(3)
+        box = Box.symmetric(3.0, level.d)
+        count_points(level, box, build_diag_ladder(level))
+        before = _kernel.cache_info()
+        for _ in range(3):
+            # a fresh ladder object with the same values
+            assert count_points(level, box, build_diag_ladder(level)) == 63
+        after = _kernel.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 3, before.misses)
+
+    def test_other_ladder_values_get_their_own_kernel(self):
+        level = Level(3)
+        ladder = build_diag_ladder(level)
+        other = DiagLadder([[1.25 * v for v in diag] for diag in ladder.levels])
+        assert _kernel(3, other.levels, "stream") is not _kernel(3, ladder.levels, "stream")
+        box = Box.symmetric(4.0, level.d)
+        points = collect(level, box, other)
+        assert len(points) > 1
+        assert [p.x for p in points] != [p.x for p in collect(level, box, ladder)]
+        for p in points:
+            assert np.array(p.x).tobytes() == np.array(apply_generator(other, p.k)).tobytes()
+        assert count_points(level, box, other) == len(points)
+        assert assert_batches_match_stream(level, box, other, 7) == len(points)
+        # a ladder entry must be written as a literal that parses back to it
+        broken = DiagLadder(((math.nan,),) + ladder.levels[1:])
+        with pytest.raises(ValueError, match="finite"):
+            count_points(level, box, broken)
+
+    def test_stream_memory_does_not_grow_with_the_scale(self):
+        level = Level(3)
+        ladder = build_diag_ladder(level)
+        peaks = []
+        for m in (10, 14):
+            box = cubature_box(3, 2**m)
+            enumerate_stream(level, box, ladder, lambda p: None)  # compile outside the trace
+            tracemalloc.start()
+            try:
+                enumerate_stream(level, box, ladder, lambda p: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 16,413 points instead of 1,067: keeping them would take megabytes;
+        # the peak may differ by a few int objects of larger coordinates
+        assert peaks[1] <= peaks[0] + 1024
+
+
+class TestDeepSplit:
+    """d = 64 has 63 nested loops, so its kernels nest closures of 16 coordinates."""
+
+    level = Level(6, max_n=6)
+
+    @pytest.mark.parametrize("eps,symmetric_count", [(0.0, 135), (0.25, 151)])
+    def test_count_stream_batches_and_reference_agree(self, eps, symmetric_count):
+        level = self.level
+        ladder = build_diag_ladder(level)
+        rng = random.Random(64)
+        x = apply_generator(ladder, [rng.randint(-2, 2) for _ in range(level.d)])
+        boxes = [
+            Box.symmetric(2.5, level.d),
+            Box(
+                tuple(v - rng.uniform(1.0, 2.5) for v in x),
+                tuple(v + rng.uniform(1.0, 2.5) for v in x),
+            ),
+        ]
+        assert count_points(level, boxes[0], ladder, boundary_eps=eps) == symmetric_count
+        for box in boxes:
+            emitted = assert_batches_match_stream(level, box, ladder, 16, boundary_eps=eps)
+            assert emitted > 0
+            assert count_points(level, box, ladder, boundary_eps=eps) == emitted
+            if eps == 0.0:
+                points = collect(level, box, ladder)
+                reference = recursive_enumerate(level, box)
+                assert points == reference
+                got = np.array([p.x for p in points]).tobytes()
+                assert got == np.array([p.x for p in reference]).tobytes()
 
 
 class TestSplitCorrectness:
@@ -368,9 +456,9 @@ class TestCount:
         assert ks == {tuple(-c for c in k) for k in ks}
 
 
-def collect_batches(level, box, ladder, size):
+def collect_batches(level, box, ladder, size, **kwargs):
     """Every batch as (K, X); checks shapes, dtypes and that only the last is short."""
-    batches = list(enumerate_batches(level, box, ladder, size))
+    batches = list(enumerate_batches(level, box, ladder, size, **kwargs))
     for j, (K, X) in enumerate(batches):
         assert K.dtype == np.int64 and X.dtype == np.float64
         assert K.shape == X.shape and K.shape[1] == level.d
@@ -379,9 +467,9 @@ def collect_batches(level, box, ladder, size):
     return batches
 
 
-def assert_batches_match_stream(level, box, ladder, size):
-    points = collect(level, box, ladder)
-    batches = collect_batches(level, box, ladder, size)
+def assert_batches_match_stream(level, box, ladder, size, **kwargs):
+    points = collect(level, box, ladder, **kwargs)
+    batches = collect_batches(level, box, ladder, size, **kwargs)
     rows = [(tuple(k), tuple(x)) for K, X in batches for k, x in zip(K.tolist(), X.tolist())]
     assert rows == [(p.k, p.x) for p in points]
     if points:
