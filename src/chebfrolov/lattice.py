@@ -110,7 +110,7 @@ class DiagLadder:
     levels: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        # tuples of floats: the enumeration caches its kernels by these values
+        # tuples of floats: the enumeration caches its diagonal buffers by these values
         levels = tuple(tuple(float(v) for v in diag) for diag in self.levels)
         object.__setattr__(self, "levels", levels)
 

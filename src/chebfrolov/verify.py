@@ -3,7 +3,7 @@
 Four routes confirm the enumeration: a brute-force oracle that inverts the
 dense generator and tests every integer vector in a bounding box, a
 recursive reference that applies the half-mean and clamp split of the box
-directly (no traversal kernel, images from :func:`apply_generator`), a
+directly (not the compiled walker; images from :func:`apply_generator`), a
 two-scale consistency check that enumerates the double-scale box and
 filters, and regression against an embedded table of known-good node counts
 for the standard cubature boxes (data/golden_counts.csv, columns
@@ -179,9 +179,8 @@ def recursive_enumerate(level: Level, box: Box) -> list[LatticePoint]:
     The first half-block k1 ranges over the points between the half-means of
     the corners; for each, its image ``apply_generator(ladder, k1)`` fixes
     the clamped bounds of the second half-block.  Shares no code with the
-    generated traversal kernel, decides on the exact box like it, and
-    returns the same list as streaming into a list, bit-for-bit, at any
-    level.
+    compiled traversal, decides on the exact box like it, and returns the
+    same list as streaming into a list, bit-for-bit, at any level.
     """
     if box.dimension != level.d:
         raise ValueError(f"box dimension {box.dimension} != {level.d}")

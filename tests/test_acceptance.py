@@ -35,7 +35,7 @@ from chebfrolov import (
 from chebfrolov.verify import recursive_enumerate
 
 #: (dimension, max log2N) ranges exercised at desk scale.
-MEDIUM_RANGES = {2: 20, 4: 20, 8: 14, 16: 10, 32: 2}
+MEDIUM_RANGES = {2: 20, 4: 20, 8: 14, 16: 20, 32: 12}
 
 _golden = {(rec.d, rec.log2n): rec.count for rec in load_golden_table()}
 _count_cache: dict[tuple[int, int], int] = {}

@@ -210,6 +210,21 @@ class TestUsageErrors:
         assert code == 2
         assert "out of range" in err
 
+    def test_scale_needing_huge_coordinates(self):
+        # the box half-width is about 1e154: the walk would never end, so it
+        # must be refused up front; a child process, so a hang is a failure
+        src = str(Path(chebfrolov.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "chebfrolov.cli", "count", "--dim", "2", "--log2-scale", "1022"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "2**62" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
     def test_bad_scale(self, capsys, scale):
         code, _, err = run_cli(capsys, "count", "--dim", "2", "--scale", scale)

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -29,7 +30,7 @@ from chebfrolov import (
     sample_shift,
     standard_box,
 )
-from chebfrolov.enumeration import _kernel
+from chebfrolov.enumeration import _library
 from chebfrolov.verify import ORACLE_TOLERANCE, clamp_bounds, interval_mean, recursive_enumerate
 
 SQRT2 = math.sqrt(2.0)
@@ -293,37 +294,84 @@ class TestStream:
             enumerate_stream(level, Box.symmetric(1.0, 4), ladder, lambda p: None)
 
 
-class TestKernels:
-    """The traversal kernel is generated per (level, ladder values, leaf) on first use."""
+def run_child(code):
+    """Run ``code`` in a fresh interpreter that imports the package under test."""
+    src = str(Path(chebfrolov.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return proc.stdout.split()
 
-    def test_import_compiles_no_kernel(self):
-        src = str(Path(chebfrolov.__file__).resolve().parent.parent)
-        code = "import chebfrolov.enumeration as e; print(e._kernel.cache_info().currsize)"
+
+#: Child-process prelude: counts every process started from here on.
+COUNT_PROCESSES = """
+import subprocess
+started = []
+_init = subprocess.Popen.__init__
+def init(self, *args, **kwargs):
+    started.append(args)
+    _init(self, *args, **kwargs)
+subprocess.Popen.__init__ = init
+"""
+
+
+class TestKernels:
+    """One compiled walker, built on first use and cached beside the module."""
+
+    def test_import_loads_no_library_and_starts_no_compiler(self):
+        code = COUNT_PROCESSES + (
+            "import chebfrolov, chebfrolov.enumeration as e\n"
+            "print(e._library.cache_info().currsize, len(started))"
+        )
+        assert run_child(code) == ["0", "0"]
+
+    def test_second_process_reuses_the_cached_library(self):
+        code = COUNT_PROCESSES + (
+            "import chebfrolov as cf, chebfrolov.enumeration as e\n"
+            "level = cf.Level(3)\n"
+            "box = cf.Box.symmetric(3.0, level.d)\n"
+            "print(cf.count_points(level, box, cf.build_diag_ladder(level)),"
+            " e._library()._name, len(started))"
+        )
+        count, path, _ = run_child(code)  # builds the library unless it is cached
+        assert count == "63"
+        assert path == _library()._name
+        mtime = os.stat(path).st_mtime_ns
+        assert run_child(code) == ["63", path, "0"]
+        assert os.stat(path).st_mtime_ns == mtime
+
+    def test_failed_compile_raises_runtime_error(self, tmp_path):
+        package = Path(chebfrolov.__file__).resolve().parent
+        copy = tmp_path / "chebfrolov"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        with open(copy / "_walk.c", "a") as fh:
+            fh.write("\nint broken(void) { return undeclared_name; }\n")
+        code = (
+            "import chebfrolov as cf\n"
+            "try:\n"
+            "    cf.count_points(cf.Level(1), cf.Box.symmetric(1.0, 2), cf.build_diag_ladder(cf.Level(1)))\n"
+            "except RuntimeError as exc:\n"
+            "    print('undeclared_name' in str(exc))\n"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=str(tmp_path)),
             capture_output=True,
             text=True,
-            check=True,
+            timeout=120,
         )
-        assert proc.stdout.strip() == "0"
+        assert proc.stdout.split() == ["True"]
+        assert not list((copy / "__pycache__").glob("_walk*")), "a partial build was left behind"
 
-    def test_same_level_and_ladder_reuse_one_kernel(self):
-        level = Level(3)
-        box = Box.symmetric(3.0, level.d)
-        count_points(level, box, build_diag_ladder(level))
-        before = _kernel.cache_info()
-        for _ in range(3):
-            # a fresh ladder object with the same values
-            assert count_points(level, box, build_diag_ladder(level)) == 63
-        after = _kernel.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 3, before.misses)
-
-    def test_other_ladder_values_get_their_own_kernel(self):
+    def test_other_ladder_values(self):
         level = Level(3)
         ladder = build_diag_ladder(level)
         other = DiagLadder([[1.25 * v for v in diag] for diag in ladder.levels])
-        assert _kernel(3, other.levels, "stream") is not _kernel(3, ladder.levels, "stream")
         box = Box.symmetric(4.0, level.d)
         points = collect(level, box, other)
         assert len(points) > 1
@@ -332,10 +380,32 @@ class TestKernels:
             assert np.array(p.x).tobytes() == np.array(apply_generator(other, p.k)).tobytes()
         assert count_points(level, box, other) == len(points)
         assert assert_batches_match_stream(level, box, other, 7) == len(points)
-        # a ladder entry must be written as a literal that parses back to it
         broken = DiagLadder(((math.nan,),) + ladder.levels[1:])
         with pytest.raises(ValueError, match="finite"):
             count_points(level, box, broken)
+
+    def test_consumer_may_enumerate_again(self):
+        # the walker keeps no state outside its call's own buffers
+        level, inner = Level(2), Level(3)
+        ladder, inner_ladder = build_diag_ladder(level), build_diag_ladder(inner)
+        box, inner_box = cubature_box(2, 2**8), cubature_box(3, 2**6)
+        inner_points = collect(inner, inner_box, inner_ladder)
+        inner_count = count_points(inner, inner_box, inner_ladder)
+        points, nested = [], []
+
+        def consumer(point):
+            points.append(point)
+            nested.append(
+                (
+                    count_points(inner, inner_box, inner_ladder),
+                    collect(inner, inner_box, inner_ladder),
+                    collect(level, box, ladder),
+                )
+            )
+
+        assert enumerate_stream(level, box, ladder, consumer) == len(points) > 1
+        assert points == collect(level, box, ladder)
+        assert all(again == (inner_count, inner_points, points) for again in nested)
 
     def test_stream_memory_does_not_grow_with_the_scale(self):
         level = Level(3)
@@ -356,7 +426,7 @@ class TestKernels:
 
 
 class TestDeepSplit:
-    """d = 64 has 63 nested loops, so its kernels nest closures of 16 coordinates."""
+    """d = 64, past the default level cap: the walker takes the level at run time."""
 
     level = Level(6, max_n=6)
 
@@ -441,6 +511,30 @@ class TestCount:
         box = Box((0.2,), (0.9,))
         assert count_points(level, box, ladder) == 0
         assert count_points(level, box, ladder, boundary_eps=0.25) == 2
+
+    @pytest.mark.parametrize(
+        "box",
+        [Box.symmetric(1e154, 2), Box((1e300, 1e300), (1e300, 1e300))],
+        ids=["huge", "far point"],
+    )
+    def test_coordinates_past_the_limit_are_refused(self, box):
+        # the far point used to count as 1: 1e300 is no longer a lattice image
+        level = Level(1)
+        ladder = build_diag_ladder(level)
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            count_points(level, box, ladder)
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            enumerate_stream(level, box, ladder, lambda p: None)
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            next(enumerate_batches(level, box, ladder))
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_far_empty_box_counts_zero(self, n):
+        level = Level(n)
+        ladder = build_diag_ladder(level)
+        box = Box((1e300,) * level.d, (0.5e300,) * level.d)
+        assert count_points(level, box, ladder) == 0
+        assert collect(level, box, ladder) == []
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_deep_levels_stream_and_count_agree(self, n):
@@ -539,6 +633,17 @@ class TestBatches:
         assert K[:, 0].tolist() == list(range(-1000, 1000))
         assert X[:, 0].tolist() == [float(k) for k in range(-1000, 1000)]
         assert_batches_match_stream(level, box, ladder, 7)
+
+    def test_huge_size_grows_the_buffer(self):
+        # more rows than a buffer starts with, and a size no buffer could hold
+        level = Level(0)
+        ladder = build_diag_ladder(level)
+        (K, X), = enumerate_batches(level, Box((-50000.5,), (50000.2,)), ladder, 10**12)
+        assert K[:, 0].tolist() == list(range(-50000, 50001))
+        assert X[:, 0].tolist() == [float(k) for k in range(-50000, 50001)]
+        level = Level(1)
+        box = cubature_box(1, 2**17)
+        assert assert_batches_match_stream(level, box, build_diag_ladder(level), 10**12) > 2**17
 
     def test_boundary_eps_passed_through(self):
         level = Level(0)
