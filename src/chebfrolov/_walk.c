@@ -11,12 +11,24 @@
  *                       the images from the last butterfly chain, and
  *                       returns how many it wrote.
  *
- * Every floating-point operation is the one the reference recursion makes,
- * in the same order: the clamps take `x > y ? x : y` (or `<`) and then
- * divide by the ladder diagonal, ranges are ceil(. - eps) and floor(. + eps),
- * means are (u + v) / 2.0, and merges are prod = D*y; a + prod; a - prod.
- * Contracting them to fused multiply-adds would change the last bits, hence
- * -ffp-contract=off (and never -ffast-math).
+ * A point is in the box iff its image x (the one apply_generator computes)
+ * has lower <= x <= upper.  A range takes the integers within slack =
+ * SLACK (1 + max|corner|) of its bounds, which carry rounding; an end of a
+ * k_d run nearer than that to its bound is dropped until its image is in
+ * the box.  Rounding is monotone, so the k_d with images in the box are one
+ * interval: the trimmed run, which both leaves take.  SLACK = 2^-50 is 8
+ * unit roundoffs u: on face boxes [Gk, Gk], [Gk, Gk + 1], [Gk - 1, Gk] at
+ * d = 2..64, |k| <= 1e14, points in the box lay at most 2.6u (1 + max|corner|)
+ * outside a computed bound, and 2u missed some; the same margin keeps images
+ * outside the box off a run's untested middle.  More slack costs nodes: at
+ * 2^-44 a d = 16 box of side 3 near k = 1e12 visited 2.7 million, not ~100.
+ *
+ * Every other floating-point operation is the one the reference recursion
+ * makes, in the same order: the clamps take `x > y ? x : y` (or `<`) and
+ * then divide by the ladder diagonal, means are (u + v) / 2.0, and merges
+ * are prod = D*y; a + prod; a - prod.  Contracting them to fused multiply-
+ * adds would change the last bits, hence -ffp-contract=off (and never
+ * -ffast-math).
  *
  * There is no static state.  Everything lives in the caller's buffer of
  * walk_state_len(n) eight-byte slots, zero-initialised except for the box:
@@ -41,6 +53,7 @@
  * fits in an unsigned 64-bit integer. */
 #define K_LIMIT 4611686018427387904.0
 
+#define SLACK 0x1p-50 /* the slack per unit of 1 + max|corner| (see above) */
 enum { WALK_RANGE = -1, WALK_OVERFLOW = -2 };
 
 int64_t walk_state_len(int n)
@@ -66,6 +79,19 @@ static void merge(double *const *a, const double *const *D, int64_t i, int r)
     }
 }
 
+/* Is the image of k_1..k_{d-1} and k_d = t in the box (corners s, s + d)?
+ * Leaves the image in a[n]. */
+static int inside(double *const *a, const double *const *D, int n, int64_t t, const double *s)
+{
+    const int64_t d = (int64_t)1 << n;
+    a[0][d - 1] = (double)t;
+    merge(a, D, d, n);
+    for (int64_t f = 0; f < d; f++)
+        if (!(a[n][f] >= s[f] && a[n][f] <= s[d + f]))
+            return 0;
+    return 1;
+}
+
 /* The depth after the range [lo, hi] of k_{i+1} is opened: i + 1, or i if
  * the range is empty, or WALK_RANGE if it reaches past the limit (or is
  * NaN).  k_{i+1} starts one below its range. */
@@ -80,8 +106,23 @@ static int64_t descend(int64_t i, double lo, double hi, int64_t *k, int64_t *end
     return i + 1;
 }
 
-int64_t walk(double *s, int n, const double *diag, double eps,
-             int64_t *K, double *X, int64_t size)
+/* Trims the run of k_d just opened from the bounds [lo, hi] (see the
+ * header); the depth after it: d, or d - 1 if the run is left empty. */
+static int64_t trim(double *const *a, const double *const *D, int n, const double *s,
+                    double lo, double hi, double slack, int64_t *k, int64_t *end)
+{
+    const int64_t d = (int64_t)1 << n;
+    int64_t f = k[d] + 1, z = end[d];
+    while (f <= z && (double)f < lo + slack && !inside(a, D, n, f, s))
+        f++;
+    while (z >= f && (double)z > hi - slack && !inside(a, D, n, z, s))
+        z--;
+    k[d] = f - 1;
+    end[d] = z;
+    return z < f ? d - 1 : d;
+}
+
+int64_t walk(double *s, int n, const double *diag, int64_t *K, double *X, int64_t size)
 {
     const int64_t d = (int64_t)1 << n, last = d - 1;
     double *b[n + 1], *g[n + 1], *a[n + 1];
@@ -99,6 +140,10 @@ int64_t walk(double *s, int n, const double *diag, double eps,
     int64_t *k = started + 2, *end = k + d + 1;
     double *a0 = a[0], *b0 = b[0], *g0 = g[0], *b1 = b[n ? 1 : 0], *g1 = g[n ? 1 : 0];
     const double d0 = n ? D[0][0] : 1.0;
+    double m = 0.0; /* max |corner| */
+    for (int64_t f = 0; f < 2 * d; f++)
+        m = fmax(m, fabs(s[f]));
+    const double slack = SLACK * (1.0 + m);
 
     int64_t i = 0, rows = 0, count = 0;
     double lo, hi;
@@ -114,7 +159,9 @@ int64_t walk(double *s, int n, const double *diag, double eps,
                 g[j][t] = (g[j + 1][t] + g[j + 1][t + w]) / 2.0;
             }
         }
-        i = descend(0, ceil(b0[0] - eps), floor(g0[0] + eps), k, end);
+        i = descend(0, ceil(b0[0] - slack), floor(g0[0] + slack), k, end);
+        if (i == d)
+            i = trim(a, D, n, s, b0[0], g0[0], slack, k, end);
     }
 
     while (i > 0) {
@@ -158,8 +205,8 @@ int64_t walk(double *s, int n, const double *diag, double eps,
              * level-1 sibling, which bounds k_{i+1} directly */
             const double lo1 = b1[i - 1] - x, lo2 = x - g1[i];
             const double hi1 = g1[i - 1] - x, hi2 = x - b1[i];
-            lo = ceil((lo1 > lo2 ? lo1 : lo2) / d0 - eps);
-            hi = floor((hi1 < hi2 ? hi1 : hi2) / d0 + eps);
+            lo = (lo1 > lo2 ? lo1 : lo2) / d0;
+            hi = (hi1 < hi2 ? hi1 : hi2) / d0;
         } else {
             /* i = 2^r p: refresh the images, clamp the level-r sibling
              * block, then cascade its bounds down to level 0 */
@@ -182,10 +229,13 @@ int64_t walk(double *s, int n, const double *diag, double eps,
                     g[j][t] = (g[j + 1][t] + g[j + 1][t + v]) / 2.0;
                 }
             }
-            lo = ceil(b0[i] - eps);
-            hi = floor(g0[i] + eps);
+            lo = b0[i];
+            hi = g0[i];
         }
-        i = descend(i, lo, hi, k, end);
+        const double from = ceil(lo - slack), to = floor(hi + slack);
+        i = descend(i, from, to, k, end);
+        if (i == d && (from < lo + slack || to > hi - slack))
+            i = trim(a, D, n, s, lo, hi, slack, k, end);
     }
     if (i < 0)
         return i;

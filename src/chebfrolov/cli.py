@@ -17,12 +17,13 @@ variable FROLOV_MAX_LEVEL overrides the default cap on the level.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 import time
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .cubature import (
     CubatureSpec,
@@ -109,13 +110,29 @@ def _scale_number(scale: float) -> float | int:
     return int(scale) if scale == int(scale) else scale
 
 
-def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
+@contextlib.contextmanager
+def _output(args: argparse.Namespace) -> Iterator[TextIO]:
+    """The ``--out`` file, or stdout.  Commands open it only once their
+    arguments are resolved (count and integrate once their result is), so a
+    usage error leaves an existing file as it was."""
+    if not args.out:
+        yield sys.stdout
+        return
+    try:
+        fh = open(args.out, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}")
+    with fh:
+        yield fh
+
+
+def _cmd_count(args: argparse.Namespace) -> int:
     level = _resolve_level(args)
     scale = _resolve_scale(args)
     box = _resolve_box(args, level, scale)
     ladder = build_diag_ladder(level)
     start = time.monotonic()
-    n_points = count_points(level, box, ladder, boundary_eps=args.boundary_eps)
+    n_points = count_points(level, box, ladder)
     elapsed = time.monotonic() - start
     summary = {
         "d": level.d,
@@ -123,25 +140,27 @@ def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
         "count": n_points,
         "seconds": elapsed,
     }
-    print(json.dumps(summary), file=out)
+    with _output(args) as out:
+        print(json.dumps(summary), file=out)
     return 0
 
 
-def _cmd_points(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_points(args: argparse.Namespace) -> int:
     level = _resolve_level(args)
     box = _resolve_box(args, level, _resolve_scale(args))
     ladder = build_diag_ladder(level)
-    if args.header and args.format == "csv":
-        print(",".join(f"x{j + 1}" for j in range(level.d)), file=out)
+    with _output(args) as out:
+        if args.header and args.format == "csv":
+            print(",".join(f"x{j + 1}" for j in range(level.d)), file=out)
 
-    def consume(point: LatticePoint) -> None:
-        print(format_point(point, args.format, args.precision), file=out)
+        def consume(point: LatticePoint) -> None:
+            print(format_point(point, args.format, args.precision), file=out)
 
-    enumerate_stream(level, box, ladder, consume, boundary_eps=args.boundary_eps)
+        enumerate_stream(level, box, ladder, consume)
     return 0
 
 
-def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_integrate(args: argparse.Namespace) -> int:
     level = _resolve_level(args)
     scale = _resolve_scale(args)
     if scale is None:
@@ -164,57 +183,59 @@ def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
     }
     if shift is not None:
         summary["seed"] = seed
-    print(json.dumps(summary), file=out)
+    with _output(args) as out:
+        print(json.dumps(summary), file=out)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     cap = _max_level_cap()
     max_level = Level.from_dimension(args.max_dim, max_n=cap)
     max_log2 = args.max_log2_scale
     failures = 0
+    with _output(args) as out:
+        for n in range(min(max_level.n, 3) + 1):
+            check = unimodular_check(Level(n, max_n=cap))
+            status = "PASS" if check.passed else "FAIL"
+            failures += not check.passed
+            print(
+                f"unimodular n={n}: {status} "
+                f"(int_dev={check.max_integer_deviation:.2e}, det_dev={check.det_deviation:.2e})",
+                file=out,
+            )
 
-    for n in range(min(max_level.n, 3) + 1):
-        check = unimodular_check(Level(n, max_n=cap))
-        status = "PASS" if check.passed else "FAIL"
-        failures += not check.passed
-        print(
-            f"unimodular n={n}: {status} "
-            f"(int_dev={check.max_integer_deviation:.2e}, det_dev={check.det_deviation:.2e})",
-            file=out,
-        )
+        for record, observed, match in reproduce_table(max_level, max_log2):
+            status = "PASS" if match else "FAIL"
+            failures += not match
+            print(
+                f"golden d={record.d} log2N={record.log2n}: {status} "
+                f"(expected={record.count}, observed={observed})",
+                file=out,
+            )
 
-    for record, observed, match in reproduce_table(max_level, max_log2):
-        status = "PASS" if match else "FAIL"
-        failures += not match
-        print(
-            f"golden d={record.d} log2N={record.log2n}: {status} "
-            f"(expected={record.count}, observed={observed})",
-            file=out,
-        )
+        for record in load_golden_table():
+            if record.d > min(max_level.d, 8) or record.log2n > min(max_log2, 10):
+                continue
+            level = Level.from_dimension(record.d, max_n=cap)
+            check = double_box_check(level, float(2**record.log2n))
+            status = "PASS" if check.agree else "FAIL"
+            failures += not check.agree
+            print(
+                f"double-box d={record.d} log2N={record.log2n}: {status} "
+                f"(direct={check.direct}, filtered={check.filtered})",
+                file=out,
+            )
 
-    for record in load_golden_table():
-        if record.d > min(max_level.d, 8) or record.log2n > min(max_log2, 10):
-            continue
-        level = Level.from_dimension(record.d, max_n=cap)
-        check = double_box_check(level, float(2**record.log2n))
-        status = "PASS" if check.agree else "FAIL"
-        failures += not check.agree
-        print(
-            f"double-box d={record.d} log2N={record.log2n}: {status} "
-            f"(direct={check.direct}, filtered={check.filtered})",
-            file=out,
-        )
-
-    print(f"RESULT: {'PASS' if failures == 0 else f'FAIL ({failures} checks)'}", file=out)
-    return 0 if failures == 0 else 1
+        print(f"RESULT: {'PASS' if failures == 0 else f'FAIL ({failures} checks)'}", file=out)
+        return 0 if failures == 0 else 1
 
 
-def _cmd_table(args: argparse.Namespace, out: TextIO) -> int:
-    print("d,log2N,count", file=out)
-    for record in load_golden_table():
-        if record.d <= args.max_dim and record.log2n <= args.max_log2_scale:
-            print(f"{record.d},{record.log2n},{record.count}", file=out)
+def _cmd_table(args: argparse.Namespace) -> int:
+    with _output(args) as out:
+        print("d,log2N,count", file=out)
+        for record in load_golden_table():
+            if record.d <= args.max_dim and record.log2n <= args.max_log2_scale:
+                print(f"{record.d},{record.log2n},{record.count}", file=out)
     return 0
 
 
@@ -253,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_level_args(p_count)
     _add_scale_args(p_count)
     p_count.add_argument("--box", type=float, nargs="+", help="2d floats: lower then upper corner")
-    p_count.add_argument("--boundary-eps", type=float, default=0.0)
     _add_common_output(p_count)
     p_count.set_defaults(func=_cmd_count)
 
@@ -265,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_points.add_argument("--precision", type=_positive_int, default=17,
                           help="significant digits for CSV output (17 round-trips doubles)")
     p_points.add_argument("--header", action="store_true", help="emit a x1..xd CSV header")
-    p_points.add_argument("--boundary-eps", type=float, default=0.0)
     _add_common_output(p_points)
     p_points.set_defaults(func=_cmd_points)
 
@@ -295,23 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(args: argparse.Namespace) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
-    if args.out:
-        try:
-            fh = open(args.out, "w")
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}")
-        with fh:
-            return args.func(args, fh)
-    return args.func(args, sys.stdout)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(args)
+        return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,10 +19,15 @@ For each prefix the innermost coordinate k_d ranges over an integer run
   from its state buffer for the next.  ``enumerate_stream`` takes the same
   batches and calls a consumer per point.
 
-All of them visit points in lexicographic order of the integer coordinates k
-and perform identical floating-point operations, so their outputs agree
-bit-for-bit, with each other and with :func:`apply_generator`.  A box that
-needs a coordinate beyond +-2**62 is refused with ``ValueError``.
+The box is closed: a point is in it iff its :func:`apply_generator` image x
+has ``lower <= x <= upper``.  Every range reaches a fixed slack past its
+rounded bounds, and a run's ends within the slack are kept only if their
+images are in the box (see the header of ``_walk.c``).
+
+The three entry points visit points in lexicographic order of the integer
+coordinates k and perform identical floating-point operations, so their
+outputs agree bit-for-bit, with each other and with :func:`apply_generator`.
+A box that needs a coordinate beyond +-2**62 is refused with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -98,8 +103,6 @@ def enumerate_stream(
     box: Box,
     ladder: DiagLadder,
     consumer: Consumer,
-    *,
-    boundary_eps: float = 0.0,
 ) -> int:
     """Stream every lattice point in the box through ``consumer``; return the count.
 
@@ -109,7 +112,7 @@ def enumerate_stream(
     ``_STREAM_ROWS`` rows, so memory does not grow with the number of
     emissions.
     """
-    walk = _prepare(level, box, ladder, boundary_eps)
+    walk = _prepare(level, box, ladder)
     new = tuple.__new__
     count = 0
     for K, X in _fill(walk, level.d, _STREAM_ROWS):
@@ -125,8 +128,6 @@ def enumerate_batches(
     box: Box,
     ladder: DiagLadder,
     size: int = 1024,
-    *,
-    boundary_eps: float = 0.0,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the lattice points in the box as ``(K, X)`` array batches.
 
@@ -138,26 +139,20 @@ def enumerate_batches(
     O(min(size, points) * d).  Arguments are checked by this call, before the
     first batch is asked for.
     """
-    walk = _prepare(level, box, ladder, boundary_eps)
+    walk = _prepare(level, box, ladder)
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
     return _fill(walk, level.d, size)
 
 
-def count_points(
-    level: Level,
-    box: Box,
-    ladder: DiagLadder,
-    *,
-    boundary_eps: float = 0.0,
-) -> int:
+def count_points(level: Level, box: Box, ladder: DiagLadder) -> int:
     """Number of lattice points in the box, without storing or emitting them.
 
     Matches ``enumerate_stream`` with a counting consumer exactly; each
     innermost run of k_d is counted by its length, which is what makes large
     scales cheap.
     """
-    return _call(*_prepare(level, box, ladder, boundary_eps), None, None, 0)
+    return _call(*_prepare(level, box, ladder), None, None, 0)
 
 
 #: Rows per walker call behind :func:`enumerate_stream`.  Each batch is
@@ -173,25 +168,21 @@ _START_ROWS = 1 << 16
 _CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-def _prepare(level, box, ladder, boundary_eps):
+def _prepare(level, box, ladder):
     """Check an entry point's arguments; return the walker's fixed arguments.
 
-    The box must have the lattice dimension, the ladder must reach the
-    level, and ``boundary_eps`` must be finite and >= 0.  The result is
-    (state, n, diagonals, eps): a fresh state buffer that starts with the
-    box corners, and the ladder's flat diagonal buffer.
+    The box must have the lattice dimension and the ladder must reach the
+    level.  The result is (state, n, diagonals): a fresh state buffer that
+    starts with the box corners, and the ladder's flat diagonal buffer.
     """
     if box.dimension != level.d:
         raise ValueError(f"box dimension {box.dimension} != lattice dimension {level.d}")
     if ladder.depth < level.n:
         raise ValueError(f"ladder depth {ladder.depth} < level {level.n}")
-    eps = float(boundary_eps)
-    if not (eps >= 0.0 and math.isfinite(eps)):
-        raise ValueError(f"boundary_eps must be finite and >= 0, got {boundary_eps}")
     n = level.n
     state = _state_type(n)()
     state[: 2 * level.d] = box.lower + box.upper
-    return state, n, _diagonals(ladder.levels[:n]), eps
+    return state, n, _diagonals(ladder.levels[:n])
 
 
 def _fill(walk, d, size):
@@ -228,13 +219,13 @@ def _address(A, row):
     return A.__array_interface__["data"][0] + row * A.strides[0]
 
 
-def _call(state, n, diag, eps, K, X, size):
+def _call(state, n, diag, K, X, size):
     """One walker call; raises ``ValueError`` where the walk cannot go on.
 
     The negative results are the ``WALK_RANGE`` and ``WALK_OVERFLOW`` codes
     of ``_walk.c``.
     """
-    result = _library().walk(state, n, diag, eps, K, X, size)
+    result = _library().walk(state, n, diag, K, X, size)
     if result < 0:
         raise ValueError(
             "the box needs lattice coordinates beyond +-2**62:"
@@ -306,7 +297,7 @@ def _library():
         os.unlink(path)
         os.rmdir(path.parent)
     ptr = ctypes.c_void_p
-    lib.walk.argtypes = (ptr, ctypes.c_int, ptr, ctypes.c_double, ptr, ptr, ctypes.c_int64)
+    lib.walk.argtypes = (ptr, ctypes.c_int, ptr, ptr, ptr, ctypes.c_int64)
     lib.walk.restype = ctypes.c_int64
     lib.walk_state_len.argtypes = (ctypes.c_int,)
     lib.walk_state_len.restype = ctypes.c_int64

@@ -3,11 +3,14 @@
 Four routes confirm the enumeration: a brute-force oracle that inverts the
 dense generator and tests every integer vector in a bounding box, a
 recursive reference that applies the half-mean and clamp split of the box
-directly (not the compiled walker; images from :func:`apply_generator`), a
-two-scale consistency check that enumerates the double-scale box and
-filters, and regression against an embedded table of known-good node counts
-for the standard cubature boxes (data/golden_counts.csv, columns
-d, log2N, count).
+directly (not the compiled walker), a two-scale consistency check that
+enumerates the double-scale box and filters, and regression against an
+embedded table of known-good node counts for the standard cubature boxes
+(data/golden_counts.csv, columns d, log2N, count).
+
+The oracle, the reference and the filter keep a point iff its
+:func:`apply_generator` image x has ``lower <= x <= upper``, as the
+enumerators do.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .cubature import CubatureSpec, standard_box
-from .enumeration import Box, LatticePoint, apply_generator, count_points, enumerate_stream
+from .enumeration import Box, LatticePoint, _images, apply_generator
+from .enumeration import count_points, enumerate_batches
 from .lattice import (
     DiagLadder,
     Level,
@@ -38,11 +42,10 @@ ORACLE_MAX_LEVEL = 3
 #: Hard cap on candidate vectors the oracle will sweep.
 _ORACLE_MAX_CANDIDATES = 1 << 24
 
-#: Membership slack of the oracle, absorbing the rounding of its dense
-#: product ``G k``.  It is not an enumeration tolerance: the enumerators
-#: decide on the exact box (``boundary_eps=0``), so the oracle may also
-#: accept points whose image lies within this distance outside a face.
-ORACLE_TOLERANCE = 1e-9
+#: How far past its rounded bounds :func:`recursive_enumerate` looks, per
+#: unit of 1 + max|corner|: 2**-50, the slack of ``_walk.c`` (whose header
+#: derives it).  Every candidate is then decided on its image.
+_SLACK = 2.0**-50
 
 
 class CountRecord(NamedTuple):
@@ -83,9 +86,10 @@ def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:
     """Brute-force reference enumeration, independent of the streaming code.
 
     Inverts the dense generator, derives integer bounds for k by interval
-    arithmetic on the box corners, and tests every candidate against the box
-    with ``ORACLE_TOLERANCE`` slack.  Returns points in lexicographic k
-    order.  Only sensible for small levels; larger ones are refused.
+    arithmetic on the box corners, and keeps every candidate whose image
+    (computed as by :func:`apply_generator`) lies in the closed box.
+    Returns points in lexicographic k order.  Only sensible for small
+    levels; larger ones are refused.
     """
     if level.n > ORACLE_MAX_LEVEL:
         raise ValueError(
@@ -94,15 +98,16 @@ def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:
         )
     if box.dimension != level.d:
         raise ValueError(f"box dimension {box.dimension} != {level.d}")
-    gen = build_generator_matrix(level, build_diag_ladder(level))
-    inv = np.linalg.inv(gen)
+    ladder = build_diag_ladder(level)
+    inv = np.linalg.inv(build_generator_matrix(level, ladder))
     b = np.asarray(box.lower)
     c = np.asarray(box.upper)
     # interval image of the box under the inverse, inflated before rounding
     lo = np.minimum(inv * b, inv * c).sum(axis=1)
     hi = np.maximum(inv * b, inv * c).sum(axis=1)
-    kmin = np.ceil(lo - 1e-6).astype(int)
-    kmax = np.floor(hi + 1e-6).astype(int)
+    pad = 1e-6 + 1e-12 * np.maximum(np.abs(lo), np.abs(hi))
+    kmin = np.ceil(lo - pad).astype(int)
+    kmax = np.floor(hi + pad).astype(int)
     sizes = np.maximum(kmax - kmin + 1, 0)
     total = int(np.prod(sizes))
     if total == 0:
@@ -111,28 +116,11 @@ def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:
         raise ValueError(f"oracle candidate set too large ({total} vectors)")
 
     accepted: list[LatticePoint] = []
-    blo = b - ORACLE_TOLERANCE
-    chi = c + ORACLE_TOLERANCE
-    ranges = [range(a, z + 1) for a, z in zip(kmin, kmax)]
-    chunk: list[tuple[int, ...]] = []
-
-    def flush() -> None:
-        if not chunk:
-            return
-        karr = np.array(chunk)
-        imgs = karr @ gen.T
-        ok = np.all((imgs >= blo) & (imgs <= chi), axis=1)
-        for idx in np.nonzero(ok)[0]:
-            accepted.append(
-                LatticePoint(tuple(chunk[idx]), tuple(float(v) for v in imgs[idx]))
-            )
-        chunk.clear()
-
-    for k in itertools.product(*ranges):
-        chunk.append(k)
-        if len(chunk) == 65536:
-            flush()
-    flush()
+    candidates = itertools.product(*(range(a, z + 1) for a, z in zip(kmin, kmax)))
+    while chunk := list(itertools.islice(candidates, 65536)):
+        X = _images(ladder, np.array(chunk))
+        inside = np.flatnonzero(np.all((X >= b) & (X <= c), axis=1))
+        accepted += [LatticePoint(chunk[i], tuple(X[i].tolist())) for i in inside]
     return accepted
 
 
@@ -178,27 +166,34 @@ def recursive_enumerate(level: Level, box: Box) -> list[LatticePoint]:
 
     The first half-block k1 ranges over the points between the half-means of
     the corners; for each, its image ``apply_generator(ladder, k1)`` fixes
-    the clamped bounds of the second half-block.  Shares no code with the
-    compiled traversal, decides on the exact box like it, and returns the
-    same list as streaming into a list, bit-for-bit, at any level.
+    the clamped bounds of the second half-block.  Every range reaches
+    ``_SLACK * (1 + max|corner|)`` past its rounded bounds, and a candidate
+    is kept iff its image lies in the box.  Shares no code with the compiled
+    traversal and returns the same list as streaming into a list,
+    bit-for-bit, at any level.
     """
     if box.dimension != level.d:
         raise ValueError(f"box dimension {box.dimension} != {level.d}")
     ladder = build_diag_ladder(level)
-    return [
+    slack = _SLACK * (1.0 + max(map(abs, box.lower + box.upper)))
+    points = (
         LatticePoint(k, apply_generator(ladder, k))
-        for k in _recursive_ks(level.n, box.lower, box.upper, ladder)
+        for k in _recursive_ks(level.n, box.lower, box.upper, ladder, slack)
+    )
+    return [
+        p for p in points if all(lo <= x <= hi for x, lo, hi in zip(p.x, box.lower, box.upper))
     ]
 
 
-def _recursive_ks(n, lower, upper, ladder):
+def _recursive_ks(n, lower, upper, ladder, slack):
     if n == 0:
-        return [(k,) for k in range(math.ceil(lower[0]), math.floor(upper[0]) + 1)]
+        lo, hi = math.ceil(lower[0] - slack), math.floor(upper[0] + slack)
+        return [(k,) for k in range(lo, hi + 1)]
     L = n - 1
     out = []
-    for k1 in _recursive_ks(L, interval_mean(L, lower), interval_mean(L, upper), ladder):
+    for k1 in _recursive_ks(L, interval_mean(L, lower), interval_mean(L, upper), ladder, slack):
         lo2, hi2 = clamp_bounds(L, apply_generator(ladder, k1), lower, upper, ladder)
-        out.extend(k1 + k2 for k2 in _recursive_ks(L, lo2, hi2, ladder))
+        out.extend(k1 + k2 for k2 in _recursive_ks(L, lo2, hi2, ladder, slack))
     return out
 
 
@@ -206,26 +201,18 @@ def double_box_check(level: Level, scale: float) -> DoubleBoxCheck:
     """Two-scale consistency: enumerate at scale 2N, filter into the N box.
 
     The N-scale box is strictly contained in the 2N-scale box, so every
-    N-scale point reappears in the larger enumeration; the filtered count
-    must equal the direct count.
+    N-scale point reappears in the larger enumeration; filtering its images
+    into the N-scale box by the membership rule must give the direct count.
     """
     ladder = build_diag_ladder(level)
     small = standard_box(CubatureSpec(level, scale))
     big = standard_box(CubatureSpec(level, 2.0 * scale))
     direct = count_points(level, small, ladder)
-
-    lower, upper = small.lower, small.upper
-    filtered = 0
-
-    def consume(point: LatticePoint) -> None:
-        nonlocal filtered
-        x = point.x
-        for j in range(len(x)):
-            if not lower[j] <= x[j] <= upper[j]:
-                return
-        filtered += 1
-
-    enumerate_stream(level, big, ladder, consume)
+    lower, upper = np.array(small.lower), np.array(small.upper)
+    filtered = sum(
+        int(np.all((X >= lower) & (X <= upper), axis=1).sum())
+        for _, X in enumerate_batches(level, big, ladder)
+    )
     return DoubleBoxCheck(direct, filtered, direct == filtered)
 
 

@@ -239,6 +239,24 @@ class TestUsageErrors:
         assert code == 2
         assert "x.json" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--dim", "3", "--log2-scale", "4"),
+            ("count", "--dim", "2", "--log2-scale", "1022"),
+            ("points", "--dim", "2", "--box", "0", "1"),
+            ("integrate", "--dim", "2"),
+            ("verify", "--max-dim", "3"),
+        ],
+        ids=["count", "count-too-far", "points", "integrate", "verify"],
+    )
+    def test_usage_error_leaves_out_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "keep.txt"
+        target.write_bytes(b"earlier output\n")
+        code, _, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert target.read_bytes() == b"earlier output\n"
+
     def test_precision_below_one(self, capsys):
         # rejected by the parser, before any point is formatted
         with pytest.raises(SystemExit) as exc:

@@ -4,12 +4,13 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chebfrolov
@@ -31,7 +32,7 @@ from chebfrolov import (
     standard_box,
 )
 from chebfrolov.enumeration import _library
-from chebfrolov.verify import ORACLE_TOLERANCE, clamp_bounds, interval_mean, recursive_enumerate
+from chebfrolov.verify import clamp_bounds, interval_mean, recursive_enumerate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -41,9 +42,9 @@ def random_box(rng, d, span=5.0):
     return Box(tuple(c[0] for c in corners), tuple(c[1] for c in corners))
 
 
-def collect(level, box, ladder, **kwargs):
+def collect(level, box, ladder):
     points = []
-    enumerate_stream(level, box, ladder, points.append, **kwargs)
+    enumerate_stream(level, box, ladder, points.append)
     return points
 
 
@@ -248,18 +249,15 @@ class TestStream:
                 assert p.x == pytest.approx(dense @ np.array(p.k, float), abs=1e-9 * scale)
 
     def test_membership_within_tolerance(self):
+        # the tolerance is zero: every emitted image lies in the closed box
         rng = random.Random(78)
         for n in range(4):
             level = Level(n)
             ladder = build_diag_ladder(level)
             for _ in range(10):
                 box = random_box(rng, level.d)
-                eps = 1e-9 * (1.0 + max(abs(v) for v in box.lower + box.upper))
                 for p in collect(level, box, ladder):
-                    assert all(
-                        lo - eps <= xi <= hi + eps
-                        for xi, lo, hi in zip(p.x, box.lower, box.upper)
-                    )
+                    assert all(lo <= xi <= hi for xi, lo, hi in zip(p.x, box.lower, box.upper))
 
     def test_negation_symmetry(self):
         rng = random.Random(79)
@@ -368,6 +366,16 @@ class TestKernels:
         assert proc.stdout.split() == ["True"]
         assert not list((copy / "__pycache__").glob("_walk*")), "a partial build was left behind"
 
+    def test_walker_compiles_without_warnings(self):
+        source = Path(chebfrolov.__file__).with_name("_walk.c")
+        proc = subprocess.run(
+            ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(source)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_other_ladder_values(self):
         level = Level(3)
         ladder = build_diag_ladder(level)
@@ -430,8 +438,7 @@ class TestDeepSplit:
 
     level = Level(6, max_n=6)
 
-    @pytest.mark.parametrize("eps,symmetric_count", [(0.0, 135), (0.25, 151)])
-    def test_count_stream_batches_and_reference_agree(self, eps, symmetric_count):
+    def test_count_stream_batches_and_reference_agree(self):
         level = self.level
         ladder = build_diag_ladder(level)
         rng = random.Random(64)
@@ -443,17 +450,16 @@ class TestDeepSplit:
                 tuple(v + rng.uniform(1.0, 2.5) for v in x),
             ),
         ]
-        assert count_points(level, boxes[0], ladder, boundary_eps=eps) == symmetric_count
+        assert count_points(level, boxes[0], ladder) == 135
         for box in boxes:
-            emitted = assert_batches_match_stream(level, box, ladder, 16, boundary_eps=eps)
+            emitted = assert_batches_match_stream(level, box, ladder, 16)
             assert emitted > 0
-            assert count_points(level, box, ladder, boundary_eps=eps) == emitted
-            if eps == 0.0:
-                points = collect(level, box, ladder)
-                reference = recursive_enumerate(level, box)
-                assert points == reference
-                got = np.array([p.x for p in points]).tobytes()
-                assert got == np.array([p.x for p in reference]).tobytes()
+            assert count_points(level, box, ladder) == emitted
+            points = collect(level, box, ladder)
+            reference = recursive_enumerate(level, box)
+            assert points == reference
+            got = np.array([p.x for p in points]).tobytes()
+            assert got == np.array([p.x for p in reference]).tobytes()
 
 
 class TestSplitCorrectness:
@@ -505,13 +511,6 @@ class TestCount:
                 streamed = enumerate_stream(level, box, ladder, lambda p: None)
                 assert count_points(level, box, ladder) == streamed
 
-    def test_boundary_eps(self):
-        level = Level(0)
-        ladder = build_diag_ladder(level)
-        box = Box((0.2,), (0.9,))
-        assert count_points(level, box, ladder) == 0
-        assert count_points(level, box, ladder, boundary_eps=0.25) == 2
-
     @pytest.mark.parametrize(
         "box",
         [Box.symmetric(1e154, 2), Box((1e300, 1e300), (1e300, 1e300))],
@@ -550,9 +549,9 @@ class TestCount:
         assert ks == {tuple(-c for c in k) for k in ks}
 
 
-def collect_batches(level, box, ladder, size, **kwargs):
+def collect_batches(level, box, ladder, size):
     """Every batch as (K, X); checks shapes, dtypes and that only the last is short."""
-    batches = list(enumerate_batches(level, box, ladder, size, **kwargs))
+    batches = list(enumerate_batches(level, box, ladder, size))
     for j, (K, X) in enumerate(batches):
         assert K.dtype == np.int64 and X.dtype == np.float64
         assert K.shape == X.shape and K.shape[1] == level.d
@@ -561,9 +560,9 @@ def collect_batches(level, box, ladder, size, **kwargs):
     return batches
 
 
-def assert_batches_match_stream(level, box, ladder, size, **kwargs):
-    points = collect(level, box, ladder, **kwargs)
-    batches = collect_batches(level, box, ladder, size, **kwargs)
+def assert_batches_match_stream(level, box, ladder, size):
+    points = collect(level, box, ladder)
+    batches = collect_batches(level, box, ladder, size)
     rows = [(tuple(k), tuple(x)) for K, X in batches for k, x in zip(K.tolist(), X.tolist())]
     assert rows == [(p.k, p.x) for p in points]
     if points:
@@ -645,14 +644,6 @@ class TestBatches:
         box = cubature_box(1, 2**17)
         assert assert_batches_match_stream(level, box, build_diag_ladder(level), 10**12) > 2**17
 
-    def test_boundary_eps_passed_through(self):
-        level = Level(0)
-        ladder = build_diag_ladder(level)
-        box = Box((0.2,), (0.9,))
-        assert collect_batches(level, box, ladder, 4) == []
-        (K, X), = enumerate_batches(level, box, ladder, 4, boundary_eps=0.25)
-        assert K[:, 0].tolist() == [0, 1]
-
     def test_bad_arguments_raise_at_call(self):
         level = Level(1)
         ladder = build_diag_ladder(level)
@@ -660,8 +651,6 @@ class TestBatches:
             enumerate_batches(level, Box.symmetric(1.0, 2), ladder, 0)
         with pytest.raises(ValueError):
             enumerate_batches(level, Box.symmetric(1.0, 4), ladder)
-        with pytest.raises(ValueError):
-            enumerate_batches(level, Box.symmetric(1.0, 2), ladder, boundary_eps=-1.0)
 
 
 corner = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
@@ -678,18 +667,70 @@ def level_and_box(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(level_and_box(), st.sampled_from([1, 3, 1024]))
 def test_batches_agree_with_oracle(case, size):
-    # The oracle accepts images up to ORACLE_TOLERANCE outside the box, while
-    # the enumerator decides on the exact box; they must agree on every point
-    # whose image is farther than twice that from every face.
     level, box = case
     ladder = build_diag_ladder(level)
     rows = [
-        k for K, _ in enumerate_batches(level, box, ladder, size) for k in map(tuple, K.tolist())
+        (k, x)
+        for K, X in enumerate_batches(level, box, ladder, size)
+        for k, x in zip(map(tuple, K.tolist()), map(tuple, X.tolist()))
     ]
-    oracle = oracle_enumerate(level, box)
-    emitted = set(rows)
-    assert rows == [p.k for p in oracle if p.k in emitted]
-    band = 2 * ORACLE_TOLERANCE
-    for p in oracle:
-        if all(lo + band < x < hi - band for x, lo, hi in zip(p.x, box.lower, box.upper)):
-            assert p.k in emitted
+    assert rows == [(p.k, p.x) for p in oracle_enumerate(level, box)]
+
+
+def face_boxes(x):
+    """Boxes with the image x on their faces, and whether x is in each."""
+    up = tuple(v + 1.0 for v in x)
+    down = tuple(v - 1.0 for v in x)
+    past = tuple(math.nextafter(v, math.inf) for v in x)
+    return [(Box(x, x), True), (Box(x, up), True), (Box(down, x), True), (Box(past, up), False)]
+
+
+@st.composite
+def lattice_vector(draw, levels):
+    level = Level(draw(st.sampled_from(levels)))
+    scale = draw(st.sampled_from([10, 10**3, 10**6] + [10**9, 10**12] * (level.n > 3)))
+    k = draw(st.lists(st.integers(-scale, scale), min_size=level.d, max_size=level.d))
+    return level, tuple(k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lattice_vector([0, 1, 2, 3]))
+@example((Level(2), (773, 455, -764, 612)))  # k_4 lies 2.6u (1 + max|corner|) below its bound
+def test_face_boxes_agree_with_oracle(case):
+    # the image of k lies on a face of each box: it is in iff the closed box holds it
+    level, k = case
+    ladder = build_diag_ladder(level)
+    for box, holds in face_boxes(apply_generator(ladder, k)):
+        points = collect(level, box, ladder)
+        emitted = assert_batches_match_stream(level, box, ladder, 3)
+        assert count_points(level, box, ladder) == emitted
+        assert points == recursive_enumerate(level, box) == oracle_enumerate(level, box)
+        assert (k in {p.k for p in points}) == holds
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(lattice_vector([4, 5]))
+def test_deep_face_boxes_agree_with_reference(case):
+    level, k = case
+    ladder = build_diag_ladder(level)
+    for box, holds in face_boxes(apply_generator(ladder, k)):
+        points = collect(level, box, ladder)
+        assert points == recursive_enumerate(level, box)
+        assert (k in {p.k for p in points}) == holds
+
+
+def test_far_boxes_stay_cheap():
+    # the slack widens every range: a far box must not open the search tree;
+    # 20 counts take about 3 ms, with a slack of 2**-44 several seconds
+    level = Level(4)
+    ladder = build_diag_ladder(level)
+    rng = random.Random(16)
+    boxes = []
+    for _ in range(20):
+        k = [rng.randint(10**12 - 10**6, 10**12 + 10**6) for _ in range(level.d)]
+        x = apply_generator(ladder, k)
+        boxes.append(Box(tuple(v - 1.5 for v in x), tuple(v + 1.5 for v in x)))
+    start = time.perf_counter()
+    counts = [count_points(level, box, ladder) for box in boxes]
+    assert time.perf_counter() - start < 0.5
+    assert counts == [5] * 20  # k, k +- e_1 and k +- e_2: columns of G with entries 1, +-sqrt(2)
