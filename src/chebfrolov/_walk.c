@@ -16,12 +16,15 @@
  * SLACK (1 + max|corner|) of its bounds, which carry rounding; an end of a
  * k_d run nearer than that to its bound is dropped until its image is in
  * the box.  Rounding is monotone, so the k_d with images in the box are one
- * interval: the trimmed run, which both leaves take.  SLACK = 2^-50 is 8
- * unit roundoffs u: on face boxes [Gk, Gk], [Gk, Gk + 1], [Gk - 1, Gk] at
- * d = 2..64, |k| <= 1e14, points in the box lay at most 2.6u (1 + max|corner|)
- * outside a computed bound, and 2u missed some; the same margin keeps images
- * outside the box off a run's untested middle.  More slack costs nodes: at
- * 2^-44 a d = 16 box of side 3 near k = 1e12 visited 2.7 million, not ~100.
+ * interval: the trimmed run, which both leaves take.  SLACK = 2^-50, 8 unit
+ * roundoffs u, is a measured margin, not a proven bound: on face boxes
+ * [Gk, Gk], [Gk, Gk + 1], [Gk - 1, Gk] at d = 2..64, |k| <= 1e14, points in
+ * the box lay at most 2.6u (1 + max|corner|) outside a computed bound, and
+ * 2u missed some.  The tests hold it against a reference with 16 times the
+ * slack.  Far from the origin the slack widens ranges by whole integers and
+ * the search tree opens (a d = 16 box of side 3 near k = 1e14 did not end),
+ * so corners beyond CORNER_LIMIT = 2^48, where it would pass 1/4, are refused
+ * unless the box is empty (lower > upper in some coordinate).
  *
  * Every other floating-point operation is the one the reference recursion
  * makes, in the same order: the clamps take `x > y ? x : y` (or `<`) and
@@ -54,6 +57,7 @@
 #define K_LIMIT 4611686018427387904.0
 
 #define SLACK 0x1p-50 /* the slack per unit of 1 + max|corner| (see above) */
+#define CORNER_LIMIT 0x1p48
 enum { WALK_RANGE = -1, WALK_OVERFLOW = -2 };
 
 int64_t walk_state_len(int n)
@@ -141,8 +145,13 @@ int64_t walk(double *s, int n, const double *diag, int64_t *K, double *X, int64_
     double *a0 = a[0], *b0 = b[0], *g0 = g[0], *b1 = b[n ? 1 : 0], *g1 = g[n ? 1 : 0];
     const double d0 = n ? D[0][0] : 1.0;
     double m = 0.0; /* max |corner| */
-    for (int64_t f = 0; f < 2 * d; f++)
-        m = fmax(m, fabs(s[f]));
+    for (int64_t f = 0; f < d; f++) {
+        if (!(s[f] <= s[d + f]))
+            return 0; /* an empty box, however far */
+        m = fmax(m, fmax(fabs(s[f]), fabs(s[d + f])));
+    }
+    if (!(m < CORNER_LIMIT))
+        return WALK_RANGE;
     const double slack = SLACK * (1.0 + m);
 
     int64_t i = 0, rows = 0, count = 0;

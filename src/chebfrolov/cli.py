@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .cubature import (
     sample_shift,
     standard_box,
 )
-from .enumeration import Box, LatticePoint, count_points, enumerate_stream
+from .enumeration import Box, LatticePoint, count_points, enumerate_batches
 from .lattice import DEFAULT_MAX_LEVEL, Level, build_diag_ladder
 from .verify import double_box_check, load_golden_table, reproduce_table, unimodular_check
 
@@ -113,8 +114,9 @@ def _scale_number(scale: float) -> float | int:
 @contextlib.contextmanager
 def _output(args: argparse.Namespace) -> Iterator[TextIO]:
     """The ``--out`` file, or stdout.  Commands open it only once their
-    arguments are resolved (count and integrate once their result is), so a
-    usage error leaves an existing file as it was."""
+    arguments are resolved and the walker has taken the box (count and
+    integrate once their result is there), so a usage error leaves an
+    existing file as it was."""
     if not args.out:
         yield sys.stdout
         return
@@ -148,15 +150,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_points(args: argparse.Namespace) -> int:
     level = _resolve_level(args)
     box = _resolve_box(args, level, _resolve_scale(args))
-    ladder = build_diag_ladder(level)
+    batches = enumerate_batches(level, box, build_diag_ladder(level), 256)
+    first = next(batches, None)  # the walker refuses a box at its first call
     with _output(args) as out:
         if args.header and args.format == "csv":
             print(",".join(f"x{j + 1}" for j in range(level.d)), file=out)
-
-        def consume(point: LatticePoint) -> None:
-            print(format_point(point, args.format, args.precision), file=out)
-
-        enumerate_stream(level, box, ladder, consume)
+        for K, X in itertools.chain([first] if first else [], batches):
+            for k, x in zip(K.tolist(), X.tolist()):
+                point = LatticePoint(tuple(k), tuple(x))
+                print(format_point(point, args.format, args.precision), file=out)
     return 0
 
 

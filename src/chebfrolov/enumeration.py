@@ -27,7 +27,9 @@ images are in the box (see the header of ``_walk.c``).
 The three entry points visit points in lexicographic order of the integer
 coordinates k and perform identical floating-point operations, so their
 outputs agree bit-for-bit, with each other and with :func:`apply_generator`.
-A box that needs a coordinate beyond +-2**62 is refused with ``ValueError``.
+A box with a corner beyond +-2**48, where the slack would reach a quarter,
+or one that needs a coordinate beyond +-2**62 is refused with ``ValueError``,
+unless it is empty (lower > upper in some coordinate).
 """
 
 from __future__ import annotations
@@ -228,8 +230,8 @@ def _call(state, n, diag, K, X, size):
     result = _library().walk(state, n, diag, K, X, size)
     if result < 0:
         raise ValueError(
-            "the box needs lattice coordinates beyond +-2**62:"
-            " it is too large or too far from the origin"
+            "the box is too large or too far from the origin: it has a corner"
+            " beyond +-2**48 or needs lattice coordinates beyond +-2**62"
             if result == -1
             else "the point count exceeds 2**63 - 1"
         )

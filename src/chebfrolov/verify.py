@@ -43,9 +43,10 @@ ORACLE_MAX_LEVEL = 3
 _ORACLE_MAX_CANDIDATES = 1 << 24
 
 #: How far past its rounded bounds :func:`recursive_enumerate` looks, per
-#: unit of 1 + max|corner|: 2**-50, the slack of ``_walk.c`` (whose header
-#: derives it).  Every candidate is then decided on its image.
-_SLACK = 2.0**-50
+#: unit of 1 + max|corner|: 16 times the measured slack of ``_walk.c``, so
+#: that equal results check the walker's constant instead of repeating it.
+#: Every candidate is then decided on its image.
+_SLACK = 2.0**-46
 
 
 class CountRecord(NamedTuple):

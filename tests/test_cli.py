@@ -245,10 +245,11 @@ class TestUsageErrors:
             ("count", "--dim", "3", "--log2-scale", "4"),
             ("count", "--dim", "2", "--log2-scale", "1022"),
             ("points", "--dim", "2", "--box", "0", "1"),
+            ("points", "--dim", "2", "--log2-scale", "1022"),
             ("integrate", "--dim", "2"),
             ("verify", "--max-dim", "3"),
         ],
-        ids=["count", "count-too-far", "points", "integrate", "verify"],
+        ids=["count", "count-too-far", "points", "points-too-far", "integrate", "verify"],
     )
     def test_usage_error_leaves_out_file(self, capsys, tmp_path, argv):
         target = tmp_path / "keep.txt"

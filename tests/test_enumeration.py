@@ -719,18 +719,25 @@ def test_deep_face_boxes_agree_with_reference(case):
         assert (k in {p.k for p in points}) == holds
 
 
-def test_far_boxes_stay_cheap():
-    # the slack widens every range: a far box must not open the search tree;
-    # 20 counts take about 3 ms, with a slack of 2**-44 several seconds
-    level = Level(4)
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("scale", [10**12, 10**13, 10**14, 10**15])
+def test_far_boxes_stay_cheap(n, scale):
+    # the slack widens every range: a far box must not open the search tree
+    # (20 counts take about 3 ms, with a slack of 2**-44 several seconds);
+    # past corners of 2**48 the slack passes 1/4, and d = 16 near k = 1e14
+    # never ended, so such boxes are refused at once
+    level = Level(n)
     ladder = build_diag_ladder(level)
     rng = random.Random(16)
-    boxes = []
-    for _ in range(20):
-        k = [rng.randint(10**12 - 10**6, 10**12 + 10**6) for _ in range(level.d)]
-        x = apply_generator(ladder, k)
-        boxes.append(Box(tuple(v - 1.5 for v in x), tuple(v + 1.5 for v in x)))
     start = time.perf_counter()
-    counts = [count_points(level, box, ladder) for box in boxes]
+    for _ in range(20):
+        k = [rng.randint(scale - 10**6, scale + 10**6) for _ in range(level.d)]
+        x = apply_generator(ladder, k)
+        box = Box(tuple(v - 1.5 for v in x), tuple(v + 1.5 for v in x))
+        if max(map(abs, box.lower + box.upper)) < 2.0**48:
+            # k, k +- e_1 and k +- e_2: columns of G with entries 1, +-sqrt(2)
+            assert count_points(level, box, ladder) == 5
+        else:
+            with pytest.raises(ValueError, match=r"2\*\*48"):
+                count_points(level, box, ladder)
     assert time.perf_counter() - start < 0.5
-    assert counts == [5] * 20  # k, k +- e_1 and k +- e_2: columns of G with entries 1, +-sqrt(2)
