@@ -1,35 +1,43 @@
 """Enumeration of generator-lattice points inside axis-parallel boxes.
 
 A box constraint in dimension 2**(L+1) splits into two constraints in
-dimension 2**L: the first half-block image must land between the half-means
-of the corners, and once it is fixed the second half-block image is confined
-to clamped residual bounds with the level diagonal divided out.  One
+dimension 2**L, one per half-block of the image (A + D*Y, A - D*Y).  One
 traversal runs that reduction in constant memory: nested integer loops over
-k_1..k_{d-1}, with partial generator images maintained by FFT-style
+the coordinates of k, with partial generator images maintained by FFT-style
 butterfly merges keyed by the 2-adic valuation of the coordinate index.  It
 is written in C (``_walk.c``, table-driven: d, the ladder and the box are
 arguments), compiled with ``cc`` on first use, cached on disk and called
 through :mod:`ctypes`; importing the package compiles and loads nothing.
-For each prefix the innermost coordinate k_d ranges over an integer run
+For each prefix the innermost coordinate ranges over an integer run
 [lo, hi], which goes to one of two leaves:
 
-- ``count_points`` adds the run length;
 - ``enumerate_batches`` fills ``(K, X)`` arrays, each image finished by the
   last butterfly chain; the walk stops when a batch is full and resumes
   from its state buffer for the next.  ``enumerate_stream`` takes the same
-  batches and calls a consumer per point.
+  batches and calls a consumer per point.  A fill sets k_1..k_d in
+  lexicographic order, mean-first: the first half-block image lies between
+  the half-means of the corners, and once it is fixed the second is clamped
+  to residual bounds with the level diagonal divided out.
+- ``count_points`` adds the run lengths.  A count sets k_d..k_1,
+  difference-first: the second half-block image Y lies in
+  ``[(l1 - u2) / 2D, (u1 - l2) / 2D]``, and once it is fixed the first is
+  clamped to ``[max(l1 - D*Y, l2 + D*Y), min(u1 - D*Y, u2 + D*Y)]``.  This
+  prunes far better (39 instead of 218 visits per point at d = 32, N = 2**6).
 
 The box is closed: a point is in it iff its :func:`apply_generator` image x
 has ``lower <= x <= upper``.  Every range reaches a fixed slack past its
 rounded bounds, and a run's ends within the slack are kept only if their
 images are in the box (see the header of ``_walk.c``).
 
-The three entry points visit points in lexicographic order of the integer
-coordinates k and perform identical floating-point operations, so their
-outputs agree bit-for-bit, with each other and with :func:`apply_generator`.
-A box with a corner beyond +-2**48, where the slack would reach a quarter,
-or one that needs a coordinate beyond +-2**62 is refused with ``ValueError``,
-unless it is empty (lower > upper in some coordinate).
+All three entry points compute images with identical floating-point
+operations, so they keep the same points, and the images the stream and
+the batches emit agree bit-for-bit with :func:`apply_generator`, in the
+same lexicographic order of k.  The bounds that prune the search differ:
+a count's are its own, and so is its slack.
+A box with a corner beyond +-2**48, where the slack would reach a quarter
+in a fill and 2 in a count, or one that needs a coordinate beyond +-2**62
+is refused with ``ValueError``, unless it is empty (lower > upper in some
+coordinate).
 """
 
 from __future__ import annotations

@@ -43,10 +43,10 @@ ORACLE_MAX_LEVEL = 3
 _ORACLE_MAX_CANDIDATES = 1 << 24
 
 #: How far past its rounded bounds :func:`recursive_enumerate` looks, per
-#: unit of 1 + max|corner|: 16 times the measured slack of ``_walk.c``, so
-#: that equal results check the walker's constant instead of repeating it.
-#: Every candidate is then decided on its image.
-_SLACK = 2.0**-46
+#: unit of 1 + max|corner|: 4 times the count slack of ``_walk.c`` (32 times
+#: the fill slack), so that equal results check the walker's constants
+#: instead of repeating them.  Every candidate is then decided on its image.
+_SLACK = 2.0**-45
 
 
 class CountRecord(NamedTuple):

@@ -10,6 +10,7 @@ import statistics
 import time
 
 import numpy as np
+import pytest
 
 from chebfrolov import (
     Box,
@@ -35,7 +36,10 @@ from chebfrolov import (
 from chebfrolov.verify import recursive_enumerate
 
 #: (dimension, max log2N) ranges exercised at desk scale.
-MEDIUM_RANGES = {2: 20, 4: 20, 8: 14, 16: 20, 32: 12}
+MEDIUM_RANGES = {2: 20, 4: 20, 8: 14, 16: 24, 32: 16}
+
+#: The rest of the table, re-checked only on request (``pytest -m golden_full``).
+FULL_RANGES = {16: 30, 32: 20}
 
 _golden = {(rec.d, rec.log2n): rec.count for rec in load_golden_table()}
 _count_cache: dict[tuple[int, int], int] = {}
@@ -94,6 +98,18 @@ def test_golden_counts_medium_scales():
     spot_ok = all(observed_count(d, m) == c for (d, m), c in spot.items())
     report(f"golden counts, medium scales: {mismatches or 'exact'}",
            not mismatches and spot_ok)
+
+
+@pytest.mark.golden_full
+def test_golden_counts_full_table():
+    mismatches = [
+        (d, m, _golden[(d, m)], observed_count(d, m))
+        for d, max_m in FULL_RANGES.items()
+        for m in range(1, max_m + 1)
+        if observed_count(d, m) != _golden[(d, m)]
+    ]
+    report(f"golden counts, full table (d=16 to N=2**30, d=32 to N=2**20): {mismatches or 'exact'}",
+           not mismatches)
 
 
 def test_density_ratio():

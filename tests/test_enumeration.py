@@ -710,13 +710,35 @@ def test_face_boxes_agree_with_oracle(case):
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(lattice_vector([4, 5]))
+# a count (difference-first) with a slack of 2**-50 missed k in [Gk, Gk]
+@example((Level(5), (1, -4, -5, 5, 3, -3, 1, -3, 1, 5, -5, -4, 2, 5, 0, 4,
+                     3, -5, -4, 1, 1, 2, 0, 2, -5, -5, -4, 3, 3, 1, 2, -1)))
 def test_deep_face_boxes_agree_with_reference(case):
     level, k = case
     ladder = build_diag_ladder(level)
     for box, holds in face_boxes(apply_generator(ladder, k)):
         points = collect(level, box, ladder)
         assert points == recursive_enumerate(level, box)
+        assert count_points(level, box, ladder) == len(points)
         assert (k in {p.k for p in points}) == holds
+
+
+def test_d64_face_boxes_count_like_the_stream():
+    # a count's bounds err most at d = 64, up to 20u (1 + max|corner|): with
+    # a count slack of 2**-50 it missed some of the random k, and with 2**-49
+    # the first k, which lies 17.6u (1 + max|corner|) past a bound on its path
+    level = Level(6, max_n=6)
+    ladder = build_diag_ladder(level)
+    rng = random.Random(6464)
+    ks = [(5, -1, -4, 4, 5, -5, 4, -5, -3, -5, -3, -5, -3, -3, -1, 4, 0, 4, 3, 0, -1, -4,
+           4, -1, -1, -1, -2, 3, -1, 4, 5, 5, -2, -5, 5, 1, -5, -5, 5, 2, -1, 1, 0, -1,
+           -4, 5, 4, -3, -2, 2, 5, 2, 0, 3, 0, -1, -3, -1, -2, 5, -2, -4, 5, -2)]
+    ks += [tuple(rng.randint(-10**12, 10**12) for _ in range(level.d)) for _ in range(20)]
+    for k in ks:
+        for box, holds in face_boxes(apply_generator(ladder, k)):
+            points = collect(level, box, ladder)
+            assert count_points(level, box, ladder) == len(points)
+            assert (k in {p.k for p in points}) == holds
 
 
 @pytest.mark.parametrize("n", [3, 4])
