@@ -28,7 +28,6 @@ from .enumeration import (
     enumerate_stream,
 )
 from .lattice import (
-    DEFAULT_MAX_LEVEL,
     DiagLadder,
     Level,
     build_diag_ladder,
@@ -58,7 +57,6 @@ __all__ = [
     "ConsistencyError",
     "CountRecord",
     "CubatureSpec",
-    "DEFAULT_MAX_LEVEL",
     "DiagLadder",
     "DoubleBoxCheck",
     "Integrand",

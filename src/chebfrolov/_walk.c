@@ -47,6 +47,8 @@
  *   difference-first     1.0  3.0  4.8  5.4  9.5  20.0   COUNT_SLACK 2^-47 = 64u
  *
  * A count slack of 2^-50 missed points at d = 32 and 64, 2^-49 at d = 64.
+ * No larger d was measured, so lattice.MAX_LEVEL = 6 (d <= 64) rests on
+ * this table.
  * The tests hold both against a reference with 4 times the count slack.
  * Far from the origin a slack widens ranges by whole integers and the
  * search tree opens (a d = 16 box of side 3 near k = 1e14 did not end), so

@@ -10,8 +10,9 @@ verify            unimodularity, two-scale and golden-count checks
 table             dump the embedded golden count rows
 
 Output is deterministic for a fixed configuration (timing fields aside).
-Exit codes: 0 success, 1 check failure, 2 usage error.  The environment
-variable FROLOV_MAX_LEVEL overrides the default cap on the level.
+Exit codes: 0 success, 1 check failure, 2 usage error.  ``--dim`` and
+verify's ``--max-dim`` take a power of two up to 64, the fixed limit of
+:class:`~chebfrolov.lattice.Level`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import contextlib
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from typing import Callable, Iterator, Sequence, TextIO
@@ -33,7 +33,7 @@ from .cubature import (
     standard_box,
 )
 from .enumeration import Box, LatticePoint, count_points, enumerate_batches
-from .lattice import DEFAULT_MAX_LEVEL, Level, build_diag_ladder
+from .lattice import Level, build_diag_ladder
 from .verify import double_box_check, load_golden_table, reproduce_table, unimodular_check
 
 #: Built-in integrands selectable from the command line.  "cospi" has exact
@@ -58,27 +58,6 @@ def format_point(point: LatticePoint, fmt: str, precision: int) -> str:
             {"k": list(point.k), "x": list(point.x)}, separators=(",", ":")
         )
     raise UsageError(f"unknown point format {fmt!r}")
-
-
-def _max_level_cap() -> int:
-    raw = os.environ.get("FROLOV_MAX_LEVEL")
-    if raw is None:
-        return DEFAULT_MAX_LEVEL
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"FROLOV_MAX_LEVEL must be an integer, got {raw!r}")
-
-
-def _resolve_level(args: argparse.Namespace) -> Level:
-    cap = _max_level_cap()
-    if getattr(args, "dim", None) is not None and getattr(args, "level", None) is not None:
-        raise UsageError("give either --dim or --level, not both")
-    if getattr(args, "dim", None) is not None:
-        return Level.from_dimension(args.dim, max_n=cap)
-    if getattr(args, "level", None) is not None:
-        return Level(args.level, max_n=cap)
-    raise UsageError("one of --dim or --level is required")
 
 
 def _resolve_scale(args: argparse.Namespace) -> float | None:
@@ -129,7 +108,7 @@ def _output(args: argparse.Namespace) -> Iterator[TextIO]:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    level = _resolve_level(args)
+    level = Level.from_dimension(args.dim)
     scale = _resolve_scale(args)
     box = _resolve_box(args, level, scale)
     ladder = build_diag_ladder(level)
@@ -148,7 +127,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_points(args: argparse.Namespace) -> int:
-    level = _resolve_level(args)
+    level = Level.from_dimension(args.dim)
     box = _resolve_box(args, level, _resolve_scale(args))
     batches = enumerate_batches(level, box, build_diag_ladder(level), 256)
     first = next(batches, None)  # the walker refuses a box at its first call
@@ -163,7 +142,7 @@ def _cmd_points(args: argparse.Namespace) -> int:
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
-    level = _resolve_level(args)
+    level = Level.from_dimension(args.dim)
     scale = _resolve_scale(args)
     if scale is None:
         raise UsageError("integrate needs --scale or --log2-scale")
@@ -191,13 +170,12 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cap = _max_level_cap()
-    max_level = Level.from_dimension(args.max_dim, max_n=cap)
+    max_level = Level.from_dimension(args.max_dim)
     max_log2 = args.max_log2_scale
     failures = 0
     with _output(args) as out:
         for n in range(min(max_level.n, 3) + 1):
-            check = unimodular_check(Level(n, max_n=cap))
+            check = unimodular_check(Level(n))
             status = "PASS" if check.passed else "FAIL"
             failures += not check.passed
             print(
@@ -218,7 +196,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for record in load_golden_table():
             if record.d > min(max_level.d, 8) or record.log2n > min(max_log2, 10):
                 continue
-            level = Level.from_dimension(record.d, max_n=cap)
+            level = Level.from_dimension(record.d)
             check = double_box_check(level, float(2**record.log2n))
             status = "PASS" if check.agree else "FAIL"
             failures += not check.agree
@@ -251,9 +229,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_level_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dim", type=int, help="dimension d (a power of two)")
-    parser.add_argument("--level", type=int, help="level n (d = 2**n)")
+def _add_dim_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--dim", type=int, required=True, help="dimension d (a power of two <= 64)")
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -273,14 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="count lattice points in a box")
-    _add_level_args(p_count)
+    _add_dim_arg(p_count)
     _add_scale_args(p_count)
     p_count.add_argument("--box", type=float, nargs="+", help="2d floats: lower then upper corner")
     _add_common_output(p_count)
     p_count.set_defaults(func=_cmd_count)
 
     p_points = sub.add_parser("points", help="stream lattice points, one per line")
-    _add_level_args(p_points)
+    _add_dim_arg(p_points)
     _add_scale_args(p_points)
     p_points.add_argument("--box", type=float, nargs="+", help="2d floats: lower then upper corner")
     p_points.add_argument("--format", choices=("csv", "jsonl"), default="csv")
@@ -292,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("integrate", "integrate-random"):
         p_int = sub.add_parser(name, help=f"{name} a built-in integrand")
-        _add_level_args(p_int)
+        _add_dim_arg(p_int)
         _add_scale_args(p_int)
         p_int.add_argument("--integrand", choices=sorted(INTEGRANDS), default="cospi")
         p_int.add_argument("--compensated", action="store_true", help="Kahan accumulation")

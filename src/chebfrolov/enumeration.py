@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -150,6 +151,7 @@ def enumerate_batches(
     first batch is asked for.
     """
     walk = _prepare(level, box, ladder)
+    size = operator.index(size)
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
     return _fill(walk, level.d, size)
@@ -256,9 +258,9 @@ def _state_type(n):
 def _diagonals(diag):
     """The ladder levels ``diag`` as one flat buffer: level L at 2**L - 1."""
     flat = [v for level in diag for v in level]
-    for v in flat:
-        if not math.isfinite(v):
-            raise ValueError(f"ladder entries must be finite, got {v!r}")
+    for v in flat:  # the walker divides bounds by them: only positive ones keep lower <= upper
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"ladder entries must be positive and finite, got {v!r}")
     return (ctypes.c_double * len(flat))(*flat)
 
 

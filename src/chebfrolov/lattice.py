@@ -17,14 +17,14 @@ materialised here for verification and the brute-force oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-#: Default cap on the recursion depth n (dimension d = 2**n).  The streaming
-#: enumeration stays practical up to d = 32; raise explicitly if you know
-#: what you are doing.
-DEFAULT_MAX_LEVEL = 5
+#: Highest recursion depth n (d = 2**n <= 64).  The walker's slacks are
+#: measured on face boxes up to d = 64 and no further (the table in the
+#: header of ``_walk.c``); past it counts can go wrong without an error.
+MAX_LEVEL = 6
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,14 @@ class Level:
     """Recursion depth ``n``; the ambient dimension is ``d = 2**n``."""
 
     n: int
-    max_n: InitVar[int | None] = None
 
-    def __post_init__(self, max_n: int | None) -> None:
-        cap = DEFAULT_MAX_LEVEL if max_n is None else max_n
+    def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise ValueError(f"level must be an integer, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError(f"level must be non-negative, got {self.n}")
-        if self.n > cap:
+        if not 0 <= self.n <= MAX_LEVEL:
             raise ValueError(
-                f"level {self.n} (d = {1 << self.n}) exceeds the configured cap {cap}"
+                f"level {self.n} is outside [0, {MAX_LEVEL}]: d = 2**n must be at most"
+                f" {1 << MAX_LEVEL}, where the walker's margins are measured"
             )
 
     @property
@@ -50,12 +47,12 @@ class Level:
         return 1 << self.n
 
     @classmethod
-    def from_dimension(cls, d: int, max_n: int | None = None) -> "Level":
-        """Level for dimension ``d``; raises if ``d`` is not a power of two."""
+    def from_dimension(cls, d: int) -> "Level":
+        """Level for dimension ``d``; raises unless ``d`` is a power of two <= 64."""
         n = d.bit_length() - 1
         if d <= 0 or (1 << n) != d:
             raise ValueError(f"dimension must be a power of two, got {d}")
-        return cls(n, max_n)
+        return cls(n)
 
 
 def root_permutation(n: int, k: int) -> int:

@@ -242,7 +242,7 @@ def reproduce_table(max_level: Level, max_log2n: int) -> list[TableCheck]:
         if record.d > max_level.d or record.log2n > max_log2n:
             continue
         if record.d not in ladders:
-            lvl = Level.from_dimension(record.d, max_n=max_level.n)
+            lvl = Level.from_dimension(record.d)
             ladders[record.d] = (lvl, build_diag_ladder(lvl))
         lvl, ladder = ladders[record.d]
         box = standard_box(CubatureSpec(lvl, float(2**record.log2n)))

@@ -53,11 +53,6 @@ class TestCount:
         assert code == 0
         assert json.loads(out)["count"] == 7
 
-    def test_level_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "count", "--level", "1", "--log2-scale", "1")
-        assert code == 0
-        assert json.loads(out)["count"] == 3
-
 
 class TestPoints:
     def test_one_dimensional_interval(self, capsys):
@@ -176,19 +171,25 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "count", "--dim", "2", "--box", "0", "1")
         assert code == 2
 
-    def test_level_over_cap(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--level", "6", "--log2-scale", "1")
+    def test_dimension_over_limit(self, capsys):
+        code, _, err = run_cli(capsys, "count", "--dim", "128", "--log2-scale", "1")
         assert code == 2
-        assert "cap" in err
+        assert "64" in err
 
-    def test_env_var_lowers_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("FROLOV_MAX_LEVEL", "2")
-        code, _, err = run_cli(capsys, "count", "--dim", "8", "--log2-scale", "1")
+    def test_env_var_does_not_lift_limit(self, capsys, monkeypatch):
+        # no variable lifts the limit: at d = 512 some face boxes counted 0
+        # while their points were streamed
+        monkeypatch.setenv("FROLOV_MAX_LEVEL", "9")
+        code, _, err = run_cli(capsys, "count", "--dim", "512", "--box", *["0"] * 1024)
         assert code == 2
+        assert "64" in err
 
     def test_missing_dimension(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--log2-scale", "2")
-        assert code == 2
+        # rejected by the parser: --dim is required
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--log2-scale", "2"])
+        assert exc.value.code == 2
+        assert "--dim" in capsys.readouterr().err
 
     def test_log2_scale_overflow(self, capsys):
         code, _, err = run_cli(capsys, "count", "--dim", "2", "--log2-scale", "2000")

@@ -130,7 +130,7 @@ class TestClampBounds:
 
 
 class TestApplyGenerator:
-    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("n", range(7))
     def test_matches_dense_matrix(self, n):
         rng = random.Random(n + 100)
         level = Level(n)
@@ -391,6 +391,15 @@ class TestKernels:
         broken = DiagLadder(((math.nan,),) + ladder.levels[1:])
         with pytest.raises(ValueError, match="finite"):
             count_points(level, box, broken)
+        # a non-positive diagonal reverses or voids the walker's bounds: the
+        # walk would count 0 and fill 2 rows where 15 points lie in the box
+        small, small_box = Level(1), Box.symmetric(3.0, 2)
+        for bad in (-SQRT2, 0.0):
+            broken = DiagLadder(((bad,),))
+            with pytest.raises(ValueError, match="positive"):
+                count_points(small, small_box, broken)
+            with pytest.raises(ValueError, match="positive"):
+                enumerate_batches(small, small_box, broken)
 
     def test_consumer_may_enumerate_again(self):
         # the walker keeps no state outside its call's own buffers
@@ -434,9 +443,9 @@ class TestKernels:
 
 
 class TestDeepSplit:
-    """d = 64, past the default level cap: the walker takes the level at run time."""
+    """d = 64, the highest level: the walker takes the level at run time."""
 
-    level = Level(6, max_n=6)
+    level = Level(6)
 
     def test_count_stream_batches_and_reference_agree(self):
         level = self.level
@@ -651,6 +660,9 @@ class TestBatches:
             enumerate_batches(level, Box.symmetric(1.0, 2), ladder, 0)
         with pytest.raises(ValueError):
             enumerate_batches(level, Box.symmetric(1.0, 4), ladder)
+        for size in (2.5, "4"):
+            with pytest.raises(TypeError):
+                enumerate_batches(level, Box.symmetric(1.0, 2), ladder, size)
 
 
 corner = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
@@ -727,7 +739,7 @@ def test_d64_face_boxes_count_like_the_stream():
     # a count's bounds err most at d = 64, up to 20u (1 + max|corner|): with
     # a count slack of 2**-50 it missed some of the random k, and with 2**-49
     # the first k, which lies 17.6u (1 + max|corner|) past a bound on its path
-    level = Level(6, max_n=6)
+    level = Level(6)
     ladder = build_diag_ladder(level)
     rng = random.Random(6464)
     ks = [(5, -1, -4, 4, 5, -5, 4, -5, -3, -5, -3, -5, -3, -3, -1, 4, 0, 4, 3, 0, -1, -4,

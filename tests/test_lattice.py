@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chebfrolov import (
-    DEFAULT_MAX_LEVEL,
     Level,
     build_diag_ladder,
     build_generator_matrix,
@@ -24,15 +23,12 @@ class TestLevel:
         assert Level(3).d == 8
         assert Level(5).d == 32
 
-    def test_default_cap(self):
-        assert DEFAULT_MAX_LEVEL == 5
-        with pytest.raises(ValueError):
-            Level(6)
-
-    def test_cap_override(self):
-        assert Level(6, max_n=6).d == 64
-        with pytest.raises(ValueError):
-            Level(3, max_n=2)
+    def test_fixed_limit(self):
+        assert Level(6).d == 64
+        with pytest.raises(ValueError, match="64"):
+            Level(7)
+        with pytest.raises(ValueError, match="64"):
+            Level.from_dimension(128)
 
     def test_rejects_negative_and_non_integer(self):
         with pytest.raises(ValueError):
