@@ -23,12 +23,20 @@ class TestLevel:
         assert Level(3).d == 8
         assert Level(5).d == 32
 
-    def test_fixed_limit(self):
+    def test_default_cap(self):
+        # The one limit is d <= 64: Level(6) works, the next level does not.
         assert Level(6).d == 64
         with pytest.raises(ValueError, match="64"):
             Level(7)
         with pytest.raises(ValueError, match="64"):
             Level.from_dimension(128)
+
+    def test_cap_override(self):
+        # The limit cannot be raised: neither constructor takes a cap.
+        with pytest.raises(TypeError):
+            Level(7, max_n=7)
+        with pytest.raises(TypeError):
+            Level.from_dimension(128, max_n=7)
 
     def test_rejects_negative_and_non_integer(self):
         with pytest.raises(ValueError):
