@@ -11,10 +11,12 @@ through :mod:`ctypes`; importing the package compiles and loads nothing.
 For each prefix the innermost coordinate ranges over an integer run
 [lo, hi], which goes to one of two leaves:
 
-- ``enumerate_batches`` fills ``(K, X)`` arrays, each image finished by the
-  last butterfly chain; the walk stops when a batch is full and resumes
-  from its state buffer for the next.  ``enumerate_stream`` takes the same
-  batches and calls a consumer per point.  A fill sets k_1..k_d in
+- A fill writes rows of k and x into int64 and float64 ``array.array``
+  buffers, each image finished by the last butterfly chain; the walk stops
+  when the buffers are full and resumes from its state buffer for the next
+  pair.  ``enumerate_batches`` wraps each pair as ``(K, X)`` arrays of their
+  own; ``enumerate_stream`` turns each pair straight into Python tuples,
+  without numpy, and calls a consumer per point.  A fill sets k_1..k_d in
   lexicographic order, mean-first: the first half-block image lies between
   the half-means of the corners, and once it is fixed the second is clamped
   to residual bounds with the level diagonal divided out.
@@ -32,8 +34,10 @@ images are in the box (see the header of ``_walk.c``).
 All three entry points compute images with identical floating-point
 operations, so they keep the same points, and the images the stream and
 the batches emit agree bit-for-bit with :func:`apply_generator`, in the
-same lexicographic order of k.  The bounds that prune the search differ:
-a count's are its own, and so is its slack.
+same lexicographic order of k.  :func:`apply_generator` runs the merge tree
+on one Python list, and ``_images`` on many rows at once in numpy; both
+make the walker's operations in its order.  The bounds that prune the
+search differ: a count's are its own, and so is its slack.
 A box with a corner beyond +-2**48, where the slack would reach a quarter
 in a fill and 2 in a count, or one that needs a coordinate beyond +-2**62
 is refused with ``ValueError``, unless it is empty (lower > upper in some
@@ -47,6 +51,7 @@ import math
 import operator
 import os
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -65,11 +70,11 @@ class Box:
     upper: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        lo = tuple(float(v) for v in self.lower)
-        hi = tuple(float(v) for v in self.upper)
+        lo = tuple(map(float, self.lower))
+        hi = tuple(map(float, self.upper))
         if len(lo) != len(hi):
             raise ValueError(f"corner lengths differ: {len(lo)} vs {len(hi)}")
-        if not all(math.isfinite(v) for v in lo + hi):
+        if not all(map(math.isfinite, lo + hi)):
             raise ValueError("box corners must be finite (no NaN/inf)")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
@@ -97,8 +102,11 @@ Consumer = Callable[[LatticePoint], None]
 def apply_generator(ladder: DiagLadder, coords: Sequence[float]) -> tuple[float, ...]:
     """Apply the generator to a real vector via rounds of butterfly merges.
 
-    Uses exactly the merge tree of the traversal (see :func:`_images`), so
-    for integer coords the result matches emitted point images bit-for-bit.
+    Runs the traversal's merge tree on one list of floats: round j maps each
+    pair of 2**(j-1)-blocks (A, Y) to (A + D*Y, A - D*Y), each entry as
+    ``p = D[i] * y; a + p; a - p``.  These are the operations of the walker
+    and of the row-wise :func:`_images`, so for integer coords the result
+    matches emitted point images bit-for-bit.
     """
     d = len(coords)
     n = d.bit_length() - 1
@@ -106,7 +114,17 @@ def apply_generator(ladder: DiagLadder, coords: Sequence[float]) -> tuple[float,
         raise ValueError(f"vector length must be a power of two, got {d}")
     if ladder.depth < n:
         raise ValueError(f"ladder depth {ladder.depth} < required {n}")
-    return tuple(_images(ladder, np.array([coords], dtype=np.float64))[0].tolist())
+    x = list(map(float, coords))
+    w = 1
+    for diag in ladder.levels[:n]:
+        for start in range(0, d, 2 * w):
+            for i, D in enumerate(diag, start):
+                a = x[i]
+                p = D * x[i + w]
+                x[i] = a + p
+                x[i + w] = a - p
+        w *= 2
+    return tuple(x)
 
 
 def enumerate_stream(
@@ -124,13 +142,16 @@ def enumerate_stream(
     emissions.
     """
     walk = _prepare(level, box, ladder)
+    d = level.d
     new = tuple.__new__
     count = 0
-    for K, X in _fill(walk, level.d, _STREAM_ROWS):
-        for k, x in zip(K.tolist(), X.tolist()):
-            # builds a LatticePoint without the Python frame of its __new__
-            consumer(new(LatticePoint, (tuple(k), tuple(x))))
-        count += len(K)
+    for K, X, rows in _fill(walk, d, _STREAM_ROWS):
+        ks = iter(memoryview(K)[: rows * d].tolist())
+        xs = iter(memoryview(X)[: rows * d].tolist())
+        # d consecutive values per row; a LatticePoint without the Python frame of its __new__
+        for point in zip(zip(*[ks] * d), zip(*[xs] * d)):
+            consumer(new(LatticePoint, point))
+        count += rows
     return count
 
 
@@ -154,7 +175,14 @@ def enumerate_batches(
     size = operator.index(size)
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
-    return _fill(walk, level.d, size)
+    d = level.d
+    return (
+        (
+            np.frombuffer(K, np.int64, rows * d).reshape(rows, d),
+            np.frombuffer(X, np.float64, rows * d).reshape(rows, d),
+        )
+        for K, X, rows in _fill(walk, d, size)
+    )
 
 
 def count_points(level: Level, box: Box, ladder: DiagLadder) -> int:
@@ -167,13 +195,22 @@ def count_points(level: Level, box: Box, ladder: DiagLadder) -> int:
     return _call(*_prepare(level, box, ladder), None, None, 0)
 
 
-#: Rows per walker call behind :func:`enumerate_stream`.  Each batch is
-#: turned into Python lists at once, so this bounds the stream's memory
-#: (about 150 KB at d = 8); 128 to 1024 rows cost the same per point.
+#: Rows per batch behind :func:`enumerate_stream`.  Each batch is turned
+#: into Python tuples at once, so this bounds the stream's memory (about
+#: 150 KB at d = 8); 128 to 1024 rows cost the same per point.  Its buffers
+#: start with ``_START_ROWS`` rows like any other, so an empty or small box
+#: allocates 2 * 64 * d values.
 _STREAM_ROWS = 256
 
-#: Rows a batch buffer starts with (see :func:`_fill`).
-_START_ROWS = 1 << 16
+#: Rows the first buffer pair of a call starts with (see :func:`_fill`).
+#: ``array.array`` zeroes what it allocates, so a small start keeps a
+#: small query cheap at every d: with 1024 rows, ``enumerate_batches`` on an
+#: empty d = 64 box took 0.5 ms.
+_START_ROWS = 64
+
+#: One zero of each buffer type; ``_INT64 * n`` is a zeroed buffer of n values.
+_INT64 = array("q", [0])
+_FLOAT64 = array("d", [0.0])
 
 #: How the walker is built: no option changes it.  ``-ffp-contract=off``
 #: keeps every multiply and add a separately rounded IEEE operation.
@@ -198,37 +235,36 @@ def _prepare(level, box, ladder):
 
 
 def _fill(walk, d, size):
-    """Generator of ``(K, X)`` batches, each in buffers of its own.
+    """Generator of filled buffers ``(K, X, rows)``, each pair of its own.
 
-    A buffer starts with at most ``_START_ROWS`` rows and doubles, up to
-    ``size``, while the walk fills it, so a huge ``size`` costs only the
-    rows written.
+    K and X are ``array.array`` buffers of int64 and float64 whose first
+    ``rows * d`` values hold the batch, row after row.  The first pair starts
+    with at most ``_START_ROWS`` rows and each next pair as large as the last
+    one grew; a pair doubles, up to ``size``, while the walk fills it, so a
+    huge ``size`` costs no more than twice the rows written (or the first
+    ``_START_ROWS``).  The walker gets the addresses from ``buffer_info``:
+    passing arrays through ``ndarray.ctypes`` leaves reference cycles
+    behind, which made a stream's peak memory drift.
     """
+    capacity = min(size, _START_ROWS)
     while True:
-        K = np.empty((min(size, _START_ROWS), d), dtype=np.int64)
-        X = np.empty(K.shape, dtype=np.float64)
+        K = _INT64 * (capacity * d)
+        X = _FLOAT64 * (capacity * d)
         rows = 0
         while True:
-            rows += _call(*walk, _address(K, rows), _address(X, rows), len(K) - rows)
-            if rows < len(K) or len(K) == size:
+            offset = rows * d * K.itemsize
+            K_next, X_next = K.buffer_info()[0] + offset, X.buffer_info()[0] + offset
+            rows += _call(*walk, K_next, X_next, capacity - rows)
+            if rows < capacity or capacity == size:
                 break
-            more = min(len(K), size - len(K))
-            K = np.concatenate((K, np.empty((more, d), dtype=np.int64)))
-            X = np.concatenate((X, np.empty((more, d), dtype=np.float64)))
+            more = min(capacity, size - capacity)
+            K += _INT64 * (more * d)
+            X += _FLOAT64 * (more * d)
+            capacity += more
         if rows:
-            yield K[:rows], X[:rows]
+            yield K, X, rows
         if rows < size:
             return
-
-
-def _address(A, row):
-    """Address of row ``row`` of the C-contiguous array A.
-
-    Taken from ``__array_interface__``: ``ndarray.ctypes`` leaves objects in
-    reference cycles behind, which made a stream's peak memory drift by
-    kilobytes between runs.
-    """
-    return A.__array_interface__["data"][0] + row * A.strides[0]
 
 
 def _call(state, n, diag, K, X, size):

@@ -17,6 +17,7 @@ materialised here for verification and the brute-force oracle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,9 @@ class Level:
     @classmethod
     def from_dimension(cls, d: int) -> "Level":
         """Level for dimension ``d``; raises unless ``d`` is a power of two <= 64."""
+        if isinstance(d, bool) or not hasattr(type(d), "__index__"):
+            raise ValueError(f"dimension must be an integer, got {d!r}")
+        d = operator.index(d)
         n = d.bit_length() - 1
         if d <= 0 or (1 << n) != d:
             raise ValueError(f"dimension must be a power of two, got {d}")

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import random
@@ -31,7 +32,7 @@ from chebfrolov import (
     sample_shift,
     standard_box,
 )
-from chebfrolov.enumeration import _library
+from chebfrolov.enumeration import _images, _library
 from chebfrolov.verify import clamp_bounds, interval_mean, recursive_enumerate
 
 SQRT2 = math.sqrt(2.0)
@@ -141,6 +142,24 @@ class TestApplyGenerator:
         for v in integer + shifts:
             fast = apply_generator(ladder, v)
             assert fast == pytest.approx(dense @ np.array(v, float), abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_images_byte_for_byte(self, n):
+        # the scalar merge tree and the row-wise one perform the same operations
+        rng = random.Random(n + 200)
+        d = 1 << n
+        ladder = build_diag_ladder(Level(n))
+        draws = [
+            lambda: rng.randint(-10**12, 10**12),
+            rng.random,
+            lambda: rng.choice((-0.0, 0.0, 1e300, -1e300, rng.random())),
+            lambda: np.int64(rng.randint(-10**12, 10**12)),
+        ]
+        vectors = [[draw() for _ in range(d)] for draw in draws for _ in range(5)]
+        vectors += [[rng.choice(draws)() for _ in range(d)] for _ in range(10)]
+        for v in vectors:
+            got = np.array(apply_generator(ladder, v), dtype=np.float64)
+            assert got.tobytes() == _images(ladder, np.array([v], dtype=np.float64))[0].tobytes()
 
     def test_scalar_pair(self):
         ladder = build_diag_ladder(Level(1))
@@ -652,6 +671,43 @@ class TestBatches:
         level = Level(1)
         box = cubature_box(1, 2**17)
         assert assert_batches_match_stream(level, box, build_diag_ladder(level), 10**12) > 2**17
+
+    def test_each_batch_owns_its_arrays(self):
+        level = Level(2)
+        ladder = build_diag_ladder(level)
+        box = cubature_box(2, 2**6)
+        batches = collect_batches(level, box, ladder, 7)
+        assert len(batches) > 3
+        for K, X in batches:
+            for A, dtype in ((K, np.int64), (X, np.float64)):
+                assert A.dtype == dtype and A.shape == (len(K), level.d)
+                assert A.flags.c_contiguous and A.flags.writeable
+        K, X = batches[1]
+        K[:] = 0
+        X[:] = np.nan
+        rows = [(tuple(k), tuple(x)) for K, X in batches for k, x in zip(K.tolist(), X.tolist())]
+        points = collect(level, box, ladder)
+        del points[7:14], rows[7:14]
+        assert rows == [(p.k, p.x) for p in points]
+
+    def test_calls_leave_no_reference_cycles(self):
+        # a cycle would keep buffers alive until the collector runs
+        level = Level(3)
+        ladder = build_diag_ladder(level)
+        box = cubature_box(3, 2**8)
+        runs = [
+            lambda: collect(level, box, ladder),
+            lambda: collect_batches(level, box, ladder, 7),
+            lambda: collect_batches(level, box, ladder, 1024),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for run in runs:
+                assert run()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_bad_arguments_raise_at_call(self):
         level = Level(1)

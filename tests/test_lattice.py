@@ -51,6 +51,13 @@ class TestLevel:
             with pytest.raises(ValueError):
                 Level.from_dimension(bad)
 
+    def test_from_dimension_takes_only_integers(self):
+        # like Level(n): an integer index is a dimension, a bool or a float is not
+        assert Level.from_dimension(np.int64(8)) == Level(3)
+        for bad in (True, False, 4.0, "4", None):
+            with pytest.raises(ValueError, match="integer"):
+                Level.from_dimension(bad)
+
 
 class TestPermutation:
     def test_base_case(self):
