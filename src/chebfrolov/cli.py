@@ -13,6 +13,11 @@ Output is deterministic for a fixed configuration (timing fields aside).
 Exit codes: 0 success, 1 check failure, 2 usage error.  ``--dim`` and
 verify's ``--max-dim`` take a power of two up to 64, the fixed limit of
 :class:`~chebfrolov.lattice.Level`.
+
+``count``, ``points`` and ``table`` run without numpy: ``points`` formats
+each fill of the walker at once, from plain Python lists, with one CSV row
+template repeated for its rows.  ``integrate`` and ``verify`` load numpy
+for their batch mapping and linear algebra.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .cubature import (
     sample_shift,
     standard_box,
 )
-from .enumeration import Box, LatticePoint, count_points, enumerate_batches
+from .enumeration import Box, LatticePoint, _fill, _prepare, count_points
 from .lattice import Level, build_diag_ladder
 from .verify import double_box_check, load_golden_table, reproduce_table, unimodular_check
 
@@ -52,12 +57,19 @@ class UsageError(Exception):
 def format_point(point: LatticePoint, fmt: str, precision: int) -> str:
     """One output line per point: CSV of x, or a JSONL object with k and x."""
     if fmt == "csv":
-        return ",".join(format(c, f".{precision}g") for c in point.x)
+        return _csv_row(len(point.x), precision).format(*point.x)[:-1]
     if fmt == "jsonl":
-        return json.dumps(
-            {"k": list(point.k), "x": list(point.x)}, separators=(",", ":")
-        )
+        return _json_line(list(point.k), list(point.x))
     raise UsageError(f"unknown point format {fmt!r}")
+
+
+def _csv_row(d: int, precision: int) -> str:
+    """The ``str.format`` template of one CSV line of d coordinates, newline included."""
+    return ",".join([f"{{:.{precision}g}}"] * d) + "\n"
+
+
+def _json_line(k: list[int], x: list[float]) -> str:
+    return json.dumps({"k": k, "x": x}, separators=(",", ":"))
 
 
 def _resolve_scale(args: argparse.Namespace) -> float | None:
@@ -129,15 +141,20 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_points(args: argparse.Namespace) -> int:
     level = Level.from_dimension(args.dim)
     box = _resolve_box(args, level, _resolve_scale(args))
-    batches = enumerate_batches(level, box, build_diag_ladder(level), 256)
-    first = next(batches, None)  # the walker refuses a box at its first call
+    d = level.d
+    fills = _fill(_prepare(level, box, build_diag_ladder(level)), d, 256)
+    first = next(fills, None)  # the walker refuses a box at its first call
+    row = _csv_row(d, args.precision)
     with _output(args) as out:
         if args.header and args.format == "csv":
-            print(",".join(f"x{j + 1}" for j in range(level.d)), file=out)
-        for K, X in itertools.chain([first] if first else [], batches):
-            for k, x in zip(K.tolist(), X.tolist()):
-                point = LatticePoint(tuple(k), tuple(x))
-                print(format_point(point, args.format, args.precision), file=out)
+            print(",".join(f"x{j + 1}" for j in range(d)), file=out)
+        for K, X in itertools.chain([first] if first else [], fills):
+            if args.format == "csv":
+                out.write((row * (len(X) // d)).format(*X.tolist()))
+            else:
+                ks, xs = K.tolist(), X.tolist()
+                for i in range(0, len(xs), d):
+                    print(_json_line(ks[i : i + d], xs[i : i + d]), file=out)
     return 0
 
 
@@ -172,6 +189,13 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     max_level = Level.from_dimension(args.max_dim)
     max_log2 = args.max_log2_scale
+    table = load_golden_table()
+    min_d, min_log2 = min(r.d for r in table), min(r.log2n for r in table)
+    if max_level.d < min_d or max_log2 < min_log2:
+        raise UsageError(
+            f"--max-dim {max_level.d} --max-log2-scale {max_log2} selects no golden row:"
+            f" the table holds d >= {min_d} and log2N >= {min_log2}"
+        )
     failures = 0
     with _output(args) as out:
         for n in range(min(max_level.n, 3) + 1):
@@ -193,7 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 file=out,
             )
 
-        for record in load_golden_table():
+        for record in table:
             if record.d > min(max_level.d, 8) or record.log2n > min(max_log2, 10):
                 continue
             level = Level.from_dimension(record.d)

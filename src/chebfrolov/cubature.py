@@ -21,8 +21,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .enumeration import Box, DiagLadder, apply_generator, enumerate_batches
 from .lattice import Level, det_magnitude
 
@@ -162,12 +160,16 @@ def map_to_unit(
     """
     if shift is not None and shift_vector is None:
         raise ValueError("shift_vector is required when a shift is given")
+    import numpy as np
+
     node = _nodes(np.array([x], dtype=float), spec.shrink, shift, shift_vector)
     return tuple(node[0].tolist())
 
 
 def _nodes(X, s, shift, shift_vector):
     """``map_to_unit`` for every row of X at once, with one cube check."""
+    import numpy as np
+
     nodes = s * X if shift is None else s * (X + shift_vector) / shift.u
     inside = np.abs(nodes) <= 0.5 + NODE_TOLERANCE
     if not inside.all():

@@ -14,12 +14,15 @@ For each prefix the innermost coordinate ranges over an integer run
 - A fill writes rows of k and x into int64 and float64 ``array.array``
   buffers, each image finished by the last butterfly chain; the walk stops
   when the buffers are full and resumes from its state buffer for the next
-  pair.  ``enumerate_batches`` wraps each pair as ``(K, X)`` arrays of their
-  own; ``enumerate_stream`` turns each pair straight into Python tuples,
-  without numpy, and calls a consumer per point.  A fill sets k_1..k_d in
-  lexicographic order, mean-first: the first half-block image lies between
-  the half-means of the corners, and once it is fixed the second is clamped
-  to residual bounds with the level diagonal divided out.
+  pair.  One generator, ``_fill``, makes the walker calls and yields each
+  filled pair.  ``enumerate_batches`` wraps each pair as ``(K, X)`` numpy
+  arrays of their own; ``enumerate_stream`` turns it into Python lists,
+  without numpy, and groups them into one :class:`LatticePoint` per
+  consumer call, and the CLI's ``points`` formats a fill at a time.  A
+  fill sets k_1..k_d in lexicographic order, mean-first: the first
+  half-block image lies between the half-means of the corners, and once it
+  is fixed the second is clamped to residual bounds with the level diagonal
+  divided out.
 - ``count_points`` adds the run lengths.  A count sets k_d..k_1,
   difference-first: the second half-block image Y lies in
   ``[(l1 - u2) / 2D, (u1 - l2) / 2D]``, and once it is fixed the first is
@@ -42,6 +45,10 @@ A box with a corner beyond +-2**48, where the slack would reach a quarter
 in a fill and 2 in a count, or one that needs a coordinate beyond +-2**62
 is refused with ``ValueError``, unless it is empty (lower > upper in some
 coordinate).
+
+numpy is imported only by the two functions that build arrays,
+``enumerate_batches`` and ``_images``, so counting, streaming and
+:func:`apply_generator` run without it.
 """
 
 from __future__ import annotations
@@ -55,11 +62,12 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .lattice import DiagLadder, Level
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -145,13 +153,12 @@ def enumerate_stream(
     d = level.d
     new = tuple.__new__
     count = 0
-    for K, X, rows in _fill(walk, d, _STREAM_ROWS):
-        ks = iter(memoryview(K)[: rows * d].tolist())
-        xs = iter(memoryview(X)[: rows * d].tolist())
+    for K, X in _fill(walk, d, _STREAM_ROWS):
+        count += len(K) // d
+        ks, xs = iter(K.tolist()), iter(X.tolist())
         # d consecutive values per row; a LatticePoint without the Python frame of its __new__
         for point in zip(zip(*[ks] * d), zip(*[xs] * d)):
             consumer(new(LatticePoint, point))
-        count += rows
     return count
 
 
@@ -171,17 +178,16 @@ def enumerate_batches(
     O(min(size, points) * d).  Arguments are checked by this call, before the
     first batch is asked for.
     """
+    import numpy as np
+
     walk = _prepare(level, box, ladder)
     size = operator.index(size)
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
     d = level.d
     return (
-        (
-            np.frombuffer(K, np.int64, rows * d).reshape(rows, d),
-            np.frombuffer(X, np.float64, rows * d).reshape(rows, d),
-        )
-        for K, X, rows in _fill(walk, d, size)
+        (np.frombuffer(K, np.int64).reshape(-1, d), np.frombuffer(X, np.float64).reshape(-1, d))
+        for K, X in _fill(walk, d, size)
     )
 
 
@@ -231,18 +237,20 @@ def _prepare(level, box, ladder):
     n = level.n
     state = _state_type(n)()
     state[: 2 * level.d] = box.lower + box.upper
-    return state, n, _diagonals(ladder.levels[:n])
+    return state, n, _diagonals(ladder, n)
 
 
 def _fill(walk, d, size):
-    """Generator of filled buffers ``(K, X, rows)``, each pair of its own.
+    """The one walker-call loop: a generator of filled buffers ``(K, X)``.
 
-    K and X are ``array.array`` buffers of int64 and float64 whose first
-    ``rows * d`` values hold the batch, row after row.  The first pair starts
-    with at most ``_START_ROWS`` rows and each next pair as large as the last
-    one grew; a pair doubles, up to ``size``, while the walk fills it, so a
-    huge ``size`` costs no more than twice the rows written (or the first
-    ``_START_ROWS``).  The walker gets the addresses from ``buffer_info``:
+    K and X are memoryviews of the filled rows of an ``array.array`` pair of
+    their own, int64 and float64, d values a row, row after row in the
+    lexicographic k order; ``.tolist()`` gives them as Python numbers and
+    ``np.frombuffer`` as arrays.  A pair holds at most ``size`` rows.  The
+    first pair starts with at most ``_START_ROWS`` rows and each next pair
+    as large as the last one grew; a pair doubles, up to ``size``, while the
+    walk fills it, so a huge ``size`` costs no more than twice the rows
+    written (or the first ``_START_ROWS``).  The walker gets the addresses from ``buffer_info``:
     passing arrays through ``ndarray.ctypes`` leaves reference cycles
     behind, which made a stream's peak memory drift.
     """
@@ -262,7 +270,7 @@ def _fill(walk, d, size):
             X += _FLOAT64 * (more * d)
             capacity += more
         if rows:
-            yield K, X, rows
+            yield memoryview(K)[: rows * d], memoryview(X)[: rows * d]
         if rows < size:
             return
 
@@ -291,9 +299,13 @@ def _state_type(n):
 
 
 @lru_cache(maxsize=64)
-def _diagonals(diag):
-    """The ladder levels ``diag`` as one flat buffer: level L at 2**L - 1."""
-    flat = [v for level in diag for v in level]
+def _diagonals(ladder, n):
+    """Levels 0..n-1 of the ladder as one flat buffer: level L at 2**L - 1.
+
+    Keyed by the ladder, which caches its hash, so a call with a ladder seen
+    before hashes none of its entries.
+    """
+    flat = [v for level in ladder.levels[:n] for v in level]
     for v in flat:  # the walker divides bounds by them: only positive ones keep lower <= upper
         if not 0.0 < v < math.inf:
             raise ValueError(f"ladder entries must be positive and finite, got {v!r}")
@@ -373,6 +385,8 @@ def _images(ladder, K):
     with D the ladder diagonal at level j - 1, the operations the traversal
     performs one point at a time.
     """
+    import numpy as np
+
     m, d = K.shape
     X = K.astype(np.float64)
     w = 1

@@ -11,7 +11,7 @@ basis) into the block-recursive matrix
 
 where D_L is diagonal and positive.  The enumeration and cubature modules
 only ever need the diagonals D_0..D_{n-1} (the "ladder"); dense matrices are
-materialised here for verification and the brute-force oracle.
+materialised here, with numpy, for verification and the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Highest recursion depth n (d = 2**n <= 64).  The walker's slacks are
 #: measured on face boxes up to d = 64 and no further (the table in the
@@ -111,9 +113,14 @@ class DiagLadder:
     levels: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        # tuples of floats: the enumeration caches its diagonal buffers by these values
+        # tuples of floats, hashed once: the enumeration caches its diagonal
+        # buffers by ladder, and a call with the same ladder hashes no entry
         levels = tuple(tuple(float(v) for v in diag) for diag in self.levels)
         object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "_hash", hash(levels))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def depth(self) -> int:
@@ -141,6 +148,8 @@ def build_generator_matrix(level: Level, ladder: DiagLadder) -> np.ndarray:
     Only verification and the brute-force oracle touch this; the enumeration
     algorithms work from the ladder alone.
     """
+    import numpy as np
+
     if ladder.depth < level.n:
         raise ValueError(f"ladder depth {ladder.depth} < level {level.n}")
     a = np.ones((1, 1))
@@ -153,6 +162,8 @@ def build_generator_matrix(level: Level, ladder: DiagLadder) -> np.ndarray:
 
 def build_vandermonde(level: Level) -> np.ndarray:
     """Vandermonde matrix of the permuted roots, powers 0..d-1 across columns."""
+    import numpy as np
+
     d = level.d
     roots = np.array([chebyshev_root(level.n, k) for k in range(1, d + 1)])
     return np.vander(roots, N=d, increasing=True)

@@ -23,8 +23,6 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .cubature import CubatureSpec, standard_box
 from .enumeration import Box, LatticePoint, _images, apply_generator
 from .enumeration import count_points, enumerate_batches
@@ -92,6 +90,8 @@ def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:
     Returns points in lexicographic k order.  Only sensible for small
     levels; larger ones are refused.
     """
+    import numpy as np
+
     if level.n > ORACLE_MAX_LEVEL:
         raise ValueError(
             f"oracle refuses level {level.n} > {ORACLE_MAX_LEVEL}: "
@@ -205,6 +205,8 @@ def double_box_check(level: Level, scale: float) -> DoubleBoxCheck:
     N-scale point reappears in the larger enumeration; filtering its images
     into the N-scale box by the membership rule must give the direct count.
     """
+    import numpy as np
+
     ladder = build_diag_ladder(level)
     small = standard_box(CubatureSpec(level, scale))
     big = standard_box(CubatureSpec(level, 2.0 * scale))
@@ -224,6 +226,8 @@ def unimodular_check(level: Level) -> UnimodularCheck:
     the worst entry deviation from the nearest integer and the deviation of
     |det| from one; passes when both are below 1e-6.
     """
+    import numpy as np
+
     if level.n > 3:
         raise ValueError(f"unimodular check limited to level <= 3, got {level.n}")
     vand = build_vandermonde(level)

@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import chebfrolov
-from chebfrolov import LatticePoint
+from chebfrolov import (
+    Box,
+    CubatureSpec,
+    LatticePoint,
+    Level,
+    build_diag_ladder,
+    enumerate_stream,
+    standard_box,
+)
 from chebfrolov.cli import format_point, main
 
 
@@ -16,6 +24,26 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def package_path():
+    """PYTHONPATH for a child that must import the same package as this process."""
+    src = str(Path(chebfrolov.__file__).resolve().parent.parent)
+    return os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+
+def reference_points(level, box, fmt, precision, header):
+    """What ``points`` must print: one ``format_point`` line per streamed point."""
+    lines = [",".join(f"x{j + 1}" for j in range(level.d))] if header and fmt == "csv" else []
+
+    def consumer(point):
+        line = format_point(point, fmt, precision)
+        if fmt == "csv":  # format_point keeps the per-coordinate rule
+            assert line == ",".join(format(c, f".{precision}g") for c in point.x)
+        lines.append(line)
+
+    enumerate_stream(level, box, build_diag_ladder(level), consumer)
+    return "".join(line + "\n" for line in lines)
 
 
 class TestFormatPoint:
@@ -95,6 +123,56 @@ class TestPoints:
         assert code == 0
         assert out == ""
         assert target.read_text().splitlines() == ["-1", "0", "1"]
+
+
+class TestPointsBytes:
+    """``points`` prints exactly the lines ``format_point`` gives for the stream."""
+
+    SCALES = {1: 6, 2: 6, 8: 10}  # d = 8, N = 2**10 takes several fills
+
+    @pytest.mark.parametrize("precision", [1, 6, 17])
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_standard_box(self, capsys, fmt, d, precision):
+        log2 = self.SCALES[d]
+        level = Level.from_dimension(d)
+        box = standard_box(CubatureSpec(level, 2.0**log2))
+        argv = ["points", "--dim", str(d), "--log2-scale", str(log2),
+                "--format", fmt, "--precision", str(precision)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == reference_points(level, box, fmt, precision, False)
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_header_to_out_file(self, capsys, tmp_path, d):
+        level = Level.from_dimension(d)
+        box = standard_box(CubatureSpec(level, 2.0**self.SCALES[d]))
+        target = tmp_path / "pts.csv"
+        argv = ["points", "--dim", str(d), "--log2-scale", str(self.SCALES[d]),
+                "--header", "--out", str(target)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == reference_points(level, box, "csv", 17, True).encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("precision", [1, 6, 17])
+    def test_explicit_off_centre_box(self, capsys, fmt, precision):
+        lower, upper = (-3.25, 0.5, -7.0, 1.0), (9.5, 20.0, 4.0, 12.75)
+        level = Level.from_dimension(4)
+        argv = ["points", "--dim", "4", "--box", *map(str, lower + upper), "--header",
+                "--format", fmt, "--precision", str(precision)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        expected = reference_points(level, Box(lower, upper), fmt, precision, True)
+        assert out == expected
+        assert out.count("\n") > 40
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_empty_box(self, capsys, fmt):
+        argv = ["points", "--dim", "2", "--box", "1", "0", "0", "1", "--header", "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == ("x1,x2\n" if fmt == "csv" else "")
 
 
 class TestIntegrate:
@@ -259,6 +337,18 @@ class TestUsageErrors:
         assert code == 2
         assert target.read_bytes() == b"earlier output\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--max-dim", "1"), ("--max-log2-scale", "0"), ("--max-log2-scale", "-2")],
+        ids=["max-dim-1", "max-log2-scale-0", "max-log2-scale-negative"],
+    )
+    def test_verify_limits_selecting_no_golden_row(self, capsys, argv):
+        # such limits check no golden row, so a PASS would say nothing
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert "RESULT" not in out
+        assert "d >= 2" in err and "log2N >= 1" in err
+
     def test_precision_below_one(self, capsys):
         # rejected by the parser, before any point is formatted
         with pytest.raises(SystemExit) as exc:
@@ -280,13 +370,51 @@ def test_console_script_entry_point():
 
 def test_module_invocation():
     # the child must import the same package as this process, installed or not
-    src = str(Path(chebfrolov.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "chebfrolov.cli", "count", "--dim", "2", "--log2-scale", "1"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": package_path()},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 3
+
+
+NUMPY_FREE_CHILD = """
+import contextlib, io, sys
+import chebfrolov, chebfrolov.cli
+from chebfrolov import *
+level = Level(3)
+ladder = build_diag_ladder(level)
+spec = CubatureSpec(level, 2.0**8)
+box = standard_box(spec)
+n = count_points(level, box, ladder)
+assert enumerate_stream(level, box, ladder, lambda p: None) == n
+apply_generator(ladder, [1.0] * 8)
+randomized_box(spec, sample_shift(1, 8), ladder)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert chebfrolov.cli.main(["count", "--dim", "8", "--log2-scale", "8"]) == 0
+assert chebfrolov.cli.main(["points", "--dim", "8", "--log2-scale", "8", "--out", sys.argv[1]]) == 0
+assert "numpy" not in sys.modules, "numpy was loaded"
+assert sum(len(K) for K, X in enumerate_batches(level, box, ladder, 100)) == n
+assert integrate(spec, lambda x: 1.0, ladder).node_count == n
+assert "numpy" in sys.modules
+print(n)
+"""
+
+
+def test_numpy_loaded_only_where_arrays_are_built(tmp_path):
+    # importing, counting, streaming and the count and points commands run
+    # without numpy; batches and integrate still load it
+    target = tmp_path / "pts.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_CHILD, str(target)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_path()},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    n = int(proc.stdout)
+    assert n > 200
+    assert target.read_text().count("\n") == n

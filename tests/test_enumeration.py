@@ -32,6 +32,7 @@ from chebfrolov import (
     sample_shift,
     standard_box,
 )
+from chebfrolov import enumeration
 from chebfrolov.enumeration import _images, _library
 from chebfrolov.verify import clamp_bounds, interval_mean, recursive_enumerate
 
@@ -419,6 +420,27 @@ class TestKernels:
                 count_points(small, small_box, broken)
             with pytest.raises(ValueError, match="positive"):
                 enumerate_batches(small, small_box, broken)
+
+    def test_diagonal_buffer_is_cached_by_ladder(self):
+        level = Level(4)
+        ladder = build_diag_ladder(level)
+        box = Box.symmetric(3.0, level.d)
+        buffer = enumeration._prepare(level, box, ladder)[2]
+        before = enumeration._diagonals.cache_info()
+        # an equal ladder built anew, from lists, has the same hash and the same buffer
+        same = DiagLadder([list(diag) for diag in ladder.levels])
+        assert hash(same) == hash(ladder)
+        assert enumeration._prepare(level, box, same)[2] is buffer
+        assert enumeration._prepare(level, box, ladder)[2] is buffer
+        after = enumeration._diagonals.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+        # a lower level of the same ladder takes its own, shorter buffer
+        assert len(enumeration._prepare(Level(2), Box.symmetric(3.0, 4), ladder)[2]) == 3
+        # refusals are not cached: every call repeats them
+        broken = DiagLadder(((math.nan,),) + ladder.levels[1:])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite"):
+                count_points(level, box, broken)
 
     def test_consumer_may_enumerate_again(self):
         # the walker keeps no state outside its call's own buffers
