@@ -2,7 +2,9 @@
  *
  * Built on first use by chebfrolov.enumeration (cc -O2 -ffp-contract=off)
  * and called through ctypes.  One library serves every level n and ladder:
- * both arrive as arguments.  At every block the image is (A + D Y, A - D Y),
+ * both arrive as arguments.  It has two entry points: walk, the traversal,
+ * and map_nodes, which maps filled images to cubature nodes in place (see
+ * its comment at the end).  At every block the image is (A + D Y, A - D Y),
  * A and Y the images of its halves and D the diagonal one level down, so a
  * box [l, u] on the block splits into boxes on the halves.  The walk sets
  * one coordinate per depth, in the order the leaf asks for:
@@ -62,6 +64,8 @@
  * divide by the ladder diagonal, and means are (u + v) / 2.0; a count's
  * bounds are its own.  Contracting any of them to fused multiply-adds would
  * change the last bits, hence -ffp-contract=off (and never -ffast-math).
+ * map_nodes relies on it too: its nodes must equal the separately rounded
+ * operations of the node map, s * (x + v) then / u.
  *
  * There is no static state.  Everything lives in the caller's buffer of
  * walk_state_len(n) eight-byte slots, zero-initialised except for the box:
@@ -323,4 +327,25 @@ int64_t walk(double *s, int n, const double *diag, int64_t *K, double *X, int64_
         return i;
     *depth = i;
     return K ? rows : count;
+}
+
+/* The cubature node map of chebfrolov.cubature, in place on len values of X,
+ * rows of d (len a multiple of d): x -> s * x (v == NULL, the deterministic rule) or
+ * x -> s * (x + v) / u (the randomized rule; v and u hold d values each), each
+ * a separately rounded IEEE operation in that order.  Returns the index of
+ * the first node with !(|node| <= bound), NaN included, or -1; the values
+ * past it are left unmapped. */
+int64_t map_nodes(double *X, int64_t len, int64_t d, double s, const double *v,
+                  const double *u, double bound)
+{
+    for (int64_t i = 0; i < len; i += d) {
+        double *row = X + i;
+        for (int64_t f = 0; f < d; f++) {
+            const double node = v ? s * (row[f] + v[f]) / u[f] : s * row[f];
+            row[f] = node;
+            if (!(fabs(node) <= bound))
+                return i + f;
+        }
+    }
+    return -1;
 }

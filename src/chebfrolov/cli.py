@@ -10,14 +10,15 @@ verify            unimodularity, two-scale and golden-count checks
 table             dump the embedded golden count rows
 
 Output is deterministic for a fixed configuration (timing fields aside).
-Exit codes: 0 success, 1 check failure, 2 usage error.  ``--dim`` and
-verify's ``--max-dim`` take a power of two up to 64, the fixed limit of
-:class:`~chebfrolov.lattice.Level`.
+Exit codes: 0 success, 1 check failure, 2 usage error.  ``--dim`` and the
+``--max-dim`` of verify and table take a power of two up to 64, the fixed
+limit of :class:`~chebfrolov.lattice.Level`; verify and table refuse limits
+that select no golden row.
 
-``count``, ``points`` and ``table`` run without numpy: ``points`` formats
-each fill of the walker at once, from plain Python lists, with one CSV row
-template repeated for its rows.  ``integrate`` and ``verify`` load numpy
-for their batch mapping and linear algebra.
+No command loads numpy.  ``points`` formats each fill of the walker at
+once, from plain Python lists, with one CSV row template repeated for its
+rows; ``integrate`` maps each fill to cubature nodes in the walker library;
+``verify`` filters fills and solves its small linear systems in Python.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .cubature import (
     sample_shift,
     standard_box,
 )
-from .enumeration import Box, LatticePoint, _fill, _prepare, count_points
+from .enumeration import _STREAM_ROWS, Box, LatticePoint, _fill, _prepare, count_points
 from .lattice import Level, build_diag_ladder
 from .verify import double_box_check, load_golden_table, reproduce_table, unimodular_check
 
@@ -142,7 +143,7 @@ def _cmd_points(args: argparse.Namespace) -> int:
     level = Level.from_dimension(args.dim)
     box = _resolve_box(args, level, _resolve_scale(args))
     d = level.d
-    fills = _fill(_prepare(level, box, build_diag_ladder(level)), d, 256)
+    fills = _fill(_prepare(level, box, build_diag_ladder(level)), d, _STREAM_ROWS)
     first = next(fills, None)  # the walker refuses a box at its first call
     row = _csv_row(d, args.precision)
     with _output(args) as out:
@@ -186,7 +187,9 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _golden_limits(args: argparse.Namespace) -> tuple[Level, int]:
+    """``--max-dim`` as a level and ``--max-log2-scale``, refused unless they
+    select a golden row."""
     max_level = Level.from_dimension(args.max_dim)
     max_log2 = args.max_log2_scale
     table = load_golden_table()
@@ -196,6 +199,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"--max-dim {max_level.d} --max-log2-scale {max_log2} selects no golden row:"
             f" the table holds d >= {min_d} and log2N >= {min_log2}"
         )
+    return max_level, max_log2
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    max_level, max_log2 = _golden_limits(args)
+    table = load_golden_table()
     failures = 0
     with _output(args) as out:
         for n in range(min(max_level.n, 3) + 1):
@@ -235,10 +244,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    max_level, max_log2 = _golden_limits(args)
     with _output(args) as out:
         print("d,log2N,count", file=out)
         for record in load_golden_table():
-            if record.d <= args.max_dim and record.log2n <= args.max_log2_scale:
+            if record.d <= max_level.d and record.log2n <= max_log2:
                 print(f"{record.d},{record.log2n},{record.count}", file=out)
     return 0
 

@@ -12,16 +12,23 @@ shifted box mapped by x -> s * (x + G v) / u componentwise (G v is the
 generator image of the shift).  With u = 1, v = 0 it degenerates to the
 deterministic rule bit-for-bit.  Averaging over shifts gives an unbiased
 estimator of the integral.
+
+The node map runs in the compiled walker library (``map_nodes`` of
+``_walk.c``) on each fill of the walker, so :func:`integrate` and
+:func:`map_to_unit` load no numpy.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .enumeration import Box, DiagLadder, apply_generator, enumerate_batches
+from .enumeration import _STREAM_ROWS, Box, DiagLadder, _fill, _library, _prepare
+from .enumeration import apply_generator
 from .lattice import Level, det_magnitude
 
 #: Evaluation contract for integrands: total on the closed centered unit cube.
@@ -154,28 +161,53 @@ def map_to_unit(
     """Map an enumerated lattice point to its cubature node in [-1/2, 1/2]^d.
 
     Deterministic rule: node = shrink * x.  Randomized rule: node =
-    shrink * (x + shift_vector) / u componentwise.  Raises
-    :class:`ConsistencyError` if the result leaves the cube by more than
-    ``NODE_TOLERANCE`` (which would indicate an enumeration/mapping mismatch).
+    shrink * (x + shift_vector) / u componentwise.  x must have the lattice
+    dimension.  Raises :class:`ConsistencyError` if the result leaves the
+    cube by more than ``NODE_TOLERANCE`` (which would indicate an
+    enumeration/mapping mismatch).
     """
     if shift is not None and shift_vector is None:
         raise ValueError("shift_vector is required when a shift is given")
-    import numpy as np
+    node = array("d", x)
+    if len(node) != spec.level.d:
+        raise ValueError(f"point dimension {len(node)} != lattice dimension {spec.level.d}")
+    _node_map(spec, shift, shift_vector)(node)
+    return tuple(node)
 
-    node = _nodes(np.array([x], dtype=float), spec.shrink, shift, shift_vector)
-    return tuple(node[0].tolist())
 
+def _node_map(spec, shift, shift_vector):
+    """The node map of :func:`map_to_unit` on whole buffers, as one function.
 
-def _nodes(X, s, shift, shift_vector):
-    """``map_to_unit`` for every row of X at once, with one cube check."""
-    import numpy as np
+    The function maps a filled float64 buffer of rows of d images in place,
+    in the compiled walker library (``map_nodes`` of ``_walk.c``, the same
+    IEEE operations in the same order), and raises
+    :class:`ConsistencyError` naming the first mapped coordinate outside
+    the cube by more than ``NODE_TOLERANCE``, read when the map is made.
+    """
+    d = spec.level.d
+    if shift is None:
+        v = u = None
+    else:
+        if not len(shift.u) == len(shift_vector) == d:
+            raise ValueError(
+                f"shift dimension {len(shift.u)} or shift vector length {len(shift_vector)}"
+                f" != lattice dimension {d}"
+            )
+        v = (ctypes.c_double * d)(*shift_vector)
+        u = (ctypes.c_double * d)(*shift.u)
+    s = spec.shrink
+    bound = 0.5 + NODE_TOLERANCE
+    map_nodes = _library().map_nodes
+    address = ctypes.addressof
+    first = ctypes.c_double.from_buffer
 
-    nodes = s * X if shift is None else s * (X + shift_vector) / shift.u
-    inside = np.abs(nodes) <= 0.5 + NODE_TOLERANCE
-    if not inside.all():
-        c = float(nodes[~inside][0])
-        raise ConsistencyError(f"node coordinate {c!r} outside [-1/2, 1/2] beyond tolerance")
-    return nodes
+    def apply(X):
+        bad = map_nodes(address(first(X)), len(X), d, s, v, u, bound)
+        if bad >= 0:
+            c = X[bad]
+            raise ConsistencyError(f"node coordinate {c!r} outside [-1/2, 1/2] beyond tolerance")
+
+    return apply
 
 
 class IntegrationResult(NamedTuple):
@@ -199,12 +231,13 @@ def integrate(
     dilation (the identity shift reproduces the deterministic value
     bit-for-bit).
 
-    Nodes come from :func:`enumerate_batches`: each batch is mapped into the
-    unit cube and checked in numpy, with the same operations as
-    :func:`map_to_unit`, then fed to ``f`` one node tuple at a time in
-    lexicographic order, so only one batch is held.  The sum is a plain
-    sequential ``+=`` (``sum()`` compensates on Python 3.12+, which would
-    change the value); ``compensated`` switches it to Kahan summation.
+    Nodes come from the walker's fills, as in :func:`enumerate_stream`: each
+    fill is mapped into the unit cube and checked in the walker library, by
+    the map of :func:`map_to_unit`, then fed to ``f`` one node tuple at a
+    time in lexicographic order, so only one fill is held.  The sum is a
+    plain sequential ``+=`` (``sum()`` compensates on Python 3.12+, which
+    would change the value); ``compensated`` switches it to Kahan summation.
+    No numpy is loaded.
     """
     level = spec.level
     if shift is None:
@@ -214,14 +247,15 @@ def integrate(
     else:
         box, shift_vector = randomized_box(spec, shift, ladder)
         node_weight = spec.weight / math.prod(shift.u)
-    s = spec.shrink
+    d = level.d
+    node_map = _node_map(spec, shift, shift_vector)
     total = 0.0
     carry = 0.0
     count = 0
-    for _, X in enumerate_batches(level, box, ladder):
-        nodes = _nodes(X, s, shift, shift_vector)
-        count += len(nodes)
-        values = map(f, map(tuple, nodes.tolist()))
+    for _, X in _fill(_prepare(level, box, ladder), d, _STREAM_ROWS):
+        node_map(X)
+        count += len(X) // d
+        values = map(f, zip(*[iter(X.tolist())] * d))
         if compensated:
             for fx in values:
                 y = fx - carry

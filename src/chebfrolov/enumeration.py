@@ -38,16 +38,19 @@ All three entry points compute images with identical floating-point
 operations, so they keep the same points, and the images the stream and
 the batches emit agree bit-for-bit with :func:`apply_generator`, in the
 same lexicographic order of k.  :func:`apply_generator` runs the merge tree
-on one Python list, and ``_images`` on many rows at once in numpy; both
-make the walker's operations in its order.  The bounds that prune the
-search differ: a count's are its own, and so is its slack.
+on one Python list, and the oracle's ``verify._images`` on many rows at
+once in numpy; both make the walker's operations in its order.  The
+bounds that prune the search differ: a count's are its own, and so is its
+slack.
 A box with a corner beyond +-2**48, where the slack would reach a quarter
 in a fill and 2 in a count, or one that needs a coordinate beyond +-2**62
 is refused with ``ValueError``, unless it is empty (lower > upper in some
 coordinate).
 
-numpy is imported only by the two functions that build arrays,
-``enumerate_batches`` and ``_images``, so counting, streaming and
+The same library holds ``map_nodes``, the node map of
+:mod:`chebfrolov.cubature`, so :func:`integrate` maps each fill in C.  In
+this module numpy is imported only by ``enumerate_batches``, the one
+function that builds arrays, so counting, streaming, filling and
 :func:`apply_generator` run without it.
 """
 
@@ -113,8 +116,8 @@ def apply_generator(ladder: DiagLadder, coords: Sequence[float]) -> tuple[float,
     Runs the traversal's merge tree on one list of floats: round j maps each
     pair of 2**(j-1)-blocks (A, Y) to (A + D*Y, A - D*Y), each entry as
     ``p = D[i] * y; a + p; a - p``.  These are the operations of the walker
-    and of the row-wise :func:`_images`, so for integer coords the result
-    matches emitted point images bit-for-bit.
+    and of the oracle's row-wise ``verify._images``, so for integer coords
+    the result matches emitted point images bit-for-bit.
     """
     d = len(coords)
     n = d.bit_length() - 1
@@ -361,6 +364,9 @@ def _library():
     lib.walk.restype = ctypes.c_int64
     lib.walk_state_len.argtypes = (ctypes.c_int,)
     lib.walk_state_len.restype = ctypes.c_int64
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    lib.map_nodes.argtypes = (ptr, i64, i64, f64, ptr, ptr, f64)
+    lib.map_nodes.restype = i64
     return lib
 
 
@@ -376,25 +382,3 @@ def _compile(source, target):
         tail = "\n".join(proc.stderr.strip().splitlines()[-20:])
         raise RuntimeError(f"compiling {source.name} failed ({' '.join(_CC)}):\n{tail}")
 
-
-def _images(ladder, K):
-    """Generator images of the rows of K, bit-identical to the streamed ones.
-
-    Runs the traversal's merge tree on all rows at once (a copy of K, which
-    may be integer or real): round j pairs the 2**(j-1)-blocks and maps (A, Y) to (A + D*Y, A - D*Y)
-    with D the ladder diagonal at level j - 1, the operations the traversal
-    performs one point at a time.
-    """
-    import numpy as np
-
-    m, d = K.shape
-    X = K.astype(np.float64)
-    w = 1
-    for diag in ladder.levels[: d.bit_length() - 1]:
-        pairs = X.reshape(m, d // (2 * w), 2, w)
-        A = pairs[:, :, 0, :]
-        prod = np.array(diag[:w]) * pairs[:, :, 1, :]
-        pairs[:, :, 1, :] = A - prod
-        A += prod
-        w *= 2
-    return X

@@ -11,7 +11,7 @@ basis) into the block-recursive matrix
 
 where D_L is diagonal and positive.  The enumeration and cubature modules
 only ever need the diagonals D_0..D_{n-1} (the "ladder"); dense matrices are
-materialised here, with numpy, for verification and the brute-force oracle.
+materialised here, with numpy, for the brute-force oracle and the tests.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def build_diag_ladder(level: Level) -> DiagLadder:
 def build_generator_matrix(level: Level, ladder: DiagLadder) -> np.ndarray:
     """Dense 2**n x 2**n generator built by the block recursion.
 
-    Only verification and the brute-force oracle touch this; the enumeration
-    algorithms work from the ladder alone.
+    Only the brute-force oracle and the tests touch this; the enumeration
+    algorithms and the unimodular check work from the ladder alone.
     """
     import numpy as np
 

@@ -11,6 +11,11 @@ embedded table of known-good node counts for the standard cubature boxes
 The oracle, the reference and the filter keep a point iff its
 :func:`apply_generator` image x has ``lower <= x <= upper``, as the
 enumerators do.
+
+Only the oracle (with its row-wise image tree ``_images``) loads numpy.
+The two-scale check filters the walker's fills in Python, and the
+unimodular check solves its d <= 8 system by Gaussian elimination in
+Python, so the CLI's ``verify`` runs without numpy.
 """
 
 from __future__ import annotations
@@ -19,20 +24,15 @@ import csv
 import io
 import itertools
 import math
+import operator
 from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple, Sequence
 
 from .cubature import CubatureSpec, standard_box
-from .enumeration import Box, LatticePoint, _images, apply_generator
-from .enumeration import count_points, enumerate_batches
-from .lattice import (
-    DiagLadder,
-    Level,
-    build_diag_ladder,
-    build_generator_matrix,
-    build_vandermonde,
-)
+from .enumeration import _STREAM_ROWS, Box, LatticePoint, _fill, _prepare, apply_generator
+from .enumeration import count_points
+from .lattice import DiagLadder, Level, build_diag_ladder, build_generator_matrix, chebyshev_root
 
 #: The brute-force oracle refuses levels above this (bounding-box cost).
 ORACLE_MAX_LEVEL = 3
@@ -125,6 +125,29 @@ def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:
     return accepted
 
 
+def _images(ladder, K):
+    """Generator images of the rows of K, bit-identical to the streamed ones.
+
+    Runs the traversal's merge tree on all rows at once (a copy of K, which
+    may be integer or real): round j pairs the 2**(j-1)-blocks and maps (A, Y) to (A + D*Y, A - D*Y)
+    with D the ladder diagonal at level j - 1, the operations the traversal
+    performs one point at a time.
+    """
+    import numpy as np
+
+    m, d = K.shape
+    X = K.astype(np.float64)
+    w = 1
+    for diag in ladder.levels[: d.bit_length() - 1]:
+        pairs = X.reshape(m, d // (2 * w), 2, w)
+        A = pairs[:, :, 0, :]
+        prod = np.array(diag[:w]) * pairs[:, :, 1, :]
+        pairs[:, :, 1, :] = A - prod
+        A += prod
+        w *= 2
+    return X
+
+
 def interval_mean(level: int, values: Sequence[float]) -> tuple[float, ...]:
     """Componentwise mean of the two halves of a length-2**(level+1) vector."""
     half = 1 << level
@@ -205,37 +228,80 @@ def double_box_check(level: Level, scale: float) -> DoubleBoxCheck:
     N-scale point reappears in the larger enumeration; filtering its images
     into the N-scale box by the membership rule must give the direct count.
     """
-    import numpy as np
-
     ladder = build_diag_ladder(level)
     small = standard_box(CubatureSpec(level, scale))
     big = standard_box(CubatureSpec(level, 2.0 * scale))
     direct = count_points(level, small, ladder)
-    lower, upper = np.array(small.lower), np.array(small.upper)
-    filtered = sum(
-        int(np.all((X >= lower) & (X <= upper), axis=1).sum())
-        for _, X in enumerate_batches(level, big, ladder)
-    )
+    d = level.d
+    lower, upper = small.lower, small.upper
+    filtered = 0
+    for _, X in _fill(_prepare(level, big, ladder), d, _STREAM_ROWS):
+        for x in zip(*[iter(X.tolist())] * d):
+            filtered += all(map(operator.le, lower, x)) and all(map(operator.le, x, upper))
     return DoubleBoxCheck(direct, filtered, direct == filtered)
 
 
 def unimodular_check(level: Level) -> UnimodularCheck:
     """Confirm the block generator spans the same lattice as the Vandermonde.
 
-    Solves V S = A; S must be an integer matrix with |det S| = 1.  Reports
-    the worst entry deviation from the nearest integer and the deviation of
-    |det| from one; passes when both are below 1e-6.
+    Solves V S = A, V the Vandermonde of the permuted roots and A the
+    generator (its columns the :func:`apply_generator` images of the unit
+    vectors), by Gaussian elimination in Python; S must be an integer matrix
+    with |det S| = 1.  Reports the worst entry deviation from the nearest
+    integer and the deviation of |det| from one; passes when both are below
+    1e-6.
     """
-    import numpy as np
-
     if level.n > 3:
         raise ValueError(f"unimodular check limited to level <= 3, got {level.n}")
-    vand = build_vandermonde(level)
-    gen = build_generator_matrix(level, build_diag_ladder(level))
-    s = np.linalg.solve(vand, gen)
-    max_dev = float(np.max(np.abs(s - np.round(s))))
-    det_dev = float(abs(abs(np.linalg.det(s)) - 1.0))
+    d = level.d
+    ladder = build_diag_ladder(level)
+    columns = [apply_generator(ladder, [float(i == j) for i in range(d)]) for j in range(d)]
+    vand = []
+    for k in range(1, d + 1):
+        root, power, row = chebyshev_root(level.n, k), 1.0, []
+        for _ in range(d):
+            row.append(power)
+            power *= root
+        vand.append(row)
+    s, _ = _eliminate(vand, list(zip(*columns)))
+    if s is None:
+        return UnimodularCheck(math.inf, math.inf, False)
+    _, det = _eliminate(s, [[]] * d)
+    max_dev = max(abs(v - round(v)) for row in s for v in row)
+    det_dev = abs(abs(det) - 1.0)
     return UnimodularCheck(max_dev, det_dev, max_dev < 1e-6 and det_dev < 1e-6)
+
+
+def _eliminate(a, b):
+    """Solve a x = b for square a by Gaussian elimination with partial pivoting.
+
+    a and b are sequences of rows (b may have zero columns).  Returns x as a
+    list of rows and det a, the signed product of the pivots; a singular a
+    (a zero pivot) gives ``(None, 0.0)``.
+    """
+    n = len(a)
+    rows = [[*ra, *rb] for ra, rb in zip(a, b)]
+    det = 1.0
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det *= pivot
+        if pivot == 0.0:
+            return None, 0.0
+        for r in range(c + 1, n):
+            factor = rows[r][c] / pivot
+            rows[r][c:] = [v - factor * w for v, w in zip(rows[r][c:], rows[c][c:])]
+    x = [None] * n
+    for r in reversed(range(n)):
+        row = rows[r]
+        x[r] = [
+            (row[n + j] - math.fsum(row[k] * x[k][j] for k in range(r + 1, n))) / row[r]
+            for j in range(len(row) - n)
+        ]
+    return x, det
 
 
 def reproduce_table(max_level: Level, max_log2n: int) -> list[TableCheck]:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -221,6 +222,48 @@ class TestVerifyCommand:
         assert out.splitlines()[-1] == "RESULT: PASS"
 
 
+def expected_verify_lines(max_dim, max_log2):
+    """The lines ``verify`` prints when every check passes, built from the
+    golden table; the unimodular deviation figures are left as ``*``."""
+    table = chebfrolov.load_golden_table()
+    lines = [
+        f"unimodular n={n}: PASS (int_dev=*, det_dev=*)"
+        for n in range(min(max_dim.bit_length() - 1, 3) + 1)
+    ]
+    lines += [
+        f"golden d={r.d} log2N={r.log2n}: PASS (expected={r.count}, observed={r.count})"
+        for r in table
+        if r.d <= max_dim and r.log2n <= max_log2
+    ]
+    lines += [
+        f"double-box d={r.d} log2N={r.log2n}: PASS (direct={r.count}, filtered={r.count})"
+        for r in table
+        if r.d <= min(max_dim, 8) and r.log2n <= min(max_log2, 10)
+    ]
+    return lines + ["RESULT: PASS"]
+
+
+class TestVerifyLines:
+    @pytest.mark.parametrize("max_dim,max_log2", [(16, 12), (2, 3)])
+    def test_lines_byte_identical_but_deviations(self, capsys, max_dim, max_log2):
+        code, out, _ = run_cli(
+            capsys, "verify", "--max-dim", str(max_dim), "--max-log2-scale", str(max_log2)
+        )
+        assert code == 0
+        pattern = re.compile(r"int_dev=(\S+), det_dev=(\S+)\)$")
+        deviations = []
+        lines = []
+        for line in out.splitlines():
+            match = pattern.search(line)
+            if match:
+                deviations += map(float, match.groups())
+                line = line[: match.start()] + "int_dev=*, det_dev=*)"
+            lines.append(line)
+        assert lines == expected_verify_lines(max_dim, max_log2)
+        assert out.endswith("\n")
+        assert deviations and max(deviations) < 1e-12
+
+
 class TestTableCommand:
     def test_dump(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max-dim", "2", "--max-log2-scale", "3")
@@ -327,8 +370,9 @@ class TestUsageErrors:
             ("points", "--dim", "2", "--log2-scale", "1022"),
             ("integrate", "--dim", "2"),
             ("verify", "--max-dim", "3"),
+            ("table", "--max-dim", "1"),
         ],
-        ids=["count", "count-too-far", "points", "points-too-far", "integrate", "verify"],
+        ids=["count", "count-too-far", "points", "points-too-far", "integrate", "verify", "table"],
     )
     def test_usage_error_leaves_out_file(self, capsys, tmp_path, argv):
         target = tmp_path / "keep.txt"
@@ -348,6 +392,28 @@ class TestUsageErrors:
         assert code == 2
         assert "RESULT" not in out
         assert "d >= 2" in err and "log2N >= 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--max-dim", "1"), ("--max-log2-scale", "0"), ("--max-log2-scale", "-2")],
+        ids=["max-dim-1", "max-log2-scale-0", "max-log2-scale-negative"],
+    )
+    def test_table_limits_selecting_no_golden_row(self, capsys, argv):
+        # a bare header with exit 0 would read as an empty table
+        code, out, err = run_cli(capsys, "table", *argv)
+        assert code == 2
+        assert out == ""
+        assert "selects no golden row" in err
+        assert "d >= 2" in err and "log2N >= 1" in err
+
+    @pytest.mark.parametrize("max_dim", ["0", "3", "128"])
+    def test_table_max_dim_is_a_dimension(self, capsys, max_dim):
+        # read through Level.from_dimension, as verify reads it
+        code, out, err = run_cli(capsys, "table", "--max-dim", max_dim)
+        assert code == 2
+        assert out == ""
+        assert ("power of two" if max_dim != "128" else "64") in err
+        assert run_cli(capsys, "verify", "--max-dim", max_dim)[2] == err
 
     def test_precision_below_one(self, capsys):
         # rejected by the parser, before any point is formatted
@@ -391,30 +457,47 @@ box = standard_box(spec)
 n = count_points(level, box, ladder)
 assert enumerate_stream(level, box, ladder, lambda p: None) == n
 apply_generator(ladder, [1.0] * 8)
-randomized_box(spec, sample_shift(1, 8), ladder)
+shift = sample_shift(1, 8)
+_, shift_vector = randomized_box(spec, shift, ladder)
+for compensated in (False, True):
+    assert integrate(spec, lambda x: 1.0, ladder, compensated=compensated).node_count == n
+    assert integrate(spec, lambda x: 1.0, ladder, shift, compensated=compensated).node_count
+map_to_unit([0.0] * 8, spec)
+map_to_unit([-v for v in shift_vector], spec, shift, shift_vector)
+assert unimodular_check(Level(3)).passed
+assert double_box_check(Level(2), 16.0).agree
 with contextlib.redirect_stdout(io.StringIO()):
     assert chebfrolov.cli.main(["count", "--dim", "8", "--log2-scale", "8"]) == 0
+    assert chebfrolov.cli.main(["integrate", "--dim", "8", "--log2-scale", "8"]) == 0
+    assert chebfrolov.cli.main(["integrate-random", "--dim", "8", "--log2-scale", "8"]) == 0
+    assert chebfrolov.cli.main(["verify", "--max-dim", "8", "--max-log2-scale", "6"]) == 0
+    assert chebfrolov.cli.main(["table", "--max-dim", "4", "--max-log2-scale", "3"]) == 0
 assert chebfrolov.cli.main(["points", "--dim", "8", "--log2-scale", "8", "--out", sys.argv[1]]) == 0
 assert "numpy" not in sys.modules, "numpy was loaded"
-assert sum(len(K) for K, X in enumerate_batches(level, box, ladder, 100)) == n
-assert integrate(spec, lambda x: 1.0, ladder).node_count == n
+if sys.argv[2] == "batches":
+    assert sum(len(K) for K, X in enumerate_batches(level, box, ladder, 100)) == n
+else:
+    assert len(oracle_enumerate(Level(1), Box.symmetric(2.0, 2))) == 7
 assert "numpy" in sys.modules
 print(n)
 """
 
 
 def test_numpy_loaded_only_where_arrays_are_built(tmp_path):
-    # importing, counting, streaming and the count and points commands run
-    # without numpy; batches and integrate still load it
+    # importing, counting, streaming, integration (both rules), map_to_unit,
+    # the unimodular and double-box checks and every CLI command run
+    # without numpy; the batches and the oracle still load it, each in a
+    # child of its own
     target = tmp_path / "pts.csv"
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE_CHILD, str(target)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": package_path()},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    n = int(proc.stdout)
-    assert n > 200
-    assert target.read_text().count("\n") == n
+    for loader in ("batches", "oracle"):
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_FREE_CHILD, str(target), loader],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": package_path()},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        n = int(proc.stdout)
+        assert n > 200
+        assert target.read_text().count("\n") == n

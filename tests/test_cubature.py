@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chebfrolov import cubature
+from chebfrolov.enumeration import _STREAM_ROWS
 from chebfrolov import (
     ConsistencyError,
     CubatureSpec,
@@ -14,6 +15,7 @@ from chebfrolov import (
     build_generator_matrix,
     count_points,
     det_magnitude,
+    enumerate_batches,
     enumerate_stream,
     integrate,
     map_to_unit,
@@ -342,3 +344,72 @@ class TestIntegrateMatchesPerNodeReference:
         with pytest.raises(ConsistencyError, match="outside"):
             integrate(spec, lambda x: calls.append(x) or 1.0, ladder, shift)
         assert calls == []  # the first batch already fails its check
+
+
+def numpy_nodes(spec, ladder, shift=None):
+    """The node map in numpy, ``s * X`` or ``s * (X + Gv) / u``, over the
+    ``enumerate_batches`` arrays of the rule's box, as one (m, d) array."""
+    if shift is None:
+        box = standard_box(spec)
+    else:
+        box, shift_vector = randomized_box(spec, shift, ladder)
+    s = spec.shrink
+    batches = [
+        s * X if shift is None else s * (X + np.array(shift_vector)) / np.array(shift.u)
+        for _, X in enumerate_batches(spec.level, box, ladder, 97)
+    ]
+    return np.concatenate(batches)
+
+
+class TestNodesMatchNumpy:
+    """The integrand's tuples against a numpy map written here, not the package's."""
+
+    SCALES = {0: 2**10, 1: 2**10, 2: 2**9, 3: 2**9, 4: 2**6, 5: 2**6}
+
+    @pytest.mark.parametrize("n", sorted(SCALES))
+    @pytest.mark.parametrize("randomized", [False, True])
+    def test_integrand_sees_numpy_nodes_byte_for_byte(self, n, randomized):
+        level = Level(n)
+        spec = CubatureSpec(level, float(self.SCALES[n]))
+        ladder = build_diag_ladder(level)
+        for seed in (0, 5, 17) if randomized else (None,):
+            shift = None if seed is None else sample_shift(seed, level.d)
+            seen = []
+            result = integrate(spec, lambda x: seen.append(x) or 0.0, ladder, shift)
+            reference = numpy_nodes(spec, ladder, shift)
+            assert result.node_count == len(seen) == len(reference) > 0
+            assert np.array(seen, dtype=np.float64).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("seed,tolerance", [(None, -1e-3), (6, -1e-4)])
+    def test_error_names_the_first_bad_mapped_coordinate(self, monkeypatch, seed, tolerance):
+        level = Level(1)
+        spec = CubatureSpec(level, 2.0**12)
+        ladder = build_diag_ladder(level)
+        shift = None if seed is None else sample_shift(seed, 2)
+        reference = numpy_nodes(spec, ladder, shift).ravel()
+        monkeypatch.setattr(cubature, "NODE_TOLERANCE", tolerance)
+        first = np.flatnonzero(~(np.abs(reference) <= 0.5 + tolerance))[0]
+        c = float(reference[first])
+        calls = []
+        with pytest.raises(ConsistencyError) as exc:
+            integrate(spec, lambda x: calls.append(x) or 1.0, ladder, shift)
+        assert str(exc.value) == f"node coordinate {c!r} outside [-1/2, 1/2] beyond tolerance"
+        # every fill before the one holding it reached the integrand, in order
+        rows = _STREAM_ROWS
+        assert len(calls) == first // 2 // rows * rows
+        assert calls == [tuple(x) for x in reference[: 2 * len(calls)].reshape(-1, 2).tolist()]
+
+    def test_map_to_unit_error_names_the_mapped_coordinate(self):
+        spec = CubatureSpec(Level(1), 4.0)
+        far = 10.0 / spec.shrink
+        with pytest.raises(ConsistencyError) as exc:
+            map_to_unit((0.0, far), spec)
+        assert f"{spec.shrink * far!r} outside" in str(exc.value)
+
+    def test_map_to_unit_refuses_other_dimensions(self):
+        spec = CubatureSpec(Level(1), 4.0)
+        shift = RandomShift.identity(2)
+        with pytest.raises(ValueError, match="dimension"):
+            map_to_unit((0.0,), spec)
+        with pytest.raises(ValueError, match="dimension"):
+            map_to_unit((0.0, 0.0), spec, shift, (0.0,))

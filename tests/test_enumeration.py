@@ -33,8 +33,8 @@ from chebfrolov import (
     standard_box,
 )
 from chebfrolov import enumeration
-from chebfrolov.enumeration import _images, _library
-from chebfrolov.verify import clamp_bounds, interval_mean, recursive_enumerate
+from chebfrolov.enumeration import _library
+from chebfrolov.verify import _images, clamp_bounds, interval_mean, recursive_enumerate
 
 SQRT2 = math.sqrt(2.0)
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from chebfrolov import (
@@ -7,8 +8,11 @@ from chebfrolov import (
     CubatureSpec,
     Level,
     build_diag_ladder,
+    build_generator_matrix,
+    build_vandermonde,
     count_points,
     double_box_check,
+    enumerate_batches,
     enumerate_stream,
     load_golden_table,
     oracle_enumerate,
@@ -16,7 +20,7 @@ from chebfrolov import (
     standard_box,
     unimodular_check,
 )
-from chebfrolov.verify import recursive_enumerate
+from chebfrolov.verify import _eliminate, recursive_enumerate
 
 
 def random_box(rng, d, span=5.0):
@@ -113,6 +117,55 @@ class TestDoubleBox:
             enumerate_stream(level, small, ladder, lambda p: small_ks.add(p.k))
             enumerate_stream(level, big, ladder, lambda p: big_ks.add(p.k))
             assert small_ks <= big_ks
+
+
+class TestDoubleBoxMatchesNumpy:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_filtered_equals_numpy_filter(self, n):
+        level = Level(n)
+        ladder = build_diag_ladder(level)
+        for log2n in range(1, 11):
+            scale = float(2**log2n)
+            small = standard_box(CubatureSpec(level, scale))
+            big = standard_box(CubatureSpec(level, 2.0 * scale))
+            lower, upper = np.array(small.lower), np.array(small.upper)
+            expected = sum(
+                int(np.all((X >= lower) & (X <= upper), axis=1).sum())
+                for _, X in enumerate_batches(level, big, ladder)
+            )
+            check = double_box_check(level, scale)
+            assert check.filtered == expected == check.direct
+
+
+class TestUnimodularMatchesNumpy:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_solve_and_det(self, n):
+        level = Level(n)
+        vand = build_vandermonde(level)
+        gen = build_generator_matrix(level, build_diag_ladder(level))
+        s, det_vand = _eliminate(vand.tolist(), gen.tolist())
+        expected = np.linalg.solve(vand, gen)
+        assert np.max(np.abs(np.array(s) - expected)) < 1e-12
+        assert abs(det_vand - np.linalg.det(vand)) <= 1e-12 * abs(det_vand)
+        _, det = _eliminate(s, [[]] * level.d)
+        assert abs(abs(det) - abs(np.linalg.det(expected))) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_deviations_match_numpy(self, n):
+        level = Level(n)
+        s = np.linalg.solve(
+            build_vandermonde(level), build_generator_matrix(level, build_diag_ladder(level))
+        )
+        check = unimodular_check(level)
+        assert check.passed
+        assert check.max_integer_deviation < 1e-12 and check.det_deviation < 1e-12
+        assert abs(check.max_integer_deviation - np.max(np.abs(s - np.round(s)))) < 1e-12
+        assert abs(check.det_deviation - abs(abs(np.linalg.det(s)) - 1.0)) < 1e-12
+
+    def test_singular_matrix(self):
+        assert _eliminate([[1.0, 2.0], [2.0, 4.0]], [[1.0], [2.0]]) == (None, 0.0)
+        x, det = _eliminate([[0.0, 2.0], [3.0, 0.0]], [[4.0], [9.0]])
+        assert x == [[3.0], [2.0]] and det == -6.0  # a row swap flips the sign
 
 
 class TestUnimodular:
