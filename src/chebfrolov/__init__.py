@@ -5,6 +5,10 @@ d = 2**n) inside arbitrary axis-parallel boxes, as a count, a constant-memory
 stream or numpy batches, and uses them as nodes for deterministic and
 randomized equal-weight cubature over the centered unit cube.  A brute-force
 oracle and golden count tables back everything up.
+
+The names of :mod:`chebfrolov.verify` are re-exported on first access
+(PEP 562), so ``import chebfrolov`` does not import that module; the
+golden table's (:mod:`chebfrolov.golden`) are imported with the package.
 """
 
 from .cubature import (
@@ -27,6 +31,7 @@ from .enumeration import (
     enumerate_batches,
     enumerate_stream,
 )
+from .golden import CountRecord, load_golden_table
 from .lattice import (
     DiagLadder,
     Level,
@@ -38,17 +43,17 @@ from .lattice import (
     rescaled_chebyshev,
     root_permutation,
 )
-from .verify import (
-    CountRecord,
-    DoubleBoxCheck,
-    TableCheck,
-    UnimodularCheck,
-    double_box_check,
-    load_golden_table,
-    oracle_enumerate,
-    reproduce_table,
-    unimodular_check,
-)
+
+
+def __getattr__(name: str) -> object:
+    """The names of ``__all__`` from :mod:`chebfrolov.verify`, imported on first access."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+
+    value = globals()[name] = getattr(verify, name)
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -2,9 +2,10 @@
  *
  * Built on first use by chebfrolov.enumeration (cc -O2 -ffp-contract=off)
  * and called through ctypes.  One library serves every level n and ladder:
- * both arrive as arguments.  It has two entry points: walk, the traversal,
- * and map_nodes, which maps filled images to cubature nodes in place (see
- * its comment at the end).  At every block the image is (A + D Y, A - D Y),
+ * both arrive as arguments.  It has three entry points: walk, the traversal;
+ * map_nodes, which maps filled images to cubature nodes in place; and
+ * format_rows, which writes filled images as CSV text (see their comments
+ * at the end).  At every block the image is (A + D Y, A - D Y),
  * A and Y the images of its halves and D the diagonal one level down, so a
  * box [l, u] on the block splits into boxes on the halves.  The walk sets
  * one coordinate per depth, in the order the leaf asks for:
@@ -83,8 +84,11 @@
  * end[i] the last one, so a fill stopped by a full buffer resumes where it
  * stopped.
  */
+#define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 
 /* Coordinates beyond +-2^62 are refused, checked on the doubles before any
  * cast; 2^62 is exact as a double, and a run length (up to 2^63 + 1) still
@@ -209,8 +213,11 @@ int64_t walk(double *s, int n, const double *diag, int64_t *K, double *X, int64_
         a[L] = s + (2 * n + 2 + L) * d;
     int64_t *started = (int64_t *)(s + (3 * n + 3) * d), *depth = started + 1;
     int64_t *k = started + 2, *end = k + d + 1;
-    double *a0 = a[0], *b0 = b[0], *g0 = g[0], *b1 = b[n ? 1 : 0], *g1 = g[n ? 1 : 0];
-    const double d0 = n ? D[0][0] : 1.0;
+    /* a0 = a[0] and d0 = D[0][0] are read from their sources: gcc -O2 cannot
+     * see that the loops above set a[0] and D[0] */
+    double *a0 = s + (2 * n + 2) * d, *b0 = b[0], *g0 = g[0];
+    double *b1 = b[n ? 1 : 0], *g1 = g[n ? 1 : 0];
+    const double d0 = n ? diag[0] : 1.0;
     double m = 0.0; /* max |corner| */
     for (int64_t f = 0; f < d; f++) {
         if (!(s[f] <= s[d + f]))
@@ -348,4 +355,38 @@ int64_t map_nodes(double *X, int64_t len, int64_t d, double s, const double *v,
         }
     }
     return -1;
+}
+
+/* The CSV text of len values of X, rows of d (len a multiple of d): each
+ * value as printf's %.*g with `precision` significant digits, ',' between
+ * the values of a row and '\n' after it, written to out, which holds cap
+ * bytes.  Returns the number of bytes written, or -1 if they do not fit (or
+ * the C locale cannot be had); no NUL ends the text.  printf takes its
+ * decimal point from LC_NUMERIC, so the call pins the C locale for its own
+ * thread and restores the thread's locale before it returns: the bytes are
+ * those of Python's format(x, ".{precision}g"), whatever locale is set.
+ * A value takes at most precision + 7 bytes ("-0.000" and the digits, or
+ * "-d." and "e-324"), its separator one more. */
+int64_t format_rows(const double *X, int64_t len, int64_t d, int precision, char *out,
+                    int64_t cap)
+{
+    const locale_t c = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+    if (c == (locale_t)0)
+        return -1;
+    const locale_t caller = uselocale(c);
+    int64_t pos = 0;
+    for (int64_t i = 0; i < len && pos >= 0; i += d) {
+        for (int64_t f = 0; f < d; f++) {
+            const int w = snprintf(out + pos, (size_t)(cap - pos), "%.*g", precision, X[i + f]);
+            if (w < 0 || w >= cap - pos) { /* the NUL must fit: the separator replaces it */
+                pos = -1;
+                break;
+            }
+            pos += w;
+            out[pos++] = f + 1 < d ? ',' : '\n';
+        }
+    }
+    uselocale(caller);
+    freelocale(c);
+    return pos;
 }

@@ -15,16 +15,20 @@ Exit codes: 0 success, 1 check failure, 2 usage error.  ``--dim`` and the
 limit of :class:`~chebfrolov.lattice.Level`; verify and table refuse limits
 that select no golden row.
 
-No command loads numpy.  ``points`` formats each fill of the walker at
-once, from plain Python lists, with one CSV row template repeated for its
-rows; ``integrate`` maps each fill to cubature nodes in the walker library;
+No command loads numpy.  ``points`` writes the CSV text of each fill of
+the walker in the walker library (``format_rows`` of ``_walk.c``, printf's
+``%.*g`` in the C locale, the bytes of :func:`format_point`) into one
+buffer, reused from fill to fill; JSONL lines are made in Python.
+``integrate`` maps each fill to cubature nodes in the walker library;
 ``verify`` filters fills and solves its small linear systems in Python.
+Only ``verify`` imports :mod:`chebfrolov.verify`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import itertools
 import json
 import math
@@ -38,9 +42,9 @@ from .cubature import (
     sample_shift,
     standard_box,
 )
-from .enumeration import _STREAM_ROWS, Box, LatticePoint, _fill, _prepare, count_points
+from .enumeration import _STREAM_ROWS, Box, LatticePoint, _fill, _library, _prepare, count_points
+from .golden import load_golden_table
 from .lattice import Level, build_diag_ladder
-from .verify import double_box_check, load_golden_table, reproduce_table, unimodular_check
 
 #: Built-in integrands selectable from the command line.  "cospi" has exact
 #: integral (2/pi)**d over the centered unit cube; "coord1" integrates to 0.
@@ -51,22 +55,29 @@ INTEGRANDS: dict[str, Callable[[tuple[float, ...]], float]] = {
 }
 
 
+#: Significant digits past which ``--precision`` prints the same text: no
+#: double has more than 767 significant decimal digits, ``g`` drops trailing
+#: zeros, and no double's decimal exponent reaches 767, so the choice
+#: between fixed and exponent notation does not change either.
+_MAX_DIGITS = 767
+
+
 class UsageError(Exception):
     """Invalid configuration detected after argparse."""
 
 
 def format_point(point: LatticePoint, fmt: str, precision: int) -> str:
-    """One output line per point: CSV of x, or a JSONL object with k and x."""
+    """One output line per point: CSV of x, or a JSONL object with k and x.
+
+    The Python reference of the CSV text ``points`` writes through the
+    walker library's ``format_rows``.
+    """
     if fmt == "csv":
-        return _csv_row(len(point.x), precision).format(*point.x)[:-1]
+        p = min(precision, _MAX_DIGITS)
+        return ",".join([f"{c:.{p}g}" for c in point.x])
     if fmt == "jsonl":
         return _json_line(list(point.k), list(point.x))
     raise UsageError(f"unknown point format {fmt!r}")
-
-
-def _csv_row(d: int, precision: int) -> str:
-    """The ``str.format`` template of one CSV line of d coordinates, newline included."""
-    return ",".join([f"{{:.{precision}g}}"] * d) + "\n"
 
 
 def _json_line(k: list[int], x: list[float]) -> str:
@@ -145,18 +156,44 @@ def _cmd_points(args: argparse.Namespace) -> int:
     d = level.d
     fills = _fill(_prepare(level, box, build_diag_ladder(level)), d, _STREAM_ROWS)
     first = next(fills, None)  # the walker refuses a box at its first call
-    row = _csv_row(d, args.precision)
+    fills = itertools.chain([first] if first else [], fills)
     with _output(args) as out:
-        if args.header and args.format == "csv":
-            print(",".join(f"x{j + 1}" for j in range(d)), file=out)
-        for K, X in itertools.chain([first] if first else [], fills):
-            if args.format == "csv":
-                out.write((row * (len(X) // d)).format(*X.tolist()))
-            else:
+        if args.format == "csv":
+            if args.header:
+                print(",".join(f"x{j + 1}" for j in range(d)), file=out)
+            _write_csv(out, fills, d, min(args.precision, _MAX_DIGITS))
+        else:
+            for K, X in fills:
                 ks, xs = K.tolist(), X.tolist()
                 for i in range(0, len(xs), d):
                     print(_json_line(ks[i : i + d], xs[i : i + d]), file=out)
     return 0
+
+
+def _write_csv(out: TextIO, fills: Iterator, d: int, precision: int) -> None:
+    """Write the images X of each fill as CSV lines of d values.
+
+    ``format_rows`` of the walker library formats a whole fill into one
+    byte buffer, which grows to the largest fill and is reused; its text
+    goes to the binary layer of ``out`` once the text layer is flushed, or
+    is decoded for a stream without one (such as ``io.StringIO``).
+    """
+    format_rows = _library().format_rows
+    width = precision + 8  # the most bytes a value and its separator take (see _walk.c)
+    address = ctypes.addressof
+    double, char = ctypes.c_double.from_buffer, ctypes.c_char.from_buffer
+    text = bytearray()
+    out.flush()
+    raw = getattr(out, "buffer", None)
+    write = raw.write if raw is not None else lambda b: out.write(str(b, "ascii"))
+    for _, X in fills:
+        if len(text) < len(X) * width:
+            text = bytearray(len(X) * width)
+        x, buffer = address(double(X)), address(char(text))
+        size = format_rows(x, len(X), d, precision, buffer, len(text))
+        if size < 0:
+            raise RuntimeError("format_rows could not write a fill as CSV text")
+        write(memoryview(text)[:size])
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
@@ -203,6 +240,8 @@ def _golden_limits(args: argparse.Namespace) -> tuple[Level, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import double_box_check, reproduce_table, unimodular_check
+
     max_level, max_log2 = _golden_limits(args)
     table = load_golden_table()
     failures = 0

@@ -48,7 +48,9 @@ is refused with ``ValueError``, unless it is empty (lower > upper in some
 coordinate).
 
 The same library holds ``map_nodes``, the node map of
-:mod:`chebfrolov.cubature`, so :func:`integrate` maps each fill in C.  In
+:mod:`chebfrolov.cubature`, so :func:`integrate` maps each fill in C, and
+``format_rows``, which writes a fill as the CSV text of the CLI's
+``points``.  In
 this module numpy is imported only by ``enumerate_batches``, the one
 function that builds arrays, so counting, streaming, filling and
 :func:`apply_generator` run without it.
@@ -62,27 +64,23 @@ import operator
 import os
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
-from .lattice import DiagLadder, Level
+from .lattice import DiagLadder, Level, _Value
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(_Value):
     """Axis-parallel box [lower, upper]; may be empty in some coordinates."""
 
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        lo = tuple(map(float, self.lower))
-        hi = tuple(map(float, self.upper))
+    def __init__(self, lower: Sequence[float], upper: Sequence[float]) -> None:
+        lo = tuple(map(float, lower))
+        hi = tuple(map(float, upper))
         if len(lo) != len(hi):
             raise ValueError(f"corner lengths differ: {len(lo)} vs {len(hi)}")
         if not all(map(math.isfinite, lo + hi)):
@@ -321,7 +319,9 @@ def _library():
 
     The library is cached as ``__pycache__/_walk-<digest>.so`` beside this
     module, keyed by the source, the compile command, the interpreter's
-    cache tag and the machine.  The digest is the keyed 64-bit hash of
+    cache tag and the machine (``os.uname().machine``, the string
+    ``platform.machine()`` gives on POSIX, without importing ``platform``).
+    The digest is the keyed 64-bit hash of
     hash-based ``.pyc`` files (:func:`importlib.util.source_hash`), not
     SHA-256: ``hashlib`` loads OpenSSL, which adds 3.4 MB of resident memory
     to every process that counts.  It is compiled to a temporary name and moved
@@ -330,12 +330,12 @@ def _library():
     which is removed once the library is loaded.
     """
     import importlib.util
-    import platform
     import tempfile
+    from pathlib import Path
 
     source = Path(__file__).with_name("_walk.c")
     key = [source.read_bytes(), " ".join(_CC).encode()]
-    key += [sys.implementation.cache_tag.encode(), platform.machine().encode()]
+    key += [sys.implementation.cache_tag.encode(), os.uname().machine.encode()]
     digest = importlib.util.source_hash(b"\0".join(key)).hex()
     name = f"_walk-{digest}.so"
     path = source.parent / "__pycache__" / name
@@ -367,6 +367,8 @@ def _library():
     i64, f64 = ctypes.c_int64, ctypes.c_double
     lib.map_nodes.argtypes = (ptr, i64, i64, f64, ptr, ptr, f64)
     lib.map_nodes.restype = i64
+    lib.format_rows.argtypes = (ptr, i64, i64, ctypes.c_int, ptr, i64)
+    lib.format_rows.restype = i64
     return lib
 
 

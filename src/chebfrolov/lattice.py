@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -30,20 +29,67 @@ if TYPE_CHECKING:
 MAX_LEVEL = 6
 
 
-@dataclass(frozen=True)
-class Level:
+class _Value:
+    """Base of the package's immutable value types, in place of frozen dataclasses.
+
+    A subclass lists its fields as ``__slots__`` (a name starting with ``_``
+    is a private slot, not a field), sets them once in its ``__init__``
+    with ``object.__setattr__``, and keeps the dataclass contract: instances
+    of the same class are equal and hash alike when their fields are, print
+    as ``Name(field=value, ...)``, refuse assignment and deletion with
+    ``AttributeError``, and pickle and copy through ``__init__``, which
+    checks the copy like any new instance.  ``__match_args__`` names the
+    fields.  The ``dataclasses`` module would cost every process that
+    imports the package 10-24 ms of CPU time (CPython 3.11 on a 2-core Xeon,
+    no bytecode cache): it imports ``inspect``, ``ast`` and ``dis``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__match_args__ = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Level(_Value):
     """Recursion depth ``n``; the ambient dimension is ``d = 2**n``."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ValueError(f"level must be an integer, got {self.n!r}")
-        if not 0 <= self.n <= MAX_LEVEL:
+    def __init__(self, n: int) -> None:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"level must be an integer, got {n!r}")
+        if not 0 <= n <= MAX_LEVEL:
             raise ValueError(
-                f"level {self.n} is outside [0, {MAX_LEVEL}]: d = 2**n must be at most"
+                f"level {n} is outside [0, {MAX_LEVEL}]: d = 2**n must be at most"
                 f" {1 << MAX_LEVEL}, where the walker's margins are measured"
             )
+        object.__setattr__(self, "n", n)
 
     @property
     def d(self) -> int:
@@ -100,8 +146,7 @@ def rescaled_chebyshev(d: int, x: float) -> float:
     return 2.0 * math.cos(d * math.acos(0.5 * x))
 
 
-@dataclass(frozen=True)
-class DiagLadder:
+class DiagLadder(_Value):
     """Positive diagonals D_0..D_{n-1} linking consecutive block levels.
 
     ``levels[L]`` holds 2**L entries: the first half of the level-(L+1)
@@ -110,12 +155,12 @@ class DiagLadder:
     recursion close.
     """
 
-    levels: tuple[tuple[float, ...], ...]
+    __slots__ = ("levels", "_hash")
 
-    def __post_init__(self) -> None:
+    def __init__(self, levels: tuple[tuple[float, ...], ...]) -> None:
         # tuples of floats, hashed once: the enumeration caches its diagonal
         # buffers by ladder, and a call with the same ladder hashes no entry
-        levels = tuple(tuple(float(v) for v in diag) for diag in self.levels)
+        levels = tuple(tuple(float(v) for v in diag) for diag in levels)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "_hash", hash(levels))
 

@@ -6,7 +6,8 @@ recursive reference that applies the half-mean and clamp split of the box
 directly (not the compiled walker), a two-scale consistency check that
 enumerates the double-scale box and filters, and regression against an
 embedded table of known-good node counts for the standard cubature boxes
-(data/golden_counts.csv, columns d, log2N, count).
+(:mod:`chebfrolov.golden`, whose ``CountRecord`` and ``load_golden_table``
+this module re-exports).
 
 The oracle, the reference and the filter keep a point iff its
 :func:`apply_generator` image x has ``lower <= x <= upper``, as the
@@ -20,18 +21,15 @@ Python, so the CLI's ``verify`` runs without numpy.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import operator
-from functools import lru_cache
-from importlib import resources
 from typing import NamedTuple, Sequence
 
 from .cubature import CubatureSpec, standard_box
 from .enumeration import _STREAM_ROWS, Box, LatticePoint, _fill, _prepare, apply_generator
 from .enumeration import count_points
+from .golden import CountRecord, load_golden_table
 from .lattice import DiagLadder, Level, build_diag_ladder, build_generator_matrix, chebyshev_root
 
 #: The brute-force oracle refuses levels above this (bounding-box cost).
@@ -45,12 +43,6 @@ _ORACLE_MAX_CANDIDATES = 1 << 24
 #: the fill slack), so that equal results check the walker's constants
 #: instead of repeating them.  Every candidate is then decided on its image.
 _SLACK = 2.0**-45
-
-
-class CountRecord(NamedTuple):
-    d: int
-    log2n: int
-    count: int
 
 
 class TableCheck(NamedTuple):
@@ -69,16 +61,6 @@ class UnimodularCheck(NamedTuple):
     max_integer_deviation: float
     det_deviation: float
     passed: bool
-
-
-@lru_cache(maxsize=1)
-def load_golden_table() -> tuple[CountRecord, ...]:
-    """Known-good node counts for the standard boxes, one row per (d, log2N)."""
-    text = resources.files("chebfrolov").joinpath("data/golden_counts.csv").read_text()
-    return tuple(
-        CountRecord(int(row["d"]), int(row["log2N"]), int(row["count"]))
-        for row in csv.DictReader(io.StringIO(text))
-    )
 
 
 def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
+import math
 import os
+import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chebfrolov
 from chebfrolov import (
@@ -14,11 +22,12 @@ from chebfrolov import (
     CubatureSpec,
     LatticePoint,
     Level,
+    apply_generator,
     build_diag_ladder,
     enumerate_stream,
     standard_box,
 )
-from chebfrolov.cli import format_point, main
+from chebfrolov.cli import _write_csv, format_point, main
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +74,113 @@ class TestFormatPoint:
             format_point(point, "jsonl", 17)
             == '{"k":[0,1],"x":[1.4142135623730951,-1.4142135623730951]}'
         )
+
+    def test_precision_beyond_any_double(self):
+        # no double has more than 767 significant digits: higher precisions
+        # print the text of .767g, which Python itself refuses from 2**31 on
+        point = LatticePoint((0, 1), (0.1, -5e-324))
+        expected = f"{0.1:.5000g},{-5e-324:.5000g}"
+        assert format_point(point, "csv", 767) == expected
+        assert format_point(point, "csv", 2**31) == expected
+        assert len(expected) > 800  # 5e-324 has 751 significant digits
+
+
+def csv_text(rows, precision):
+    """What CSV lines of these rows must read: Python's ``.{precision}g``."""
+    return "".join(",".join(f"{v:.{precision}g}" for v in row) + "\n" for row in rows)
+
+
+def write_csv(rows, precision, out):
+    """The CSV text ``_write_csv`` writes to ``out`` for rows of equal length,
+    given as one fill."""
+    X = array("d", [v for row in rows for v in row])
+    _write_csv(out, [(None, memoryview(X))], len(rows[0]), precision)
+    out.flush()
+    return out.buffer.getvalue().decode() if hasattr(out, "buffer") else out.getvalue()
+
+
+#: Finite doubles drawn from raw 64-bit patterns: every exponent, subnormals
+#: among them, is as likely as any other.
+finite_doubles = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+).filter(math.isfinite)
+
+#: Both zeros, subnormals, the limits of the normal range, integers past
+#: 2**53, exact ties at one or two digits (0.5, 2.5, 3.5, 0.125, 9.5) and
+#: the switches between fixed and exponent notation.
+SPECIAL_DOUBLES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 2.0**53 - 2, 2.0**53 + 2,
+    0.5, 2.5, 3.5, -2.5, 0.25, 0.125, 9.5, 1e22, 1e-5, 1e-4, 123456789.0, 0.1,
+]
+
+
+class TestFormatRows:
+    """``format_rows`` of the walker library writes Python's ``.{p}g`` text, byte for byte."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.lists(finite_doubles, min_size=d, max_size=d), min_size=1, max_size=20
+            )
+        ),
+        st.one_of(st.integers(1, 40), st.just(767)),
+    )
+    @example([[0.5, 2.5, 3.5, -0.5]], 1)
+    def test_random_bit_patterns(self, rows, precision):
+        expected = csv_text(rows, precision)
+        assert write_csv(rows, precision, io.TextIOWrapper(io.BytesIO())) == expected
+
+    @pytest.mark.parametrize("precision", [*range(1, 41), 767])
+    def test_special_values(self, precision):
+        for rows in ([[v] for v in SPECIAL_DOUBLES], [SPECIAL_DOUBLES]):
+            expected = csv_text(rows, precision)
+            assert write_csv(rows, precision, io.TextIOWrapper(io.BytesIO())) == expected
+            # a text stream without a binary layer gets the same text
+            assert write_csv(rows, precision, io.StringIO()) == expected
+
+    def test_ties_round_to_even(self):
+        assert write_csv([[0.5, 2.5, 3.5, -2.5]], 1, io.StringIO()) == "0.5,2,4,-2\n"
+
+    def test_independent_of_lc_numeric(self, tmp_path):
+        # printf takes its decimal point from LC_NUMERIC; format_rows pins the
+        # C locale, so a locale with a decimal comma changes no byte
+        source = tmp_path / "comma.src"
+        source.write_text(
+            'LC_NUMERIC\ndecimal_point ","\nthousands_sep "."\ngrouping 3;3\nEND LC_NUMERIC\n'
+        )
+        if shutil.which("localedef") is None:
+            pytest.skip("localedef is not installed")
+        subprocess.run(
+            ["localedef", "-c", "-i", str(source), "-f", "UTF-8", str(tmp_path / "comma")],
+            capture_output=True,
+            timeout=120,
+        )
+        if not (tmp_path / "comma" / "LC_NUMERIC").exists():
+            pytest.skip("localedef could not build a test locale")
+        target = tmp_path / "pts.csv"
+        argv = ["points", "--dim", "4", "--log2-scale", "6", "--out", str(target)]
+        code = (
+            "import locale, sys\n"
+            "import chebfrolov.cli\n"
+            "locale.setlocale(locale.LC_NUMERIC, 'comma')\n"
+            "assert locale.localeconv()['decimal_point'] == ','\n"
+            "sys.exit(chebfrolov.cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": package_path(), "LOCPATH": str(tmp_path)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        level = Level(2)
+        box = standard_box(CubatureSpec(level, 64.0))
+        expected = reference_points(level, box, "csv", 17, False)
+        assert target.read_text() == expected
+        assert "." in expected
 
 
 class TestCount:
@@ -167,6 +283,53 @@ class TestPointsBytes:
         expected = reference_points(level, Box(lower, upper), fmt, precision, True)
         assert out == expected
         assert out.count("\n") > 40
+
+    #: Half-widths of the seeded boxes: about 10 to 1,000 points each
+    HALF_WIDTH = {2: 6.0, 4: 4.0, 8: 3.0, 16: 5.0, 32: 5.0, 64: 4.0}
+
+    @pytest.mark.parametrize("precision", [1, 17, 767])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16, 32, 64])
+    def test_seeded_boxes(self, capsys, d, precision):
+        # boxes of random widths around the image of a random k
+        rng = random.Random(1000 + d)
+        level = Level.from_dimension(d)
+        ladder = build_diag_ladder(level)
+        lines = 0
+        for _ in range(3):
+            centre = apply_generator(ladder, [rng.randint(-50, 50) for _ in range(d)])
+            half = [rng.uniform(0.5, 1.0) * self.HALF_WIDTH[d] for _ in range(d)]
+            box = Box([c - h for c, h in zip(centre, half)], [c + h for c, h in zip(centre, half)])
+            argv = ["points", "--dim", str(d), "--box", *map(repr, box.lower + box.upper),
+                    "--precision", str(precision)]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out == reference_points(level, box, "csv", precision, False)
+            lines += out.count("\n")
+        assert lines > 3
+
+    def test_precision_beyond_any_double(self, capsys, tmp_path):
+        # from 2**31 on, Python refuses the precision; the CLI prints what
+        # .767g prints, the text of every precision from 767 on
+        level = Level(2)
+        box = standard_box(CubatureSpec(level, 64.0))
+        target = tmp_path / "pts.csv"
+        target.write_text("keep\n")
+        for precision in (767, 5000, 2**31, 2**64):
+            argv = ["points", "--dim", "4", "--log2-scale", "6", "--precision", str(precision),
+                    "--out", str(target)]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (0, "", "")
+            assert target.read_text() == reference_points(level, box, "csv", 5000, False)
+
+    def test_stream_without_binary_layer(self, capsys):
+        # main() run with stdout redirected to io.StringIO writes decoded text
+        level = Level(3)
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(["points", "--dim", "8", "--log2-scale", "10", "--header"])
+        assert code == 0
+        box = standard_box(CubatureSpec(level, 1024.0))
+        assert buffer.getvalue() == reference_points(level, box, "csv", 17, True)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_empty_box(self, capsys, fmt):

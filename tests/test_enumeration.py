@@ -33,7 +33,7 @@ from chebfrolov import (
     standard_box,
 )
 from chebfrolov import enumeration
-from chebfrolov.enumeration import _library
+from chebfrolov.enumeration import _CC, _library
 from chebfrolov.verify import _images, clamp_bounds, interval_mean, recursive_enumerate
 
 SQRT2 = math.sqrt(2.0)
@@ -338,15 +338,58 @@ subprocess.Popen.__init__ = init
 """
 
 
+#: Modules that importing the CLI or counting through it must not load: the
+#: imports of ``dataclasses`` (``inspect`` among them), ``platform``, and the
+#: verification module, which only ``verify`` and ``table`` need.
+HEAVY_MODULES = {"dataclasses", "inspect", "platform", "chebfrolov.verify"}
+
+
 class TestKernels:
     """One compiled walker, built on first use and cached beside the module."""
 
     def test_import_loads_no_library_and_starts_no_compiler(self):
+        # modules a bare interpreter loads (site hooks included) do not count
+        baseline = set(run_child("import sys; print(*sys.modules)"))
         code = COUNT_PROCESSES + (
-            "import chebfrolov, chebfrolov.enumeration as e\n"
-            "print(e._library.cache_info().currsize, len(started))"
+            "import sys\n"
+            "import chebfrolov, chebfrolov.cli, chebfrolov.enumeration as e\n"
+            "print(e._library.cache_info().currsize, len(started), *sys.modules)"
         )
-        assert run_child(code) == ["0", "0"]
+        library, processes, *modules = run_child(code)
+        assert (library, processes) == ("0", "0")
+        assert HEAVY_MODULES.isdisjoint(set(modules) - baseline)
+        # nor does a count run as `python -m chebfrolov.cli count ...`
+        code = (
+            "import os, runpy, sys\n"
+            "sys.argv = ['chebfrolov.cli', 'count', '--dim', '8', '--log2-scale', '8',"
+            " '--out', os.devnull]\n"
+            "try:\n"
+            "    runpy.run_module('chebfrolov.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, *sys.modules)\n"
+        )
+        status, *modules = run_child(code)
+        assert status == "0"
+        assert "chebfrolov.enumeration" in modules
+        assert HEAVY_MODULES.isdisjoint(set(modules) - baseline)
+
+    def test_verify_names_resolve_on_first_access(self):
+        names = [
+            "CountRecord", "DoubleBoxCheck", "TableCheck", "UnimodularCheck", "double_box_check",
+            "load_golden_table", "oracle_enumerate", "reproduce_table", "unimodular_check",
+        ]
+        code = (
+            "import sys\n"
+            "import chebfrolov as cf\n"
+            "print('chebfrolov.verify' in sys.modules)\n"
+            "rows = len(cf.load_golden_table())\n"
+            "from chebfrolov import *\n"
+            "import chebfrolov.verify as v\n"
+            f"names = {names!r}\n"
+            "print(rows > 0, all(getattr(cf, n) is getattr(v, n) is globals()[n] for n in names))\n"
+            "print(set(names) <= set(cf.__all__), hasattr(cf, 'no_such_name'))\n"
+        )
+        assert run_child(code) == ["False", "True", "True", "True", "False"]
 
     def test_second_process_reuses_the_cached_library(self):
         code = COUNT_PROCESSES + (
@@ -386,10 +429,12 @@ class TestKernels:
         assert proc.stdout.split() == ["True"]
         assert not list((copy / "__pycache__").glob("_walk*")), "a partial build was left behind"
 
-    def test_walker_compiles_without_warnings(self):
+    def test_walker_compiles_without_warnings(self, tmp_path):
+        # the build's own command: some warnings (-Wmaybe-uninitialized) come
+        # only from the optimiser's analysis
         source = Path(chebfrolov.__file__).with_name("_walk.c")
         proc = subprocess.run(
-            ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(source)],
+            [*_CC, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "walk.so"), str(source)],
             capture_output=True,
             text=True,
             timeout=60,

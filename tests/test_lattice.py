@@ -1,10 +1,16 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from chebfrolov import (
+    Box,
+    CubatureSpec,
+    DiagLadder,
     Level,
+    RandomShift,
     build_diag_ladder,
     build_generator_matrix,
     build_vandermonde,
@@ -214,3 +220,68 @@ class TestDeterminant:
         numeric = abs(np.linalg.det(mat))
         closed = det_magnitude(level)
         assert abs(numeric - closed) / closed < 1e-9
+
+
+#: One instance of each value type: its class, keyword fields, a different
+#: instance, and its repr.
+VALUE_TYPES = [
+    (Level, {"n": 3}, Level(2), "Level(n=3)"),
+    (DiagLadder, {"levels": ((1.5,), (2.0, 0.5))}, DiagLadder(((1.5,),)),
+     "DiagLadder(levels=((1.5,), (2.0, 0.5)))"),
+    (Box, {"lower": (0.0, -1.0), "upper": (1.0, 2.5)}, Box((0.0, -1.0), (1.0, 2.0)),
+     "Box(lower=(0.0, -1.0), upper=(1.0, 2.5))"),
+    (CubatureSpec, {"level": Level(1), "scale": 8.0}, CubatureSpec(Level(1), 16.0),
+     "CubatureSpec(level=Level(n=1), scale=8.0)"),
+    (RandomShift, {"u": (1.0, 0.5), "v": (0.0, 1.0), "seed": 7},
+     RandomShift((1.0, 0.5), (0.0, 1.0)), "RandomShift(u=(1.0, 0.5), v=(0.0, 1.0), seed=7)"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, other, text", [pytest.param(*case, id=case[0].__name__) for case in VALUE_TYPES]
+)
+class TestValueTypes:
+    """The value types keep the contract of the frozen dataclasses they were."""
+
+    def test_keyword_construction_equality_and_hash(self, cls, fields, other, text):
+        value = cls(**fields)
+        assert value == cls(*fields.values())
+        assert hash(value) == hash(cls(*fields.values()))
+        assert [getattr(value, name) for name in fields] == list(fields.values())
+        assert value != other
+        assert value != tuple(fields.values())
+        assert value.__eq__(tuple(fields.values())) is NotImplemented
+        assert len({value, cls(**fields), other}) == 2
+        assert cls.__match_args__ == tuple(fields)
+
+    def test_repr(self, cls, fields, other, text):
+        assert repr(cls(**fields)) == text
+
+    def test_immutable(self, cls, fields, other, text):
+        value = cls(**fields)
+        for name in fields:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, getattr(other, name))
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == cls(**fields)
+
+    def test_pickle_and_copy(self, cls, fields, other, text):
+        value = cls(**fields)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(value, protocol))
+            assert type(clone) is cls and clone == value and hash(clone) == hash(value)
+        for clone in (copy.copy(value), copy.deepcopy(value)):
+            assert type(clone) is cls and clone == value and repr(clone) == text
+
+
+def test_ladder_caches_its_hash():
+    ladder = build_diag_ladder(Level(3))
+    assert ladder._hash == hash(ladder.levels) == hash(ladder)
+    assert pickle.loads(pickle.dumps(ladder))._hash == ladder._hash
+    # a list of lists is stored as tuples of floats and hashed as such
+    assert DiagLadder([[1, 2.0]]).levels == ((1.0, 2.0),)
+    assert hash(DiagLadder([[1, 2.0]])) == hash(((1.0, 2.0),))
+
