@@ -6,9 +6,11 @@ stream or numpy batches, and uses them as nodes for deterministic and
 randomized equal-weight cubature over the centered unit cube.  A brute-force
 oracle and golden count tables back everything up.
 
-The names of :mod:`chebfrolov.verify` are re-exported on first access
-(PEP 562), so ``import chebfrolov`` does not import that module; the
-golden table's (:mod:`chebfrolov.golden`) are imported with the package.
+The package names the enumerators, the cubature rule and the types they
+take, plus :func:`load_golden_table`, :func:`det_magnitude` and
+:func:`oracle_enumerate`, which is imported from :mod:`chebfrolov.verify`
+on first access (PEP 562).  The other checks, the golden records and the
+dense generator are imported from their own modules.
 """
 
 from .cubature import (
@@ -31,28 +33,18 @@ from .enumeration import (
     enumerate_batches,
     enumerate_stream,
 )
-from .golden import CountRecord, load_golden_table
-from .lattice import (
-    DiagLadder,
-    Level,
-    build_diag_ladder,
-    build_generator_matrix,
-    build_vandermonde,
-    chebyshev_root,
-    det_magnitude,
-    rescaled_chebyshev,
-    root_permutation,
-)
+from .golden import load_golden_table
+from .lattice import DiagLadder, Level, build_diag_ladder, det_magnitude
 
 
 def __getattr__(name: str) -> object:
-    """The names of ``__all__`` from :mod:`chebfrolov.verify`, imported on first access."""
-    if name not in __all__:
+    """``oracle_enumerate``, imported from :mod:`chebfrolov.verify` on first access."""
+    if name != "oracle_enumerate":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verify
+    from .verify import oracle_enumerate
 
-    value = globals()[name] = getattr(verify, name)
-    return value
+    globals()[name] = oracle_enumerate
+    return oracle_enumerate
 
 
 __version__ = "0.1.0"
@@ -60,25 +52,17 @@ __version__ = "0.1.0"
 __all__ = [
     "Box",
     "ConsistencyError",
-    "CountRecord",
     "CubatureSpec",
     "DiagLadder",
-    "DoubleBoxCheck",
     "Integrand",
     "IntegrationResult",
     "LatticePoint",
     "Level",
     "RandomShift",
-    "TableCheck",
-    "UnimodularCheck",
     "apply_generator",
     "build_diag_ladder",
-    "build_generator_matrix",
-    "build_vandermonde",
-    "chebyshev_root",
     "count_points",
     "det_magnitude",
-    "double_box_check",
     "enumerate_batches",
     "enumerate_stream",
     "integrate",
@@ -86,10 +70,6 @@ __all__ = [
     "map_to_unit",
     "oracle_enumerate",
     "randomized_box",
-    "reproduce_table",
-    "rescaled_chebyshev",
-    "root_permutation",
     "sample_shift",
     "standard_box",
-    "unimodular_check",
 ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import itertools
 import json
 import math
@@ -42,7 +41,7 @@ from .cubature import (
     sample_shift,
     standard_box,
 )
-from .enumeration import _STREAM_ROWS, Box, LatticePoint, _fill, _library, _prepare, count_points
+from .enumeration import Box, LatticePoint, _fill, _format_rows, count_points
 from .golden import load_golden_table
 from .lattice import Level, build_diag_ladder
 
@@ -154,7 +153,7 @@ def _cmd_points(args: argparse.Namespace) -> int:
     level = Level.from_dimension(args.dim)
     box = _resolve_box(args, level, _resolve_scale(args))
     d = level.d
-    fills = _fill(_prepare(level, box, build_diag_ladder(level)), d, _STREAM_ROWS)
+    fills = _fill(level, box, build_diag_ladder(level))
     first = next(fills, None)  # the walker refuses a box at its first call
     fills = itertools.chain([first] if first else [], fills)
     with _output(args) as out:
@@ -178,10 +177,7 @@ def _write_csv(out: TextIO, fills: Iterator, d: int, precision: int) -> None:
     goes to the binary layer of ``out`` once the text layer is flushed, or
     is decoded for a stream without one (such as ``io.StringIO``).
     """
-    format_rows = _library().format_rows
     width = precision + 8  # the most bytes a value and its separator take (see _walk.c)
-    address = ctypes.addressof
-    double, char = ctypes.c_double.from_buffer, ctypes.c_char.from_buffer
     text = bytearray()
     out.flush()
     raw = getattr(out, "buffer", None)
@@ -189,11 +185,7 @@ def _write_csv(out: TextIO, fills: Iterator, d: int, precision: int) -> None:
     for _, X in fills:
         if len(text) < len(X) * width:
             text = bytearray(len(X) * width)
-        x, buffer = address(double(X)), address(char(text))
-        size = format_rows(x, len(X), d, precision, buffer, len(text))
-        if size < 0:
-            raise RuntimeError("format_rows could not write a fill as CSV text")
-        write(memoryview(text)[:size])
+        write(memoryview(text)[: _format_rows(X, d, precision, text)])
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:

@@ -25,15 +25,13 @@ The node map runs in the compiled walker library (``map_nodes`` of
 
 from __future__ import annotations
 
-import ctypes
 import math
 import random
 from array import array
 from typing import Callable, NamedTuple, Sequence
 
-from .enumeration import _STREAM_ROWS, Box, DiagLadder, _fill, _library, _prepare
-from .enumeration import apply_generator
-from .lattice import Level, _Value, det_magnitude
+from .enumeration import Box, _fill, _map_nodes, apply_generator
+from .lattice import DiagLadder, Level, _Value, det_magnitude
 
 #: Evaluation contract for integrands: total on the closed centered unit cube.
 Integrand = Callable[[tuple[float, ...]], float]
@@ -167,8 +165,8 @@ def map_to_unit(
     cube by more than ``NODE_TOLERANCE`` (which would indicate an
     enumeration/mapping mismatch).
     """
-    if shift is not None and shift_vector is None:
-        raise ValueError("shift_vector is required when a shift is given")
+    if (shift is None) != (shift_vector is None):
+        raise ValueError("give a shift and its shift_vector together, or neither")
     node = array("d", x)
     if len(node) != spec.level.d:
         raise ValueError(f"point dimension {len(node)} != lattice dimension {spec.level.d}")
@@ -194,16 +192,12 @@ def _node_map(spec, shift, shift_vector):
                 f"shift dimension {len(shift.u)} or shift vector length {len(shift_vector)}"
                 f" != lattice dimension {d}"
             )
-        v = (ctypes.c_double * d)(*shift_vector)
-        u = (ctypes.c_double * d)(*shift.u)
+        v, u = array("d", shift_vector), array("d", shift.u)
     s = spec.shrink
     bound = 0.5 + NODE_TOLERANCE
-    map_nodes = _library().map_nodes
-    address = ctypes.addressof
-    first = ctypes.c_double.from_buffer
 
     def apply(X):
-        bad = map_nodes(address(first(X)), len(X), d, s, v, u, bound)
+        bad = _map_nodes(X, d, s, v, u, bound)
         if bad >= 0:
             c = X[bad]
             raise ConsistencyError(f"node coordinate {c!r} outside [-1/2, 1/2] beyond tolerance")
@@ -253,7 +247,7 @@ def integrate(
     total = 0.0
     carry = 0.0
     count = 0
-    for _, X in _fill(_prepare(level, box, ladder), d, _STREAM_ROWS):
+    for _, X in _fill(level, box, ladder):
         node_map(X)
         count += len(X) // d
         values = map(f, zip(*[iter(X.tolist())] * d))

@@ -11,18 +11,17 @@ through :mod:`ctypes`; importing the package compiles and loads nothing.
 For each prefix the innermost coordinate ranges over an integer run
 [lo, hi], which goes to one of two leaves:
 
-- A fill writes rows of k and x into int64 and float64 ``array.array``
-  buffers, each image finished by the last butterfly chain; the walk stops
-  when the buffers are full and resumes from its state buffer for the next
-  pair.  One generator, ``_fill``, makes the walker calls and yields each
-  filled pair.  ``enumerate_batches`` wraps each pair as ``(K, X)`` numpy
-  arrays of their own; ``enumerate_stream`` turns it into Python lists,
+- A fill writes rows of k and x into one pair of int64 and float64
+  ``array.array`` buffers, each image finished by the last butterfly chain;
+  the walk stops when the buffers are full and resumes from its state
+  buffer for the next fill into the same pair.  ``_fill`` makes the walker
+  calls and yields each fill.  ``enumerate_batches`` copies each into
+  ``(K, X)`` numpy arrays; ``enumerate_stream`` turns it into Python lists,
   without numpy, and groups them into one :class:`LatticePoint` per
-  consumer call, and the CLI's ``points`` formats a fill at a time.  A
-  fill sets k_1..k_d in lexicographic order, mean-first: the first
-  half-block image lies between the half-means of the corners, and once it
-  is fixed the second is clamped to residual bounds with the level diagonal
-  divided out.
+  consumer call.  A fill sets k_1..k_d in lexicographic order, mean-first:
+  the first half-block image lies between the half-means of the corners,
+  and once it is fixed the second is clamped to residual bounds with the
+  level diagonal divided out.
 - ``count_points`` adds the run lengths.  A count sets k_d..k_1,
   difference-first: the second half-block image Y lies in
   ``[(l1 - u2) / 2D, (u1 - l2) / 2D]``, and once it is fixed the first is
@@ -47,13 +46,12 @@ in a fill and 2 in a count, or one that needs a coordinate beyond +-2**62
 is refused with ``ValueError``, unless it is empty (lower > upper in some
 coordinate).
 
-The same library holds ``map_nodes``, the node map of
-:mod:`chebfrolov.cubature`, so :func:`integrate` maps each fill in C, and
-``format_rows``, which writes a fill as the CSV text of the CLI's
-``points``.  In
-this module numpy is imported only by ``enumerate_batches``, the one
-function that builds arrays, so counting, streaming, filling and
-:func:`apply_generator` run without it.
+The same library holds ``map_nodes``, the node map of :func:`integrate`,
+and ``format_rows``, the CSV text of the CLI's ``points``, called through
+``_map_nodes`` and ``_format_rows``: no other module loads the library.
+Numpy is imported only by ``enumerate_batches``, the one function that
+builds arrays, so counting, streaming, filling and :func:`apply_generator`
+run without it.
 """
 
 from __future__ import annotations
@@ -150,11 +148,10 @@ def enumerate_stream(
     ``_STREAM_ROWS`` rows, so memory does not grow with the number of
     emissions.
     """
-    walk = _prepare(level, box, ladder)
     d = level.d
     new = tuple.__new__
     count = 0
-    for K, X in _fill(walk, d, _STREAM_ROWS):
+    for K, X in _fill(level, box, ladder):
         count += len(K) // d
         ks, xs = iter(K.tolist()), iter(X.tolist())
         # d consecutive values per row; a LatticePoint without the Python frame of its __new__
@@ -175,20 +172,18 @@ def enumerate_batches(
     every batch but the last has exactly ``size`` rows.  Rows follow the
     lexicographic k order of :func:`enumerate_stream`, and ``X`` is
     bit-identical to the streamed images.  The walker stops when a batch is
-    full and resumes from its state for the next, so memory stays
-    O(min(size, points) * d).  Arguments are checked by this call, before the
-    first batch is asked for.
+    full and resumes from its state for the next, into the same buffers, so
+    memory stays O(min(size, points) * d); each batch is a copy that owns its
+    arrays.  Arguments are checked by this call, before the first batch is
+    asked for.
     """
     import numpy as np
 
-    walk = _prepare(level, box, ladder)
-    size = operator.index(size)
-    if size < 1:
-        raise ValueError(f"batch size must be >= 1, got {size}")
+    fills = _fill(level, box, ladder, size)
     d = level.d
     return (
-        (np.frombuffer(K, np.int64).reshape(-1, d), np.frombuffer(X, np.float64).reshape(-1, d))
-        for K, X in _fill(walk, d, size)
+        (np.array(K, np.int64).reshape(-1, d), np.array(X, np.float64).reshape(-1, d))
+        for K, X in fills
     )
 
 
@@ -209,7 +204,7 @@ def count_points(level: Level, box: Box, ladder: DiagLadder) -> int:
 #: allocates 2 * 64 * d values.
 _STREAM_ROWS = 256
 
-#: Rows the first buffer pair of a call starts with (see :func:`_fill`).
+#: Rows the buffer pair of a walk starts with (see :func:`_fill`).
 #: ``array.array`` zeroes what it allocates, so a small start keeps a
 #: small query cheap at every d: with 1024 rows, ``enumerate_batches`` on an
 #: empty d = 64 box took 0.5 ms.
@@ -241,39 +236,72 @@ def _prepare(level, box, ladder):
     return state, n, _diagonals(ladder, n)
 
 
-def _fill(walk, d, size):
-    """The one walker-call loop: a generator of filled buffers ``(K, X)``.
+def _fill(level, box, ladder, size=_STREAM_ROWS):
+    """Check the arguments of a walk; return the generator of its fills ``(K, X)``.
 
-    K and X are memoryviews of the filled rows of an ``array.array`` pair of
-    their own, int64 and float64, d values a row, row after row in the
-    lexicographic k order; ``.tolist()`` gives them as Python numbers and
-    ``np.frombuffer`` as arrays.  A pair holds at most ``size`` rows.  The
-    first pair starts with at most ``_START_ROWS`` rows and each next pair
-    as large as the last one grew; a pair doubles, up to ``size``, while the
-    walk fills it, so a huge ``size`` costs no more than twice the rows
-    written (or the first ``_START_ROWS``).  The walker gets the addresses from ``buffer_info``:
-    passing arrays through ``ndarray.ctypes`` leaves reference cycles
-    behind, which made a stream's peak memory drift.
+    K and X are memoryviews of the filled rows of one ``array.array`` pair,
+    int64 and float64, d values a row in the lexicographic k order.  A fill
+    holds at most ``size`` rows and the next overwrites it, so a caller
+    finishes with one before it asks for the next.  The pair starts with at
+    most ``_START_ROWS`` rows and doubles, up to ``size``, only while the
+    first fill is written: a huge ``size`` costs at most twice the rows
+    written, and no buffer is resized once a view of it is out.  The walker
+    gets the addresses from ``buffer_info``: ``ndarray.ctypes`` leaves
+    reference cycles behind, which made a stream's peak memory drift.
     """
+    walk = _prepare(level, box, ladder)
+    size = operator.index(size)
+    if size < 1:
+        raise ValueError(f"batch size must be >= 1, got {size}")
+    return _fills(walk, level.d, size)
+
+
+def _fills(walk, d, size):
+    """The generator behind :func:`_fill`."""
     capacity = min(size, _START_ROWS)
+    K = _INT64 * (capacity * d)
+    X = _FLOAT64 * (capacity * d)
+    K0, X0, row = K.buffer_info()[0], X.buffer_info()[0], d * K.itemsize
+    rows = 0
     while True:
-        K = _INT64 * (capacity * d)
-        X = _FLOAT64 * (capacity * d)
-        rows = 0
-        while True:
-            offset = rows * d * K.itemsize
-            K_next, X_next = K.buffer_info()[0] + offset, X.buffer_info()[0] + offset
-            rows += _call(*walk, K_next, X_next, capacity - rows)
-            if rows < capacity or capacity == size:
-                break
+        rows += _call(*walk, K0 + rows * row, X0 + rows * row, capacity - rows)
+        if rows == capacity < size:  # the first fill outgrew the pair
             more = min(capacity, size - capacity)
             K += _INT64 * (more * d)
             X += _FLOAT64 * (more * d)
+            K0, X0 = K.buffer_info()[0], X.buffer_info()[0]
             capacity += more
+            continue
         if rows:
             yield memoryview(K)[: rows * d], memoryview(X)[: rows * d]
         if rows < size:
             return
+        rows = 0
+
+
+def _map_nodes(X, d, shrink, v, u, bound):
+    """``map_nodes`` of ``_walk.c``: map the rows of d images in the float64
+    buffer X in place to shrink * x, or to shrink * (x + v) / u where the
+    float64 arrays v and u are given; return the index of the first node
+    beyond +-bound, or -1."""
+    if v is not None:
+        v, u = v.buffer_info()[0], u.buffer_info()[0]
+    return _library().map_nodes(_address(X), len(X), d, shrink, v, u, bound)
+
+
+def _format_rows(X, d, precision, text):
+    """``format_rows`` of ``_walk.c``: write the rows of d values of the
+    float64 buffer X into the bytearray ``text`` as CSV (a value and its
+    separator take at most ``precision + 8`` bytes); return the bytes written."""
+    size = _library().format_rows(_address(X), len(X), d, precision, _address(text), len(text))
+    if size < 0:
+        raise RuntimeError("format_rows could not write a fill as CSV text")
+    return size
+
+
+def _address(buffer):
+    """The address of a writable buffer's first byte."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(buffer))
 
 
 def _call(state, n, diag, K, X, size):

@@ -6,8 +6,8 @@ recursive reference that applies the half-mean and clamp split of the box
 directly (not the compiled walker), a two-scale consistency check that
 enumerates the double-scale box and filters, and regression against an
 embedded table of known-good node counts for the standard cubature boxes
-(:mod:`chebfrolov.golden`, whose ``CountRecord`` and ``load_golden_table``
-this module re-exports).
+(:mod:`chebfrolov.golden`).  Of this module the package exports only
+:func:`oracle_enumerate`, on first access; the checks are imported from here.
 
 The oracle, the reference and the filter keep a point iff its
 :func:`apply_generator` image x has ``lower <= x <= upper``, as the
@@ -27,8 +27,7 @@ import operator
 from typing import NamedTuple, Sequence
 
 from .cubature import CubatureSpec, standard_box
-from .enumeration import _STREAM_ROWS, Box, LatticePoint, _fill, _prepare, apply_generator
-from .enumeration import count_points
+from .enumeration import Box, LatticePoint, _fill, apply_generator, count_points
 from .golden import CountRecord, load_golden_table
 from .lattice import DiagLadder, Level, build_diag_ladder, build_generator_matrix, chebyshev_root
 
@@ -130,13 +129,13 @@ def _images(ladder, K):
     return X
 
 
-def interval_mean(level: int, values: Sequence[float]) -> tuple[float, ...]:
+def _interval_mean(level: int, values: Sequence[float]) -> tuple[float, ...]:
     """Componentwise mean of the two halves of a length-2**(level+1) vector."""
     half = 1 << level
     return tuple((values[t] + values[half + t]) / 2.0 for t in range(half))
 
 
-def clamp_bounds(
+def _clamp_bounds(
     level: int,
     anchor: Sequence[float],
     lower: Sequence[float],
@@ -197,8 +196,8 @@ def _recursive_ks(n, lower, upper, ladder, slack):
         return [(k,) for k in range(lo, hi + 1)]
     L = n - 1
     out = []
-    for k1 in _recursive_ks(L, interval_mean(L, lower), interval_mean(L, upper), ladder, slack):
-        lo2, hi2 = clamp_bounds(L, apply_generator(ladder, k1), lower, upper, ladder)
+    for k1 in _recursive_ks(L, _interval_mean(L, lower), _interval_mean(L, upper), ladder, slack):
+        lo2, hi2 = _clamp_bounds(L, apply_generator(ladder, k1), lower, upper, ladder)
         out.extend(k1 + k2 for k2 in _recursive_ks(L, lo2, hi2, ladder, slack))
     return out
 
@@ -217,7 +216,7 @@ def double_box_check(level: Level, scale: float) -> DoubleBoxCheck:
     d = level.d
     lower, upper = small.lower, small.upper
     filtered = 0
-    for _, X in _fill(_prepare(level, big, ladder), d, _STREAM_ROWS):
+    for _, X in _fill(level, big, ladder):
         for x in zip(*[iter(X.tolist())] * d):
             filtered += all(map(operator.le, lower, x)) and all(map(operator.le, x, upper))
     return DoubleBoxCheck(direct, filtered, direct == filtered)

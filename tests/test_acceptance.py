@@ -18,22 +18,22 @@ from chebfrolov import (
     Level,
     RandomShift,
     build_diag_ladder,
-    build_generator_matrix,
-    chebyshev_root,
     count_points,
     det_magnitude,
-    double_box_check,
     enumerate_stream,
     integrate,
     load_golden_table,
     oracle_enumerate,
-    rescaled_chebyshev,
-    root_permutation,
     sample_shift,
     standard_box,
-    unimodular_check,
 )
-from chebfrolov.verify import recursive_enumerate
+from chebfrolov.lattice import (
+    build_generator_matrix,
+    chebyshev_root,
+    rescaled_chebyshev,
+    root_permutation,
+)
+from chebfrolov.verify import double_box_check, recursive_enumerate, unimodular_check
 
 #: (dimension, max log2N) ranges exercised at desk scale.
 MEDIUM_RANGES = {2: 20, 4: 20, 8: 14, 16: 24, 32: 16}

@@ -613,6 +613,7 @@ NUMPY_FREE_CHILD = """
 import contextlib, io, sys
 import chebfrolov, chebfrolov.cli
 from chebfrolov import *
+from chebfrolov.verify import double_box_check, unimodular_check
 level = Level(3)
 ladder = build_diag_ladder(level)
 spec = CubatureSpec(level, 2.0**8)

@@ -12,7 +12,6 @@ from chebfrolov import (
     Level,
     RandomShift,
     build_diag_ladder,
-    build_generator_matrix,
     count_points,
     det_magnitude,
     enumerate_batches,
@@ -23,6 +22,7 @@ from chebfrolov import (
     sample_shift,
     standard_box,
 )
+from chebfrolov.lattice import build_generator_matrix
 
 
 def product_of_cosines(x):
@@ -185,6 +185,12 @@ class TestMapToUnit:
         spec = CubatureSpec(Level(1), 4.0)
         with pytest.raises(ValueError):
             map_to_unit((0.0, 0.0), spec, RandomShift.identity(2), None)
+
+    def test_shift_vector_without_shift(self):
+        # a shift vector alone would be ignored, giving the deterministic node
+        spec = CubatureSpec(Level(1), 4.0)
+        with pytest.raises(ValueError, match="shift"):
+            map_to_unit((0.0, 0.0), spec, None, (100.0, 100.0))
 
 
 class TestIntegrate:

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import math
 import os
 import random
@@ -23,7 +24,6 @@ from chebfrolov import (
     Level,
     apply_generator,
     build_diag_ladder,
-    build_generator_matrix,
     count_points,
     enumerate_batches,
     enumerate_stream,
@@ -32,9 +32,10 @@ from chebfrolov import (
     sample_shift,
     standard_box,
 )
+from chebfrolov.lattice import build_generator_matrix
 from chebfrolov import enumeration
 from chebfrolov.enumeration import _CC, _library
-from chebfrolov.verify import _images, clamp_bounds, interval_mean, recursive_enumerate
+from chebfrolov.verify import _clamp_bounds, _images, _interval_mean, recursive_enumerate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -82,32 +83,32 @@ class TestBox:
 
 class TestIntervalMean:
     def test_scalar_pair(self):
-        assert interval_mean(0, (2.0, 4.0)) == (3.0,)
+        assert _interval_mean(0, (2.0, 4.0)) == (3.0,)
 
     def test_equal_halves(self):
-        assert interval_mean(0, (-1.0, -1.0)) == (-1.0,)
+        assert _interval_mean(0, (-1.0, -1.0)) == (-1.0,)
 
     def test_vector_halves(self):
-        assert interval_mean(1, (0.0, 2.0, 4.0, 6.0)) == (2.0, 4.0)
+        assert _interval_mean(1, (0.0, 2.0, 4.0, 6.0)) == (2.0, 4.0)
 
 
 class TestClampBounds:
     def test_centered_anchor(self):
         ladder = build_diag_ladder(Level(1))
-        lo, hi = clamp_bounds(0, (0.0,), (-1.0, -1.0), (1.0, 1.0), ladder)
+        lo, hi = _clamp_bounds(0, (0.0,), (-1.0, -1.0), (1.0, 1.0), ladder)
         assert lo == pytest.approx((-1.0 / SQRT2,), abs=1e-15)
         assert hi == pytest.approx((1.0 / SQRT2,), abs=1e-15)
 
     def test_shifted_anchor_pinches_to_point(self):
         ladder = build_diag_ladder(Level(1))
-        lo, hi = clamp_bounds(0, (1.0,), (-1.0, -1.0), (1.0, 1.0), ladder)
+        lo, hi = _clamp_bounds(0, (1.0,), (-1.0, -1.0), (1.0, 1.0), ladder)
         assert lo == (0.0,)
         assert hi == (0.0,)
 
     def test_degenerate_box(self):
         ladder = build_diag_ladder(Level(1))
-        anchor = interval_mean(0, (0.0, 0.0))
-        lo, hi = clamp_bounds(0, anchor, (0.0, 0.0), (0.0, 0.0), ladder)
+        anchor = _interval_mean(0, (0.0, 0.0))
+        lo, hi = _clamp_bounds(0, anchor, (0.0, 0.0), (0.0, 0.0), ladder)
         assert lo == (0.0,)
         assert hi == (0.0,)
 
@@ -119,16 +120,16 @@ class TestClampBounds:
             L = rng.choice([0, 1, 2])
             half = 1 << L
             box = random_box(rng, 2 * half)
-            mb = interval_mean(L, box.lower)
-            mc = interval_mean(L, box.upper)
+            mb = _interval_mean(L, box.lower)
+            mc = _interval_mean(L, box.upper)
             anchor = tuple(rng.uniform(a, b) for a, b in zip(mb, mc))
-            lo, hi = clamp_bounds(L, anchor, box.lower, box.upper, ladder)
+            lo, hi = _clamp_bounds(L, anchor, box.lower, box.upper, ladder)
             assert all(x <= y for x, y in zip(lo, hi))
 
     def test_missing_ladder_level(self):
         ladder = build_diag_ladder(Level(1))
         with pytest.raises(ValueError):
-            clamp_bounds(1, (0.0, 0.0), (0.0,) * 4, (1.0,) * 4, ladder)
+            _clamp_bounds(1, (0.0, 0.0), (0.0,) * 4, (1.0,) * 4, ladder)
 
 
 class TestApplyGenerator:
@@ -344,6 +345,33 @@ subprocess.Popen.__init__ = init
 HEAVY_MODULES = {"dataclasses", "inspect", "platform", "chebfrolov.verify"}
 
 
+#: The package's names: the enumerators, the cubature rule and what they
+#: take, the golden table, |det| and the oracle.
+PACKAGE_NAMES = [
+    "Box", "ConsistencyError", "CubatureSpec", "DiagLadder", "Integrand", "IntegrationResult",
+    "LatticePoint", "Level", "RandomShift", "apply_generator", "build_diag_ladder",
+    "count_points", "det_magnitude", "enumerate_batches", "enumerate_stream", "integrate",
+    "load_golden_table", "map_to_unit", "oracle_enumerate", "randomized_box", "sample_shift",
+    "standard_box",
+]
+
+#: Names that live only in their submodules, not in the package.
+SUBMODULE_NAMES = {
+    "CountRecord": "chebfrolov.golden",
+    "TableCheck": "chebfrolov.verify",
+    "DoubleBoxCheck": "chebfrolov.verify",
+    "UnimodularCheck": "chebfrolov.verify",
+    "reproduce_table": "chebfrolov.verify",
+    "double_box_check": "chebfrolov.verify",
+    "unimodular_check": "chebfrolov.verify",
+    "build_generator_matrix": "chebfrolov.lattice",
+    "build_vandermonde": "chebfrolov.lattice",
+    "rescaled_chebyshev": "chebfrolov.lattice",
+    "root_permutation": "chebfrolov.lattice",
+    "chebyshev_root": "chebfrolov.lattice",
+}
+
+
 class TestKernels:
     """One compiled walker, built on first use and cached beside the module."""
 
@@ -374,10 +402,7 @@ class TestKernels:
         assert HEAVY_MODULES.isdisjoint(set(modules) - baseline)
 
     def test_verify_names_resolve_on_first_access(self):
-        names = [
-            "CountRecord", "DoubleBoxCheck", "TableCheck", "UnimodularCheck", "double_box_check",
-            "load_golden_table", "oracle_enumerate", "reproduce_table", "unimodular_check",
-        ]
+        names = ["load_golden_table", "oracle_enumerate"]
         code = (
             "import sys\n"
             "import chebfrolov as cf\n"
@@ -390,6 +415,19 @@ class TestKernels:
             "print(set(names) <= set(cf.__all__), hasattr(cf, 'no_such_name'))\n"
         )
         assert run_child(code) == ["False", "True", "True", "True", "False"]
+
+    def test_package_exports_22_names(self):
+        assert sorted(chebfrolov.__all__) == PACKAGE_NAMES
+        namespace = {}
+        exec("from chebfrolov import *", namespace)
+        assert all(namespace[name] is getattr(chebfrolov, name) for name in PACKAGE_NAMES)
+        for name, module in SUBMODULE_NAMES.items():
+            assert callable(getattr(importlib.import_module(module), name))
+            assert name not in namespace and not hasattr(chebfrolov, name)
+            with pytest.raises(ImportError):
+                exec(f"from chebfrolov import {name}", {})
+        verify = importlib.import_module("chebfrolov.verify")
+        assert not hasattr(verify, "interval_mean") and not hasattr(verify, "clamp_bounds")
 
     def test_second_process_reuses_the_cached_library(self):
         code = COUNT_PROCESSES + (
@@ -576,10 +614,10 @@ class TestSplitCorrectness:
                 img = full_gen @ x
                 direct = bool(np.all(b <= img) and np.all(img <= c))
                 first = half_gen @ x[:d]
-                mb = interval_mean(n, box.lower)
-                mc = interval_mean(n, box.upper)
+                mb = _interval_mean(n, box.lower)
+                mc = _interval_mean(n, box.upper)
                 cond1 = all(lo <= v <= hi for v, lo, hi in zip(first, mb, mc))
-                lo2, hi2 = clamp_bounds(n, tuple(first), box.lower, box.upper, ladder)
+                lo2, hi2 = _clamp_bounds(n, tuple(first), box.lower, box.upper, ladder)
                 second = half_gen @ x[d:]
                 cond2 = all(lo <= v <= hi for v, lo, hi in zip(second, lo2, hi2))
                 assert direct == (cond1 and cond2)

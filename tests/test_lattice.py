@@ -12,10 +12,12 @@ from chebfrolov import (
     Level,
     RandomShift,
     build_diag_ladder,
+    det_magnitude,
+)
+from chebfrolov.lattice import (
     build_generator_matrix,
     build_vandermonde,
     chebyshev_root,
-    det_magnitude,
     rescaled_chebyshev,
     root_permutation,
 )

@@ -8,18 +8,15 @@ from chebfrolov import (
     CubatureSpec,
     Level,
     build_diag_ladder,
-    build_generator_matrix,
-    build_vandermonde,
     count_points,
-    double_box_check,
     enumerate_batches,
     enumerate_stream,
     load_golden_table,
     oracle_enumerate,
-    reproduce_table,
     standard_box,
-    unimodular_check,
 )
+from chebfrolov.lattice import build_generator_matrix, build_vandermonde
+from chebfrolov.verify import double_box_check, reproduce_table, unimodular_check
 from chebfrolov.verify import _eliminate, recursive_enumerate
 
 
