@@ -1,14 +1,20 @@
 /* Table-driven, resumable traversal of the lattice points in a box.
  *
- * Built on first use by chebfrolov.enumeration (cc -O2 -ffp-contract=off)
- * and called through ctypes.  One library serves every level n and ladder:
- * both arrive as arguments.  It has three entry points: walk, the traversal;
- * map_nodes, which maps filled images to cubature nodes in place; and
- * format_rows, which writes filled images as CSV text (see their comments
- * at the end).  At every block the image is (A + D Y, A - D Y),
- * A and Y the images of its halves and D the diagonal one level down, so a
- * box [l, u] on the block splits into boxes on the halves.  The walk sets
- * one coordinate per depth, in the order the leaf asks for:
+ * The CPython extension module chebfrolov._walk, built on first use by
+ * chebfrolov.enumeration (cc -O2 -ffp-contract=off, with the interpreter's
+ * headers) and cached on disk.  One module serves every level n and ladder:
+ * both arrive as arguments.  Its core is three C functions: walk, the
+ * traversal; map_nodes, which maps filled images to cubature nodes in place;
+ * and format_rows, which writes filled images as CSV text (see their
+ * comments below).  The CPython entry points at the end, the module's only
+ * interface (nothing loads it through ctypes), wrap them, check the length
+ * of every buffer they are given, and run walk with the GIL released;
+ * apply_generator is one more.
+ *
+ * At every block the image is (A + D Y, A - D Y), A and Y the images of its
+ * halves and D the diagonal one level down, so a box [l, u] on the block
+ * splits into boxes on the halves.  The walk sets one coordinate per depth,
+ * in the order the leaf asks for:
  *
  *   fill   (K != NULL)  mean-first, A before Y: k_1..k_d in lexicographic
  *                       order.  A lies between the half-means of the
@@ -68,8 +74,9 @@
  * map_nodes relies on it too: its nodes must equal the separately rounded
  * operations of the node map, s * (x + v) then / u.
  *
- * There is no static state.  Everything lives in the caller's buffer of
- * walk_state_len(n) eight-byte slots, zero-initialised except for the box:
+ * There is no static state.  Everything lives in a state buffer of
+ * walk_state_len(n) eight-byte slots, zero-initialised except for the box
+ * (a count's own, or the bytearray of the `state` entry point for fills):
  *
  *   [0, d)             lower corner  = b, level n
  *   [d, 2d)            upper corner  = g, level n
@@ -84,7 +91,8 @@
  * end[i] the last one, so a fill stopped by a full buffer resumes where it
  * stopped.
  */
-#define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h> /* first: it sets _POSIX_C_SOURCE (newlocale, uselocale) */
 #include <locale.h>
 #include <math.h>
 #include <stdint.h>
@@ -101,7 +109,7 @@
 #define CORNER_LIMIT 0x1p48
 enum { WALK_RANGE = -1, WALK_OVERFLOW = -2 };
 
-int64_t walk_state_len(int n)
+static int64_t walk_state_len(int n)
 {
     return ((int64_t)3 * n + 5) * ((int64_t)1 << n) + 4;
 }
@@ -196,7 +204,7 @@ static int64_t trim(double *const *a, const double *const *D, int n, int64_t p,
     return z < f ? d - 1 : d;
 }
 
-int64_t walk(double *s, int n, const double *diag, int64_t *K, double *X, int64_t size)
+static int64_t walk(double *s, int n, const double *diag, int64_t *K, double *X, int64_t size)
 {
     /* depth i walks flat index i - 1 in a fill, d - i in a count */
     const int64_t d = (int64_t)1 << n, last = K ? d - 1 : 0, step = K ? 1 : -1;
@@ -342,7 +350,7 @@ int64_t walk(double *s, int n, const double *diag, int64_t *K, double *X, int64_
  * a separately rounded IEEE operation in that order.  Returns the index of
  * the first node with !(|node| <= bound), NaN included, or -1; the values
  * past it are left unmapped. */
-int64_t map_nodes(double *X, int64_t len, int64_t d, double s, const double *v,
+static int64_t map_nodes(double *X, int64_t len, int64_t d, double s, const double *v,
                   const double *u, double bound)
 {
     for (int64_t i = 0; i < len; i += d) {
@@ -367,7 +375,7 @@ int64_t map_nodes(double *X, int64_t len, int64_t d, double s, const double *v,
  * those of Python's format(x, ".{precision}g"), whatever locale is set.
  * A value takes at most precision + 7 bytes ("-0.000" and the digits, or
  * "-d." and "e-324"), its separator one more. */
-int64_t format_rows(const double *X, int64_t len, int64_t d, int precision, char *out,
+static int64_t format_rows(const double *X, int64_t len, int64_t d, int precision, char *out,
                     int64_t cap)
 {
     const locale_t c = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
@@ -389,4 +397,425 @@ int64_t format_rows(const double *X, int64_t len, int64_t d, int precision, char
     uselocale(caller);
     freelocale(c);
     return pos;
+}
+
+/* ---- Python entry points ---------------------------------------------------
+ *
+ * METH_FASTCALL functions over the buffer protocol: the state, K, X, v, u
+ * and the diagonals are buffers of eight-byte values (bytearray or
+ * array.array, or memoryviews of them), checked for length and alignment
+ * before anything is written.  A buffer stays exported while walk runs
+ * with the GIL released, so no other thread can resize it; walk touches
+ * no Python object. */
+
+/* Values in each buffer of the stack scratch pair behind `points`. */
+#define SCRATCH 1024
+/* Levels the walker entry points take: d = 2^n <= SCRATCH. */
+#define LEVEL_LIMIT 10
+
+static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", name, want, nargs);
+    return -1;
+}
+
+/* An integer argument in [lo, hi], or -1 with an exception set. */
+static Py_ssize_t int_arg(PyObject *obj, const char *what, Py_ssize_t lo, Py_ssize_t hi)
+{
+    const Py_ssize_t v = PyLong_AsSsize_t(obj);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (v < lo || v > hi) {
+        PyErr_Format(PyExc_ValueError, "%s %zd is outside [%zd, %zd]", what, v, lo, hi);
+        return -1;
+    }
+    return v;
+}
+
+/* A view of obj holding at least `need` eight-byte values (writable if
+ * asked), or -1 with an exception set and no view held. */
+static int values(PyObject *obj, Py_buffer *view, int writable, Py_ssize_t need, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view, writable ? PyBUF_WRITABLE : PyBUF_SIMPLE) < 0)
+        return -1;
+    if (view->len > 0 && (uintptr_t)view->buf % 8 != 0) {
+        PyErr_Format(PyExc_ValueError, "%s is not aligned to eight bytes", what);
+    } else if (view->len / 8 < need) {
+        PyErr_Format(PyExc_ValueError, "%s holds %zd values, fewer than %zd", what,
+                     view->len / 8, need);
+    } else {
+        return 0;
+    }
+    PyBuffer_Release(view);
+    return -1;
+}
+
+/* Writes the box corners, two tuples of d floats, to the state s. */
+static int corners(double *s, PyObject *lower, PyObject *upper, int64_t d)
+{
+    if (!PyTuple_Check(lower) || !PyTuple_Check(upper) || PyTuple_GET_SIZE(lower) != d
+        || PyTuple_GET_SIZE(upper) != d) {
+        PyErr_Format(PyExc_ValueError, "the corners must be two tuples of %lld floats",
+                     (long long)d);
+        return -1;
+    }
+    for (int64_t f = 0; f < 2 * d; f++) {
+        s[f] = PyFloat_AsDouble(PyTuple_GET_ITEM(f < d ? lower : upper, f % d));
+        if (s[f] == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+/* A walk result: the int, or ValueError for the negative codes. */
+static PyObject *walk_result(int64_t result)
+{
+    if (result >= 0)
+        return PyLong_FromLongLong(result);
+    PyErr_SetString(PyExc_ValueError,
+                    result == WALK_RANGE
+                        ? "the box is too large or too far from the origin: it has a corner"
+                          " beyond +-2**48 or needs lattice coordinates beyond +-2**62"
+                        : "the point count exceeds 2**63 - 1");
+    return NULL;
+}
+
+/* The level args[2] of a walk to resume, with views of its state args[0]
+ * and diagonals args[1]; -1 with an exception set and no view held if one
+ * is short, or if the state's depth is not one of the walk. */
+static Py_ssize_t resume_args(PyObject *const *args, Py_buffer *state, Py_buffer *diag)
+{
+    const Py_ssize_t n = int_arg(args[2], "level", 0, LEVEL_LIMIT);
+    if (n < 0 || values(args[0], state, 1, walk_state_len((int)n), "the state") < 0)
+        return -1;
+    if (values(args[1], diag, 0, ((Py_ssize_t)1 << n) - 1, "the diagonals") == 0) {
+        const int64_t d = (int64_t)1 << n;
+        const int64_t *started = (const int64_t *)((double *)state->buf + (3 * n + 3) * d);
+        if (!started[0] || (started[1] >= 0 && started[1] <= d))
+            return n;
+        PyErr_SetString(PyExc_ValueError, "the walker state is corrupt");
+        PyBuffer_Release(diag);
+    }
+    PyBuffer_Release(state);
+    return -1;
+}
+
+/* state(lower, upper, n): a fresh walker state for the box at level n. */
+static PyObject *py_state(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t n;
+    if (check_nargs("state", nargs, 3) < 0 || (n = int_arg(args[2], "level", 0, LEVEL_LIMIT)) < 0)
+        return NULL;
+    const int64_t len = walk_state_len((int)n);
+    PyObject *state = PyByteArray_FromStringAndSize(NULL, (Py_ssize_t)(len * 8));
+    if (state == NULL)
+        return NULL;
+    double *s = (double *)PyByteArray_AS_STRING(state);
+    memset(s, 0, (size_t)len * 8);
+    if (corners(s, args[0], args[1], (int64_t)1 << n) < 0) {
+        Py_DECREF(state);
+        return NULL;
+    }
+    return state;
+}
+
+/* count(lower, upper, diag, n): the points in the box, walked in a state of
+ * the call's own. */
+static PyObject *py_count(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t n;
+    Py_buffer diag;
+    if (check_nargs("count", nargs, 4) < 0 || (n = int_arg(args[3], "level", 0, LEVEL_LIMIT)) < 0
+        || values(args[2], &diag, 0, ((Py_ssize_t)1 << n) - 1, "the diagonals") < 0)
+        return NULL;
+    double *s = PyMem_Calloc((size_t)walk_state_len((int)n), 8);
+    int64_t result = 0;
+    if (s == NULL) {
+        PyErr_NoMemory();
+    } else if (corners(s, args[0], args[1], (int64_t)1 << n) == 0) {
+        Py_BEGIN_ALLOW_THREADS
+        result = walk(s, (int)n, diag.buf, NULL, NULL, 0);
+        Py_END_ALLOW_THREADS
+    }
+    PyMem_Free(s);
+    PyBuffer_Release(&diag);
+    return PyErr_Occurred() ? NULL : walk_result(result);
+}
+
+/* fill(state, diag, n, K, X, start, stop): resumes the walk of the state
+ * into rows start..stop-1 of the int64 buffer K and the float64 buffer X;
+ * returns the row it reached, stop if the rows are full. */
+static PyObject *py_fill(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t n, start = 0, stop;
+    Py_buffer state, diag, K, X;
+    if (check_nargs("fill", nargs, 7) < 0 || (n = resume_args(args, &state, &diag)) < 0)
+        return NULL;
+    const Py_ssize_t d = (Py_ssize_t)1 << n;
+    int64_t result = 0;
+    if ((stop = int_arg(args[6], "stop", 0, PY_SSIZE_T_MAX / d)) >= 0
+        && (start = int_arg(args[5], "start", 0, stop)) >= 0
+        && values(args[3], &K, 1, stop * d, "K") == 0) {
+        if (values(args[4], &X, 1, stop * d, "X") == 0) {
+            Py_BEGIN_ALLOW_THREADS
+            result = walk(state.buf, (int)n, diag.buf, (int64_t *)K.buf + start * d,
+                          (double *)X.buf + start * d, stop - start);
+            Py_END_ALLOW_THREADS
+            PyBuffer_Release(&X);
+        }
+        PyBuffer_Release(&K);
+    }
+    PyBuffer_Release(&diag);
+    PyBuffer_Release(&state);
+    if (PyErr_Occurred())
+        return NULL;
+    return result < 0 ? walk_result(result) : PyLong_FromLongLong(start + result);
+}
+
+/* The instance of the tuple subclass `type` holding (k, x), d values each. */
+static PyObject *lattice_point(PyTypeObject *type, const int64_t *k, const double *x, int64_t d)
+{
+    PyObject *kt = PyTuple_New(d), *xt = PyTuple_New(d), *point;
+    if (kt == NULL || xt == NULL)
+        goto fail;
+    for (int64_t f = 0; f < d; f++) {
+        PyObject *kf = PyLong_FromLongLong(k[f]), *xf = PyFloat_FromDouble(x[f]);
+        if (kf != NULL)
+            PyTuple_SET_ITEM(kt, f, kf);
+        if (xf != NULL)
+            PyTuple_SET_ITEM(xt, f, xf);
+        if (kf == NULL || xf == NULL)
+            goto fail;
+    }
+    /* as tuple.__new__(type, (k, x)) builds it */
+    if ((point = type->tp_alloc(type, 2)) == NULL)
+        goto fail;
+    PyTuple_SET_ITEM(point, 0, kt);
+    PyTuple_SET_ITEM(point, 1, xt);
+    return point;
+fail:
+    Py_XDECREF(kt);
+    Py_XDECREF(xt);
+    return NULL;
+}
+
+/* points(state, diag, n, size, type): resumes the walk of the state for up
+ * to `size` points; returns them as a list of `type` (k, x) instances, k and
+ * x tuples of ints and floats.  The rows pass through a scratch pair on the
+ * stack, SCRATCH / d rows a walk. */
+static PyObject *py_points(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t n, size;
+    if (check_nargs("points", nargs, 5) < 0
+        || (size = int_arg(args[3], "size", 0, PY_SSIZE_T_MAX)) < 0)
+        return NULL;
+    if (!PyType_Check(args[4]) || !PyType_IsSubtype((PyTypeObject *)args[4], &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError, "points() needs a tuple subclass for its points");
+        return NULL;
+    }
+    PyTypeObject *type = (PyTypeObject *)args[4];
+    Py_buffer state, diag;
+    if ((n = resume_args(args, &state, &diag)) < 0)
+        return NULL;
+    const int64_t d = (int64_t)1 << n, chunk = SCRATCH / d;
+    int64_t K[SCRATCH];
+    double X[SCRATCH];
+    PyObject *list = PyList_New(0);
+    for (Py_ssize_t got = 0; list != NULL && got < size;) {
+        const int64_t want = size - got < chunk ? size - got : chunk;
+        int64_t rows;
+        Py_BEGIN_ALLOW_THREADS
+        rows = walk(state.buf, (int)n, diag.buf, K, X, want);
+        Py_END_ALLOW_THREADS
+        if (rows < 0) {
+            Py_CLEAR(list);
+            walk_result(rows);
+            break;
+        }
+        for (int64_t r = 0; r < rows && list != NULL; r++) {
+            PyObject *point = lattice_point(type, K + r * d, X + r * d, d);
+            if (point == NULL || PyList_Append(list, point) < 0)
+                Py_CLEAR(list);
+            Py_XDECREF(point);
+        }
+        got += rows;
+        if (rows < want)
+            break;
+    }
+    PyBuffer_Release(&diag);
+    PyBuffer_Release(&state);
+    return list;
+}
+
+/* map_nodes(X, d, s, v, u, bound): map_nodes on the float64 buffer X, rows
+ * of d; v and u are both None or float64 buffers of d values. */
+static PyObject *py_map_nodes(PyObject *Py_UNUSED(module), PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    Py_ssize_t d;
+    if (check_nargs("map_nodes", nargs, 6) < 0
+        || (d = int_arg(args[1], "dimension", 1, PY_SSIZE_T_MAX)) < 0)
+        return NULL;
+    const double s = PyFloat_AsDouble(args[2]);
+    if (s == -1.0 && PyErr_Occurred())
+        return NULL;
+    const double bound = PyFloat_AsDouble(args[5]);
+    if (bound == -1.0 && PyErr_Occurred())
+        return NULL;
+    const int shifted = args[3] != Py_None;
+    if (shifted != (args[4] != Py_None)) {
+        PyErr_SetString(PyExc_ValueError, "map_nodes() takes v and u together, or neither");
+        return NULL;
+    }
+    Py_buffer X, v, u;
+    if (values(args[0], &X, 1, 0, "X") < 0)
+        return NULL;
+    int64_t result = -1;
+    if ((X.len / 8) % d != 0) {
+        PyErr_Format(PyExc_ValueError, "X holds %zd values, not rows of %zd", X.len / 8, d);
+    } else if (!shifted) {
+        result = map_nodes(X.buf, X.len / 8, d, s, NULL, NULL, bound);
+    } else if (values(args[3], &v, 0, d, "v") == 0) {
+        if (values(args[4], &u, 0, d, "u") == 0) {
+            result = map_nodes(X.buf, X.len / 8, d, s, v.buf, u.buf, bound);
+            PyBuffer_Release(&u);
+        }
+        PyBuffer_Release(&v);
+    }
+    PyBuffer_Release(&X);
+    return PyErr_Occurred() ? NULL : PyLong_FromLongLong(result);
+}
+
+/* format_rows(X, d, precision, text): format_rows of the float64 buffer X,
+ * rows of d, into the writable buffer text, which must hold
+ * precision + 8 bytes a value (see format_rows); returns the bytes written. */
+static PyObject *py_format_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    Py_ssize_t d, precision;
+    if (check_nargs("format_rows", nargs, 4) < 0
+        || (d = int_arg(args[1], "dimension", 1, PY_SSIZE_T_MAX)) < 0
+        || (precision = int_arg(args[2], "precision", 1, 4096)) < 0)
+        return NULL;
+    Py_buffer X, text;
+    if (values(args[0], &X, 0, 0, "X") < 0)
+        return NULL;
+    if (PyObject_GetBuffer(args[3], &text, PyBUF_WRITABLE) < 0) {
+        PyBuffer_Release(&X);
+        return NULL;
+    }
+    const Py_ssize_t len = X.len / 8;
+    int64_t size = 0;
+    if (len % d != 0) {
+        PyErr_Format(PyExc_ValueError, "X holds %zd values, not rows of %zd", len, d);
+    } else if (text.len / (precision + 8) < len) {
+        PyErr_Format(PyExc_ValueError, "text holds %zd bytes, fewer than %zd", text.len,
+                     len * (precision + 8));
+    } else if ((size = format_rows(X.buf, len, d, (int)precision, text.buf, text.len)) < 0) {
+        PyErr_SetString(PyExc_RuntimeError, "format_rows could not write a fill as CSV text");
+    }
+    PyBuffer_Release(&text);
+    PyBuffer_Release(&X);
+    return PyErr_Occurred() ? NULL : PyLong_FromLongLong(size);
+}
+
+/* apply_generator(levels, coords, n): the generator image of the 2^n reals
+ * coords (each taken as float() takes it) under the ladder levels, a tuple
+ * of tuples of floats: round j maps each pair of 2^(j-1)-blocks (A, Y) to
+ * (A + D Y, A - D Y), D = levels[j - 1], each entry as p = D y; a + p;
+ * a - p, the merges of walk.  A level shorter than its blocks merges its
+ * first entries only, and a longer one raises IndexError, as the loop over
+ * a Python list of the reference does. */
+static PyObject *py_apply_generator(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                    Py_ssize_t nargs)
+{
+    Py_ssize_t n;
+    if (check_nargs("apply_generator", nargs, 3) < 0 || (n = int_arg(args[2], "level", 0, 62)) < 0)
+        return NULL;
+    if (!PyTuple_Check(args[0]) || PyTuple_GET_SIZE(args[0]) < n) {
+        PyErr_Format(PyExc_ValueError, "the ladder levels must be a tuple of %zd or more", n);
+        return NULL;
+    }
+    PyObject *seq = PySequence_Fast(args[1], "coordinates must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    const Py_ssize_t d = PySequence_Fast_GET_SIZE(seq);
+    PyObject *const *items = PySequence_Fast_ITEMS(seq);
+    double *x = d == ((Py_ssize_t)1 << n) ? PyMem_Malloc((size_t)d * sizeof(double)) : NULL;
+    PyObject *image = NULL;
+    if (x == NULL) {
+        if (d == ((Py_ssize_t)1 << n))
+            PyErr_NoMemory();
+        else
+            PyErr_Format(PyExc_ValueError, "%zd coordinates at level %zd", d, n);
+        goto done;
+    }
+    for (Py_ssize_t f = 0; f < d; f++) {
+        PyObject *v = PyNumber_Float(items[f]);
+        if (v == NULL)
+            goto done;
+        x[f] = PyFloat_AS_DOUBLE(v);
+        Py_DECREF(v);
+    }
+    for (Py_ssize_t L = 0, w = 1; L < n; L++, w *= 2) {
+        PyObject *diag = PyTuple_GET_ITEM(args[0], L);
+        if (!PyTuple_Check(diag)) {
+            PyErr_SetString(PyExc_TypeError, "a ladder level must be a tuple of floats");
+            goto done;
+        }
+        const Py_ssize_t m = PyTuple_GET_SIZE(diag);
+        if (m > w) {
+            PyErr_SetString(PyExc_IndexError, "list index out of range");
+            goto done;
+        }
+        for (Py_ssize_t t = 0; t < m; t++) {
+            const double D = PyFloat_AsDouble(PyTuple_GET_ITEM(diag, t));
+            if (D == -1.0 && PyErr_Occurred())
+                goto done;
+            for (Py_ssize_t i = t; i < d; i += 2 * w) {
+                const double a = x[i], p = D * x[i + w];
+                x[i] = a + p;
+                x[i + w] = a - p;
+            }
+        }
+    }
+    if ((image = PyTuple_New(d)) == NULL)
+        goto done;
+    for (Py_ssize_t f = 0; f < d; f++) {
+        PyObject *v = PyFloat_FromDouble(x[f]);
+        if (v == NULL) {
+            Py_CLEAR(image);
+            goto done;
+        }
+        PyTuple_SET_ITEM(image, f, v);
+    }
+done:
+    PyMem_Free(x);
+    Py_DECREF(seq);
+    return image;
+}
+
+#define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
+
+static PyMethodDef entries[] = {
+    ENTRY(state, "state(lower, upper, n): a fresh walker state for the box"),
+    ENTRY(count, "count(lower, upper, diag, n): the number of points in the box"),
+    ENTRY(fill, "fill(state, diag, n, K, X, start, stop): walk into rows start..stop-1"),
+    ENTRY(points, "points(state, diag, n, size, type): up to size points of the walk"),
+    ENTRY(map_nodes, "map_nodes(X, d, s, v, u, bound): cubature nodes in place"),
+    ENTRY(format_rows, "format_rows(X, d, precision, text): CSV rows into text"),
+    ENTRY(apply_generator, "apply_generator(levels, coords, n): the generator image"),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef walk_module = {
+    PyModuleDef_HEAD_INIT, "_walk", "The compiled walker of chebfrolov.enumeration.", 0, entries,
+    NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit__walk(void)
+{
+    return PyModule_Create(&walk_module);
 }

@@ -6,22 +6,27 @@ traversal runs that reduction in constant memory: nested integer loops over
 the coordinates of k, with partial generator images maintained by FFT-style
 butterfly merges keyed by the 2-adic valuation of the coordinate index.  It
 is written in C (``_walk.c``, table-driven: d, the ladder and the box are
-arguments), compiled with ``cc`` on first use, cached on disk and called
-through :mod:`ctypes`; importing the package compiles and loads nothing.
-For each prefix the innermost coordinate ranges over an integer run
-[lo, hi], which goes to one of two leaves:
+arguments), a CPython extension module that ``cc`` compiles with the
+interpreter's headers on first use, cached on disk and loaded as
+``chebfrolov._walk``, not through ctypes; importing the package compiles
+and loads nothing.  Its entry points take the box corners as tuples and
+every buffer through the buffer protocol and check each buffer's length.
+They release the GIL around every call of the C walk (a whole count, or
+one fill), so other threads run meanwhile.  For each prefix the innermost
+coordinate ranges over an integer run [lo, hi], which goes to one of two
+leaves:
 
-- A fill writes rows of k and x into one pair of int64 and float64
-  ``array.array`` buffers, each image finished by the last butterfly chain;
-  the walk stops when the buffers are full and resumes from its state
-  buffer for the next fill into the same pair.  ``_fill`` makes the walker
-  calls and yields each fill.  ``enumerate_batches`` copies each into
-  ``(K, X)`` numpy arrays; ``enumerate_stream`` turns it into Python lists,
-  without numpy, and groups them into one :class:`LatticePoint` per
-  consumer call.  A fill sets k_1..k_d in lexicographic order, mean-first:
-  the first half-block image lies between the half-means of the corners,
-  and once it is fixed the second is clamped to residual bounds with the
-  level diagonal divided out.
+- A fill writes rows of k and x, each image finished by the last butterfly
+  chain, and stops when its rows are full; the next resumes from the
+  walk's state buffer.  ``_fill`` fills one pair of int64 and float64
+  ``array.array`` buffers again and again and yields each fill;
+  ``enumerate_batches`` copies each into ``(K, X)`` numpy arrays.
+  ``enumerate_stream`` takes each fill as a list of ready
+  :class:`LatticePoint` objects from the module's ``points``, which fills
+  a scratch pair of its own, without numpy.  A fill sets k_1..k_d in
+  lexicographic order, mean-first: the first half-block image lies between
+  the half-means of the corners, and once it is fixed the second is clamped
+  to residual bounds with the level diagonal divided out.
 - ``count_points`` adds the run lengths.  A count sets k_d..k_1,
   difference-first: the second half-block image Y lies in
   ``[(l1 - u2) / 2D, (u1 - l2) / 2D]``, and once it is fixed the first is
@@ -37,18 +42,18 @@ All three entry points compute images with identical floating-point
 operations, so they keep the same points, and the images the stream and
 the batches emit agree bit-for-bit with :func:`apply_generator`, in the
 same lexicographic order of k.  :func:`apply_generator` runs the merge tree
-on one Python list, and the oracle's ``verify._images`` on many rows at
-once in numpy; both make the walker's operations in its order.  The
-bounds that prune the search differ: a count's are its own, and so is its
-slack.
+on one vector in the same module, and the oracle's ``verify._images`` on
+many rows at once in numpy; both make the walker's operations in its
+order.  The bounds that prune the search differ: a count's are its own, and
+so is its slack.
 A box with a corner beyond +-2**48, where the slack would reach a quarter
 in a fill and 2 in a count, or one that needs a coordinate beyond +-2**62
 is refused with ``ValueError``, unless it is empty (lower > upper in some
 coordinate).
 
-The same library holds ``map_nodes``, the node map of :func:`integrate`,
+The same module holds ``map_nodes``, the node map of :func:`integrate`,
 and ``format_rows``, the CSV text of the CLI's ``points``, called through
-``_map_nodes`` and ``_format_rows``: no other module loads the library.
+``_map_nodes`` and ``_format_rows``: no other module loads it.
 Numpy is imported only by ``enumerate_batches``, the one function that
 builds arrays, so counting, streaming, filling and :func:`apply_generator`
 run without it.
@@ -56,7 +61,6 @@ run without it.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import operator
 import os
@@ -109,11 +113,13 @@ Consumer = Callable[[LatticePoint], None]
 def apply_generator(ladder: DiagLadder, coords: Sequence[float]) -> tuple[float, ...]:
     """Apply the generator to a real vector via rounds of butterfly merges.
 
-    Runs the traversal's merge tree on one list of floats: round j maps each
-    pair of 2**(j-1)-blocks (A, Y) to (A + D*Y, A - D*Y), each entry as
+    Runs the traversal's merge tree on the vector, each coordinate taken as
+    ``float()`` takes it, in the walker's module: round j maps each pair of
+    2**(j-1)-blocks (A, Y) to (A + D*Y, A - D*Y), each entry as
     ``p = D[i] * y; a + p; a - p``.  These are the operations of the walker
     and of the oracle's row-wise ``verify._images``, so for integer coords
-    the result matches emitted point images bit-for-bit.
+    the result matches emitted point images bit-for-bit.  Any ladder values
+    are taken, including those the walker refuses.
     """
     d = len(coords)
     n = d.bit_length() - 1
@@ -121,17 +127,7 @@ def apply_generator(ladder: DiagLadder, coords: Sequence[float]) -> tuple[float,
         raise ValueError(f"vector length must be a power of two, got {d}")
     if ladder.depth < n:
         raise ValueError(f"ladder depth {ladder.depth} < required {n}")
-    x = list(map(float, coords))
-    w = 1
-    for diag in ladder.levels[:n]:
-        for start in range(0, d, 2 * w):
-            for i, D in enumerate(diag, start):
-                a = x[i]
-                p = D * x[i + w]
-                x[i] = a + p
-                x[i + w] = a - p
-        w *= 2
-    return tuple(x)
+    return _library().apply_generator(ladder.levels, coords, n)
 
 
 def enumerate_stream(
@@ -148,16 +144,17 @@ def enumerate_stream(
     ``_STREAM_ROWS`` rows, so memory does not grow with the number of
     emissions.
     """
-    d = level.d
-    new = tuple.__new__
+    lower, upper, diag, n = _prepare(level, box, ladder)
+    walker = _library()
+    state = walker.state(lower, upper, n)
     count = 0
-    for K, X in _fill(level, box, ladder):
-        count += len(K) // d
-        ks, xs = iter(K.tolist()), iter(X.tolist())
-        # d consecutive values per row; a LatticePoint without the Python frame of its __new__
-        for point in zip(zip(*[ks] * d), zip(*[xs] * d)):
-            consumer(new(LatticePoint, point))
-    return count
+    while True:
+        points = walker.points(state, diag, n, _STREAM_ROWS, LatticePoint)
+        count += len(points)
+        for point in points:
+            consumer(point)
+        if len(points) < _STREAM_ROWS:
+            return count
 
 
 def enumerate_batches(
@@ -194,14 +191,13 @@ def count_points(level: Level, box: Box, ladder: DiagLadder) -> int:
     innermost run of k_d is counted by its length, which is what makes large
     scales cheap.
     """
-    return _call(*_prepare(level, box, ladder), None, None, 0)
+    return _library().count(*_prepare(level, box, ladder))
 
 
-#: Rows per batch behind :func:`enumerate_stream`.  Each batch is turned
-#: into Python tuples at once, so this bounds the stream's memory (about
-#: 150 KB at d = 8); 128 to 1024 rows cost the same per point.  Its buffers
-#: start with ``_START_ROWS`` rows like any other, so an empty or small box
-#: allocates 2 * 64 * d values.
+#: Points per fill of :func:`enumerate_stream`, and rows per fill of
+#: ``_fill`` by default.  A fill is held as Python objects at once, so this
+#: bounds the stream's memory (about 150 KB at d = 8); 128 to 1024 rows
+#: cost the same per point.
 _STREAM_ROWS = 256
 
 #: Rows the buffer pair of a walk starts with (see :func:`_fill`).
@@ -214,8 +210,10 @@ _START_ROWS = 64
 _INT64 = array("q", [0])
 _FLOAT64 = array("d", [0.0])
 
-#: How the walker is built: no option changes it.  ``-ffp-contract=off``
-#: keeps every multiply and add a separately rounded IEEE operation.
+#: How the walker is built, before the include flags of the interpreter's
+#: headers (see :func:`_build_command`): no option changes it.
+#: ``-ffp-contract=off`` keeps every multiply and add a separately rounded
+#: IEEE operation.
 _CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
@@ -223,17 +221,15 @@ def _prepare(level, box, ladder):
     """Check an entry point's arguments; return the walker's fixed arguments.
 
     The box must have the lattice dimension and the ladder must reach the
-    level.  The result is (state, n, diagonals): a fresh state buffer that
-    starts with the box corners, and the ladder's flat diagonal buffer.
+    level.  The result is (lower, upper, diagonals, n): the box corners and
+    the ladder's flat diagonal buffer.
     """
     if box.dimension != level.d:
         raise ValueError(f"box dimension {box.dimension} != lattice dimension {level.d}")
     if ladder.depth < level.n:
         raise ValueError(f"ladder depth {ladder.depth} < level {level.n}")
     n = level.n
-    state = _state_type(n)()
-    state[: 2 * level.d] = box.lower + box.upper
-    return state, n, _diagonals(ladder, n)
+    return box.lower, box.upper, _diagonals(ladder, n), n
 
 
 def _fill(level, box, ladder, size=_STREAM_ROWS):
@@ -245,31 +241,29 @@ def _fill(level, box, ladder, size=_STREAM_ROWS):
     finishes with one before it asks for the next.  The pair starts with at
     most ``_START_ROWS`` rows and doubles, up to ``size``, only while the
     first fill is written: a huge ``size`` costs at most twice the rows
-    written, and no buffer is resized once a view of it is out.  The walker
-    gets the addresses from ``buffer_info``: ``ndarray.ctypes`` leaves
-    reference cycles behind, which made a stream's peak memory drift.
+    written, and no buffer is resized once a view of it is out.
     """
-    walk = _prepare(level, box, ladder)
+    lower, upper, diag, n = _prepare(level, box, ladder)
     size = operator.index(size)
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
-    return _fills(walk, level.d, size)
+    return _fills(_library().state(lower, upper, n), diag, n, size)
 
 
-def _fills(walk, d, size):
+def _fills(state, diag, n, size):
     """The generator behind :func:`_fill`."""
+    fill = _library().fill
+    d = 1 << n
     capacity = min(size, _START_ROWS)
     K = _INT64 * (capacity * d)
     X = _FLOAT64 * (capacity * d)
-    K0, X0, row = K.buffer_info()[0], X.buffer_info()[0], d * K.itemsize
     rows = 0
     while True:
-        rows += _call(*walk, K0 + rows * row, X0 + rows * row, capacity - rows)
+        rows = fill(state, diag, n, K, X, rows, capacity)
         if rows == capacity < size:  # the first fill outgrew the pair
             more = min(capacity, size - capacity)
             K += _INT64 * (more * d)
             X += _FLOAT64 * (more * d)
-            K0, X0 = K.buffer_info()[0], X.buffer_info()[0]
             capacity += more
             continue
         if rows:
@@ -284,86 +278,60 @@ def _map_nodes(X, d, shrink, v, u, bound):
     buffer X in place to shrink * x, or to shrink * (x + v) / u where the
     float64 arrays v and u are given; return the index of the first node
     beyond +-bound, or -1."""
-    if v is not None:
-        v, u = v.buffer_info()[0], u.buffer_info()[0]
-    return _library().map_nodes(_address(X), len(X), d, shrink, v, u, bound)
+    return _library().map_nodes(X, d, shrink, v, u, bound)
 
 
 def _format_rows(X, d, precision, text):
     """``format_rows`` of ``_walk.c``: write the rows of d values of the
     float64 buffer X into the bytearray ``text`` as CSV (a value and its
     separator take at most ``precision + 8`` bytes); return the bytes written."""
-    size = _library().format_rows(_address(X), len(X), d, precision, _address(text), len(text))
-    if size < 0:
-        raise RuntimeError("format_rows could not write a fill as CSV text")
-    return size
-
-
-def _address(buffer):
-    """The address of a writable buffer's first byte."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(buffer))
-
-
-def _call(state, n, diag, K, X, size):
-    """One walker call; raises ``ValueError`` where the walk cannot go on.
-
-    The negative results are the ``WALK_RANGE`` and ``WALK_OVERFLOW`` codes
-    of ``_walk.c``.
-    """
-    result = _library().walk(state, n, diag, K, X, size)
-    if result < 0:
-        raise ValueError(
-            "the box is too large or too far from the origin: it has a corner"
-            " beyond +-2**48 or needs lattice coordinates beyond +-2**62"
-            if result == -1
-            else "the point count exceeds 2**63 - 1"
-        )
-    return result
-
-
-@lru_cache(maxsize=None)
-def _state_type(n):
-    """The ctypes array type of the walker's state at level n."""
-    return ctypes.c_double * _library().walk_state_len(n)
+    return _library().format_rows(X, d, precision, text)
 
 
 @lru_cache(maxsize=64)
 def _diagonals(ladder, n):
-    """Levels 0..n-1 of the ladder as one flat buffer: level L at 2**L - 1.
+    """Levels 0..n-1 of the ladder as one flat float64 buffer: level L at 2**L - 1.
 
     Keyed by the ladder, which caches its hash, so a call with a ladder seen
     before hashes none of its entries.
     """
-    flat = [v for level in ladder.levels[:n] for v in level]
+    for L, level in enumerate(ladder.levels[:n]):
+        if len(level) != 1 << L:
+            raise ValueError(f"ladder level {L} must hold {1 << L} entries, got {len(level)}")
+    flat = array("d", [v for level in ladder.levels[:n] for v in level])
     for v in flat:  # the walker divides bounds by them: only positive ones keep lower <= upper
         if not 0.0 < v < math.inf:
             raise ValueError(f"ladder entries must be positive and finite, got {v!r}")
-    return (ctypes.c_double * len(flat))(*flat)
+    return flat
 
 
 @lru_cache(maxsize=None)
 def _library():
-    """The compiled walker, built from ``_walk.c`` on first use.
+    """The walker's extension module ``chebfrolov._walk``, built from ``_walk.c`` on first use.
 
-    The library is cached as ``__pycache__/_walk-<digest>.so`` beside this
+    The module is cached as ``__pycache__/_walk-<digest>.so`` beside this
     module, keyed by the source, the compile command, the interpreter's
-    cache tag and the machine (``os.uname().machine``, the string
-    ``platform.machine()`` gives on POSIX, without importing ``platform``).
+    cache tag and extension suffix, which names its ABI, and the machine
+    (``os.uname().machine``, the string ``platform.machine()`` gives on
+    POSIX, without importing ``platform``).  The include directories are
+    not in the key: :mod:`sysconfig` is imported only to build it.
     The digest is the keyed 64-bit hash of
     hash-based ``.pyc`` files (:func:`importlib.util.source_hash`), not
     SHA-256: ``hashlib`` loads OpenSSL, which adds 3.4 MB of resident memory
     to every process that counts.  It is compiled to a temporary name and moved
     into place, so concurrent processes may race to build it.  Where that
     directory is not writable, it is built in a private temporary directory,
-    which is removed once the library is loaded.
+    which is removed once the module is loaded.
     """
+    import importlib.machinery
     import importlib.util
     import tempfile
     from pathlib import Path
 
     source = Path(__file__).with_name("_walk.c")
-    key = [source.read_bytes(), " ".join(_CC).encode()]
-    key += [sys.implementation.cache_tag.encode(), os.uname().machine.encode()]
+    abi = importlib.machinery.EXTENSION_SUFFIXES[0]
+    key = [source.read_bytes(), " ".join(_CC).encode(), sys.implementation.cache_tag.encode()]
+    key += [abi.encode(), os.uname().machine.encode()]
     digest = importlib.util.source_hash(b"\0".join(key)).hex()
     name = f"_walk-{digest}.so"
     path = source.parent / "__pycache__" / name
@@ -383,29 +351,33 @@ def _library():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    lib = ctypes.CDLL(str(path))
-    if private:  # a loaded library no longer needs its file
+    loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._walk", str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(loader.name, path, loader=loader)
+    )
+    loader.exec_module(module)
+    if private:  # a loaded module no longer needs its file
         os.unlink(path)
         os.rmdir(path.parent)
-    ptr = ctypes.c_void_p
-    lib.walk.argtypes = (ptr, ctypes.c_int, ptr, ptr, ptr, ctypes.c_int64)
-    lib.walk.restype = ctypes.c_int64
-    lib.walk_state_len.argtypes = (ctypes.c_int,)
-    lib.walk_state_len.restype = ctypes.c_int64
-    i64, f64 = ctypes.c_int64, ctypes.c_double
-    lib.map_nodes.argtypes = (ptr, i64, i64, f64, ptr, ptr, f64)
-    lib.map_nodes.restype = i64
-    lib.format_rows.argtypes = (ptr, i64, i64, ctypes.c_int, ptr, i64)
-    lib.format_rows.restype = i64
-    return lib
+    return module
+
+
+def _build_command(source, target):
+    """The compile command of the walker: ``_CC``, the interpreter's include
+    directories and the files."""
+    import sysconfig
+
+    includes = dict.fromkeys(sysconfig.get_path(name) for name in ("include", "platinclude"))
+    return [*_CC, *(f"-I{path}" for path in includes), "-o", str(target), str(source)]
 
 
 def _compile(source, target):
-    """Compile the walker; ``RuntimeError`` with the compiler's words if it fails."""
+    """Compile the walker; ``RuntimeError`` with the compiler's words if it fails,
+    such as a missing ``Python.h``."""
     import subprocess
 
     try:
-        proc = subprocess.run([*_CC, "-o", str(target), str(source)], capture_output=True, text=True)
+        proc = subprocess.run(_build_command(source, target), capture_output=True, text=True)
     except OSError as exc:
         raise RuntimeError(f"cannot run the C compiler {_CC[0]!r}: {exc}") from exc
     if proc.returncode != 0:

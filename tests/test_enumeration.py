@@ -4,10 +4,13 @@ import math
 import os
 import random
 import shutil
+import struct
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,7 @@ from chebfrolov import (
 )
 from chebfrolov.lattice import build_generator_matrix
 from chebfrolov import enumeration
-from chebfrolov.enumeration import _CC, _library
+from chebfrolov.enumeration import _library
 from chebfrolov.verify import _clamp_bounds, _images, _interval_mean, recursive_enumerate
 
 SQRT2 = math.sqrt(2.0)
@@ -132,7 +135,91 @@ class TestClampBounds:
             _clamp_bounds(1, (0.0, 0.0), (0.0,) * 4, (1.0,) * 4, ladder)
 
 
+def reference_apply_generator(ladder, coords):
+    """``apply_generator`` as a Python loop over a list, the reference of the
+    compiled one: the same checks, and the same merges in the same order."""
+    d = len(coords)
+    n = d.bit_length() - 1
+    if d <= 0 or (1 << n) != d:
+        raise ValueError(f"vector length must be a power of two, got {d}")
+    if ladder.depth < n:
+        raise ValueError(f"ladder depth {ladder.depth} < required {n}")
+    x = list(map(float, coords))
+    w = 1
+    for diag in ladder.levels[:n]:
+        for start in range(0, d, 2 * w):
+            for i, D in enumerate(diag, start):
+                a = x[i]
+                p = D * x[i + w]
+                x[i] = a + p
+                x[i + w] = a - p
+        w *= 2
+    return tuple(x)
+
+
+def outcome(fn, *args):
+    """The bytes of a tuple of floats ``fn`` returns, or the type and text of what it raises.
+
+    Every NaN is packed as the one NaN ``math.nan``: IEEE 754 leaves the sign
+    and payload of the NaN of inf - inf or 0 * inf to the hardware and to
+    the operand order a compiler picks for ``a + b``, which may differ
+    between the interpreter's float operations and the module's.
+    """
+    try:
+        x = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(x), struct.pack(f"{len(x)}d", *(math.nan if v != v else v for v in x))
+
+
+#: Coordinates ``float()`` takes or refuses: every real, ints past the
+#: float range, and strings.
+COORDINATES = st.one_of(
+    st.floats(),
+    st.integers(-(2**1100), 2**1100),
+    st.sampled_from(["1.5", " -2e300 ", "nan", "-inf", "x", ""]),
+)
+
+
 class TestApplyGenerator:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 6), extra=st.integers(0, 2))
+    def test_matches_the_python_loop_bit_for_bit(self, data, n, extra):
+        # any ladder values, those the walker refuses included, and any coordinates
+        levels = [
+            data.draw(st.lists(st.floats(), min_size=1 << L, max_size=1 << L))
+            for L in range(n + extra)
+        ]
+        ladder = DiagLadder(levels)
+        coords = data.draw(st.lists(COORDINATES, min_size=1 << n, max_size=1 << n))
+        assert outcome(apply_generator, ladder, coords) == outcome(
+            reference_apply_generator, ladder, coords
+        )
+
+    def test_matches_the_python_loop_on_any_input(self):
+        ladder = build_diag_ladder(Level(3))
+        rng = random.Random(7)
+        v = [rng.uniform(-9, 9) for _ in range(8)]
+        shorter = DiagLadder(ladder.levels[:2] + (ladder.levels[2][:3],))
+        longer = DiagLadder(ladder.levels[:1] + (ladder.levels[1] + (0.5,),) + ladder.levels[2:])
+        cases = [
+            (ladder, v),
+            (ladder, tuple(v)),
+            (ladder, np.array(v)),
+            (ladder, "12345678"),
+            (ladder, v[:4]),
+            (ladder, v[:3]),
+            (ladder, []),
+            (DiagLadder(ladder.levels[:2]), v),
+            (shorter, v),  # a level with fewer entries than its blocks merges those only
+            (longer, v),  # and one with more raises IndexError
+            (ladder, v[:7] + [None]),
+            (ladder, v[:7] + [10**400]),
+        ]
+        for args in cases:
+            assert outcome(apply_generator, *args) == outcome(reference_apply_generator, *args)
+        assert outcome(apply_generator, longer, v)[0] is IndexError
+
     @pytest.mark.parametrize("n", range(7))
     def test_matches_dense_matrix(self, n):
         rng = random.Random(n + 100)
@@ -340,9 +427,10 @@ subprocess.Popen.__init__ = init
 
 
 #: Modules that importing the CLI or counting through it must not load: the
-#: imports of ``dataclasses`` (``inspect`` among them), ``platform``, and the
-#: verification module, which only ``verify`` and ``table`` need.
-HEAVY_MODULES = {"dataclasses", "inspect", "platform", "chebfrolov.verify"}
+#: imports of ``dataclasses`` (``inspect`` among them), ``platform``,
+#: ``ctypes``, and the verification module, which only ``verify`` and
+#: ``table`` need.
+HEAVY_MODULES = {"dataclasses", "inspect", "platform", "ctypes", "chebfrolov.verify"}
 
 
 #: The package's names: the enumerators, the cubature rule and what they
@@ -435,11 +523,11 @@ class TestKernels:
             "level = cf.Level(3)\n"
             "box = cf.Box.symmetric(3.0, level.d)\n"
             "print(cf.count_points(level, box, cf.build_diag_ladder(level)),"
-            " e._library()._name, len(started))"
+            " e._library().__file__, len(started))"
         )
         count, path, _ = run_child(code)  # builds the library unless it is cached
         assert count == "63"
-        assert path == _library()._name
+        assert path == _library().__file__
         mtime = os.stat(path).st_mtime_ns
         assert run_child(code) == ["63", path, "0"]
         assert os.stat(path).st_mtime_ns == mtime
@@ -467,12 +555,134 @@ class TestKernels:
         assert proc.stdout.split() == ["True"]
         assert not list((copy / "__pycache__").glob("_walk*")), "a partial build was left behind"
 
+    def test_missing_python_headers_raise_runtime_error(self, tmp_path):
+        # an interpreter installed without its headers: the include directories are empty
+        package = Path(chebfrolov.__file__).resolve().parent
+        shutil.copytree(package, tmp_path / "chebfrolov", ignore=shutil.ignore_patterns("__pycache__"))
+        empty = tmp_path / "include"
+        empty.mkdir()
+        code = (
+            "import sysconfig\n"
+            f"sysconfig.get_path = lambda name: {str(empty)!r}\n"
+            "import chebfrolov as cf\n"
+            "try:\n"
+            "    cf.count_points(cf.Level(1), cf.Box.symmetric(1.0, 2), cf.build_diag_ladder(cf.Level(1)))\n"
+            "except RuntimeError as exc:\n"
+            "    print('Python.h' in str(exc))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.stdout.split() == ["True"], proc.stderr
+
+    def test_walker_releases_the_gil(self):
+        # a count of about 0.2 s in a thread; a loop in this thread stamps
+        # the time meanwhile.  A walk that kept the GIL would let stamps in
+        # only at the edges of the call, within a switch interval (5 ms).
+        level = Level(5)
+        ladder = build_diag_ladder(level)
+        box = cubature_box(5, 2**12)
+        count_points(level, Box.symmetric(0.1, level.d), ladder)  # build and load outside the timing
+        call = []
+
+        def run():
+            start = time.perf_counter()
+            call.append(count_points(level, box, ladder))
+            call.extend((start, time.perf_counter()))
+
+        thread = threading.Thread(target=run)
+        stamps = []
+        thread.start()
+        while thread.is_alive():
+            stamps.append(time.perf_counter())
+            time.sleep(0.001)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        count, start, end = call
+        assert count == 88645
+        quarter = (end - start) / 4
+        assert quarter > 0.01
+        assert any(start + quarter < t < end - quarter for t in stamps)
+
+    def test_entry_points_refuse_short_buffers_without_writing(self):
+        walker = _library()
+        level = Level(2)
+        d = level.d
+        ladder = build_diag_ladder(level)
+        lower, upper, diag, n = enumeration._prepare(level, Box.symmetric(3.0, d), ladder)
+        state = walker.state(lower, upper, n)
+        K, X = array("q", [7]) * (4 * d), array("d", [7.0]) * (4 * d)
+        v, u = array("d", [0.25] * d), array("d", [1.0] * d)
+        text = bytearray(b"?" * (4 * d * 25))
+        buffers = (state, K, X, v, u, text)
+        before = [bytes(b) for b in buffers]
+        # views one value short of what each call asks for: a write would show in the buffer
+        state_, K_, X_, v_, u_, text_ = map(memoryview, buffers)
+        refusals = [
+            lambda: walker.fill(state_[:-8], diag, n, K, X, 0, 4),
+            lambda: walker.fill(state, diag, n, K_[: 4 * d - 1], X, 0, 4),
+            lambda: walker.fill(state, diag, n, K, X_[: 4 * d - 1], 0, 4),
+            lambda: walker.fill(state, diag, n, K, X, 0, 5),
+            lambda: walker.points(state_[:-8], diag, n, 4, LatticePoint),
+            lambda: walker.map_nodes(X, d, 0.5, v_[:-1], u, 1.0),
+            lambda: walker.map_nodes(X, d, 0.5, v, u_[:-1], 1.0),
+            lambda: walker.map_nodes(X_[:-1], d, 0.5, v, u, 1.0),
+            lambda: walker.format_rows(X, d, 17, text_[:-1]),
+            lambda: walker.format_rows(X_[:-1], d, 17, text),
+        ]
+        for refusal in refusals:
+            with pytest.raises(ValueError):
+                refusal()
+        assert [bytes(b) for b in buffers] == before
+        # the same calls with the full buffers write them
+        assert walker.fill(state, diag, n, K, X, 0, 4) == 4
+        assert walker.map_nodes(X, d, 0.5, v, u, 1e9) == -1
+        assert walker.format_rows(X, d, 17, text) > 0
+        assert [bytes(b) for b in buffers] != before
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_interleaved_walks_stay_independent(self, n):
+        # each walk resumes from its own state only
+        level = Level(n)
+        ladder = build_diag_ladder(level)
+        rng = random.Random(300 + n)
+        boxes = []
+        for _ in range(2):
+            x = apply_generator(ladder, [rng.randint(-3, 3) for _ in range(level.d)])
+            r = rng.uniform(3.0, 3.5)
+            boxes.append(Box(tuple(v - r for v in x), tuple(v + r for v in x)))
+        walks = list(zip(boxes, (1, 7)))
+
+        def rows(fill):
+            K, X = fill
+            return K.tolist(), X.tolist()
+
+        alone = [[rows(f) for f in enumeration._fill(level, box, ladder, size)] for box, size in walks]
+        assert all(len(fills) > 1 for fills in alone)
+        together = [[], []]
+        fills = [enumeration._fill(level, box, ladder, size) for box, size in walks]
+        while fills[0] or fills[1]:
+            for j, walk in enumerate(fills):
+                if walk is not None:
+                    fill = next(walk, None)
+                    if fill is None:
+                        fills[j] = None
+                    else:
+                        together[j].append(rows(fill))
+        assert together == alone
+
     def test_walker_compiles_without_warnings(self, tmp_path):
         # the build's own command: some warnings (-Wmaybe-uninitialized) come
         # only from the optimiser's analysis
         source = Path(chebfrolov.__file__).with_name("_walk.c")
+        cc, *flags = enumeration._build_command(source, tmp_path / "walk.so")
+        assert any(flag.startswith("-I") for flag in flags)
         proc = subprocess.run(
-            [*_CC, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "walk.so"), str(source)],
+            [cc, "-Wall", "-Wextra", "-Werror", *flags],
             capture_output=True,
             text=True,
             timeout=60,
@@ -503,6 +713,10 @@ class TestKernels:
                 count_points(small, small_box, broken)
             with pytest.raises(ValueError, match="positive"):
                 enumerate_batches(small, small_box, broken)
+        # a level of the wrong length would misplace the walker's diagonals
+        for levels in (ladder.levels[:1] + ((1.0,),), ladder.levels[:1] + ((1.0, 1.5, 2.0),)):
+            with pytest.raises(ValueError, match="level 1 must hold 2 entries"):
+                count_points(Level(2), Box.symmetric(3.0, 4), DiagLadder(levels))
 
     def test_diagonal_buffer_is_cached_by_ladder(self):
         level = Level(4)
