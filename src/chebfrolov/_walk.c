@@ -3,13 +3,15 @@
  * The CPython extension module chebfrolov._walk, built on first use by
  * chebfrolov.enumeration (cc -O2 -ffp-contract=off, with the interpreter's
  * headers) and cached on disk.  One module serves every level n and ladder:
- * both arrive as arguments.  Its core is three C functions: walk, the
+ * both arrive as arguments, the ladder as the flat buffer of its diagonals
+ * (level L from 2^L - 1), whose entries chebfrolov.lattice.DiagLadder has
+ * checked positive and finite.  Its core is three C functions: walk, the
  * traversal; map_nodes, which maps filled images to cubature nodes in place;
  * and format_rows, which writes filled images as CSV text (see their
  * comments below).  The CPython entry points at the end, the module's only
  * interface (nothing loads it through ctypes), wrap them, check the length
  * of every buffer they are given, and run walk with the GIL released;
- * apply_generator is one more.
+ * apply_generator, one more, runs walk's merge on one vector.
  *
  * At every block the image is (A + D Y, A - D Y), A and Y the images of its
  * halves and D the diagonal one level down, so a box [l, u] on the block
@@ -721,79 +723,57 @@ static PyObject *py_format_rows(PyObject *Py_UNUSED(module), PyObject *const *ar
     return PyErr_Occurred() ? NULL : PyLong_FromLongLong(size);
 }
 
-/* apply_generator(levels, coords, n): the generator image of the 2^n reals
- * coords (each taken as float() takes it) under the ladder levels, a tuple
- * of tuples of floats: round j maps each pair of 2^(j-1)-blocks (A, Y) to
- * (A + D Y, A - D Y), D = levels[j - 1], each entry as p = D y; a + p;
- * a - p, the merges of walk.  A level shorter than its blocks merges its
- * first entries only, and a longer one raises IndexError, as the loop over
- * a Python list of the reference does. */
+/* apply_generator(diag, coords, n): the generator image of the 2^n reals
+ * coords (each taken as float() takes it) under the flat diagonals diag,
+ * made by walk's merges in the order in which a fill sets the coordinates.
+ * The levels alternate between two vectors on the stack: a merge reads
+ * level j - 1 of its block only, which no merge has overwritten yet. */
 static PyObject *py_apply_generator(PyObject *Py_UNUSED(module), PyObject *const *args,
                                     Py_ssize_t nargs)
 {
     Py_ssize_t n;
-    if (check_nargs("apply_generator", nargs, 3) < 0 || (n = int_arg(args[2], "level", 0, 62)) < 0)
+    Py_buffer diag;
+    if (check_nargs("apply_generator", nargs, 3) < 0
+        || (n = int_arg(args[2], "level", 0, LEVEL_LIMIT)) < 0
+        || values(args[0], &diag, 0, ((Py_ssize_t)1 << n) - 1, "the diagonals") < 0)
         return NULL;
-    if (!PyTuple_Check(args[0]) || PyTuple_GET_SIZE(args[0]) < n) {
-        PyErr_Format(PyExc_ValueError, "the ladder levels must be a tuple of %zd or more", n);
-        return NULL;
+    const Py_ssize_t d = (Py_ssize_t)1 << n;
+    double v[2][SCRATCH], *a[LEVEL_LIMIT + 1];
+    const double *D[LEVEL_LIMIT + 1];
+    for (int L = 0; L <= n; L++) {
+        a[L] = v[L & 1];
+        D[L] = (const double *)diag.buf + ((Py_ssize_t)1 << L) - 1;
     }
-    PyObject *seq = PySequence_Fast(args[1], "coordinates must be a sequence");
+    PyObject *image = NULL, *seq = PySequence_Fast(args[1], "coordinates must be a sequence");
     if (seq == NULL)
-        return NULL;
-    const Py_ssize_t d = PySequence_Fast_GET_SIZE(seq);
-    PyObject *const *items = PySequence_Fast_ITEMS(seq);
-    double *x = d == ((Py_ssize_t)1 << n) ? PyMem_Malloc((size_t)d * sizeof(double)) : NULL;
-    PyObject *image = NULL;
-    if (x == NULL) {
-        if (d == ((Py_ssize_t)1 << n))
-            PyErr_NoMemory();
-        else
-            PyErr_Format(PyExc_ValueError, "%zd coordinates at level %zd", d, n);
+        goto done;
+    if (PySequence_Fast_GET_SIZE(seq) != d) {
+        PyErr_Format(PyExc_ValueError, "%zd coordinates at level %zd",
+                     PySequence_Fast_GET_SIZE(seq), n);
         goto done;
     }
     for (Py_ssize_t f = 0; f < d; f++) {
-        PyObject *v = PyNumber_Float(items[f]);
-        if (v == NULL)
+        PyObject *x = PyNumber_Float(PySequence_Fast_GET_ITEM(seq, f));
+        if (x == NULL)
             goto done;
-        x[f] = PyFloat_AS_DOUBLE(v);
-        Py_DECREF(v);
+        a[0][f] = PyFloat_AS_DOUBLE(x);
+        Py_DECREF(x);
     }
-    for (Py_ssize_t L = 0, w = 1; L < n; L++, w *= 2) {
-        PyObject *diag = PyTuple_GET_ITEM(args[0], L);
-        if (!PyTuple_Check(diag)) {
-            PyErr_SetString(PyExc_TypeError, "a ladder level must be a tuple of floats");
-            goto done;
-        }
-        const Py_ssize_t m = PyTuple_GET_SIZE(diag);
-        if (m > w) {
-            PyErr_SetString(PyExc_IndexError, "list index out of range");
-            goto done;
-        }
-        for (Py_ssize_t t = 0; t < m; t++) {
-            const double D = PyFloat_AsDouble(PyTuple_GET_ITEM(diag, t));
-            if (D == -1.0 && PyErr_Occurred())
-                goto done;
-            for (Py_ssize_t i = t; i < d; i += 2 * w) {
-                const double a = x[i], p = D * x[i + w];
-                x[i] = a + p;
-                x[i + w] = a - p;
-            }
-        }
-    }
+    for (Py_ssize_t p = 1; p < d; p += 2)
+        merge(a, D, p, __builtin_ctzll((unsigned long long)p + 1));
     if ((image = PyTuple_New(d)) == NULL)
         goto done;
     for (Py_ssize_t f = 0; f < d; f++) {
-        PyObject *v = PyFloat_FromDouble(x[f]);
-        if (v == NULL) {
+        PyObject *x = PyFloat_FromDouble(a[n][f]);
+        if (x == NULL) {
             Py_CLEAR(image);
             goto done;
         }
-        PyTuple_SET_ITEM(image, f, v);
+        PyTuple_SET_ITEM(image, f, x);
     }
 done:
-    PyMem_Free(x);
-    Py_DECREF(seq);
+    Py_XDECREF(seq);
+    PyBuffer_Release(&diag);
     return image;
 }
 
@@ -806,7 +786,7 @@ static PyMethodDef entries[] = {
     ENTRY(points, "points(state, diag, n, size, type): up to size points of the walk"),
     ENTRY(map_nodes, "map_nodes(X, d, s, v, u, bound): cubature nodes in place"),
     ENTRY(format_rows, "format_rows(X, d, precision, text): CSV rows into text"),
-    ENTRY(apply_generator, "apply_generator(levels, coords, n): the generator image"),
+    ENTRY(apply_generator, "apply_generator(diag, coords, n): the generator image"),
     {NULL, NULL, 0, NULL},
 };
 

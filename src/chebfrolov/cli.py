@@ -31,6 +31,7 @@ import contextlib
 import itertools
 import json
 import math
+import re
 import sys
 import time
 from typing import Callable, Iterator, Sequence, TextIO
@@ -307,8 +308,17 @@ def _add_common_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write output to FILE instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, taking ``-1e-05`` and ``-2E1`` for values: its own
+    pattern of a negative number has no exponent in CPython 3.11."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)  # subparsers are of this class too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chebfrolov",
         description="Lattice point counting/enumeration and lattice-rule cubature.",
     )

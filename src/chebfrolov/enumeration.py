@@ -11,6 +11,8 @@ interpreter's headers on first use, cached on disk and loaded as
 ``chebfrolov._walk``, not through ctypes; importing the package compiles
 and loads nothing.  Its entry points take the box corners as tuples and
 every buffer through the buffer protocol and check each buffer's length.
+The ladder is one of those buffers: :class:`DiagLadder` checks its levels
+once, when it is made, and keeps them flat, level L from offset 2**L - 1.
 They release the GIL around every call of the C walk (a whole count, or
 one fill), so other threads run meanwhile.  For each prefix the innermost
 coordinate ranges over an integer run [lo, hi], which goes to one of two
@@ -41,11 +43,11 @@ images are in the box (see the header of ``_walk.c``).
 All three entry points compute images with identical floating-point
 operations, so they keep the same points, and the images the stream and
 the batches emit agree bit-for-bit with :func:`apply_generator`, in the
-same lexicographic order of k.  :func:`apply_generator` runs the merge tree
-on one vector in the same module, and the oracle's ``verify._images`` on
-many rows at once in numpy; both make the walker's operations in its
-order.  The bounds that prune the search differ: a count's are its own, and
-so is its slack.
+same lexicographic order of k.  :func:`apply_generator` runs the walk's
+own merges on one vector in the same module, and the oracle's
+``verify._images`` runs the merge tree on many rows at once in numpy;
+both make the walker's operations.  The bounds that prune the search
+differ: a count's are its own, and so is its slack.
 A box with a corner beyond +-2**48, where the slack would reach a quarter
 in a fill and 2 in a count, or one that needs a coordinate beyond +-2**62
 is refused with ``ValueError``, unless it is empty (lower > upper in some
@@ -118,8 +120,8 @@ def apply_generator(ladder: DiagLadder, coords: Sequence[float]) -> tuple[float,
     2**(j-1)-blocks (A, Y) to (A + D*Y, A - D*Y), each entry as
     ``p = D[i] * y; a + p; a - p``.  These are the operations of the walker
     and of the oracle's row-wise ``verify._images``, so for integer coords
-    the result matches emitted point images bit-for-bit.  Any ladder values
-    are taken, including those the walker refuses.
+    the result matches emitted point images bit-for-bit.  The diagonals are
+    the ladder's flat buffer, the one the walker reads.
     """
     d = len(coords)
     n = d.bit_length() - 1
@@ -127,7 +129,7 @@ def apply_generator(ladder: DiagLadder, coords: Sequence[float]) -> tuple[float,
         raise ValueError(f"vector length must be a power of two, got {d}")
     if ladder.depth < n:
         raise ValueError(f"ladder depth {ladder.depth} < required {n}")
-    return _library().apply_generator(ladder.levels, coords, n)
+    return _library().apply_generator(ladder._flat, coords, n)
 
 
 def enumerate_stream(
@@ -222,14 +224,14 @@ def _prepare(level, box, ladder):
 
     The box must have the lattice dimension and the ladder must reach the
     level.  The result is (lower, upper, diagonals, n): the box corners and
-    the ladder's flat diagonal buffer.
+    the ladder's flat diagonal buffer, whose first 2**n - 1 values the
+    walker reads.
     """
     if box.dimension != level.d:
         raise ValueError(f"box dimension {box.dimension} != lattice dimension {level.d}")
     if ladder.depth < level.n:
         raise ValueError(f"ladder depth {ladder.depth} < level {level.n}")
-    n = level.n
-    return box.lower, box.upper, _diagonals(ladder, n), n
+    return box.lower, box.upper, ladder._flat, level.n
 
 
 def _fill(level, box, ladder, size=_STREAM_ROWS):
@@ -288,41 +290,27 @@ def _format_rows(X, d, precision, text):
     return _library().format_rows(X, d, precision, text)
 
 
-@lru_cache(maxsize=64)
-def _diagonals(ladder, n):
-    """Levels 0..n-1 of the ladder as one flat float64 buffer: level L at 2**L - 1.
-
-    Keyed by the ladder, which caches its hash, so a call with a ladder seen
-    before hashes none of its entries.
-    """
-    for L, level in enumerate(ladder.levels[:n]):
-        if len(level) != 1 << L:
-            raise ValueError(f"ladder level {L} must hold {1 << L} entries, got {len(level)}")
-    flat = array("d", [v for level in ladder.levels[:n] for v in level])
-    for v in flat:  # the walker divides bounds by them: only positive ones keep lower <= upper
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"ladder entries must be positive and finite, got {v!r}")
-    return flat
-
-
 @lru_cache(maxsize=None)
 def _library():
     """The walker's extension module ``chebfrolov._walk``, built from ``_walk.c`` on first use.
 
-    The module is cached as ``__pycache__/_walk-<digest>.so`` beside this
-    module, keyed by the source, the compile command, the interpreter's
-    cache tag and extension suffix, which names its ABI, and the machine
+    The module is cached as ``__pycache__/_walk-<tag>-<digest>.so`` beside
+    this module, ``<tag>`` the interpreter's cache tag (``cpython-311``).
+    The digest covers the source, the compile command, the cache tag and
+    extension suffix, which names the ABI, and the machine
     (``os.uname().machine``, the string ``platform.machine()`` gives on
-    POSIX, without importing ``platform``).  The include directories are
-    not in the key: :mod:`sysconfig` is imported only to build it.
-    The digest is the keyed 64-bit hash of
-    hash-based ``.pyc`` files (:func:`importlib.util.source_hash`), not
-    SHA-256: ``hashlib`` loads OpenSSL, which adds 3.4 MB of resident memory
-    to every process that counts.  It is compiled to a temporary name and moved
-    into place, so concurrent processes may race to build it.  Where that
+    POSIX, without importing ``platform``), but not the include directories:
+    :mod:`sysconfig` is imported only to build it.  The digest is the keyed
+    64-bit hash of hash-based ``.pyc`` files (:func:`importlib.util.source_hash`),
+    not SHA-256: ``hashlib`` loads OpenSSL, which adds 3.4 MB of resident
+    memory to every process that counts.  The module is compiled to a
+    temporary name and moved into place, so concurrent processes may race to
+    build it; then the other builds of its tag, which edits of the source
+    left, are removed, and those of other interpreters stay.  Where that
     directory is not writable, it is built in a private temporary directory,
     which is removed once the module is loaded.
     """
+    import contextlib
     import importlib.machinery
     import importlib.util
     import tempfile
@@ -330,10 +318,11 @@ def _library():
 
     source = Path(__file__).with_name("_walk.c")
     abi = importlib.machinery.EXTENSION_SUFFIXES[0]
-    key = [source.read_bytes(), " ".join(_CC).encode(), sys.implementation.cache_tag.encode()]
+    tag = sys.implementation.cache_tag
+    key = [source.read_bytes(), " ".join(_CC).encode(), tag.encode()]
     key += [abi.encode(), os.uname().machine.encode()]
     digest = importlib.util.source_hash(b"\0".join(key)).hex()
-    name = f"_walk-{digest}.so"
+    name = f"_walk-{tag}-{digest}.so"
     path = source.parent / "__pycache__" / name
     private = False
     if not path.exists():
@@ -351,6 +340,10 @@ def _library():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for old in path.parent.glob(f"_walk-{tag}-*.so"):
+            if old != path:  # a process that has it loaded keeps its mapping
+                with contextlib.suppress(OSError):
+                    old.unlink()
     loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._walk", str(path))
     module = importlib.util.module_from_spec(
         importlib.util.spec_from_file_location(loader.name, path, loader=loader)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -152,17 +153,27 @@ class DiagLadder(_Value):
     ``levels[L]`` holds 2**L entries: the first half of the level-(L+1)
     permuted roots, all positive.  Squaring an entry and subtracting two
     reproduces the matching level-L root, which is what makes the block
-    recursion close.
+    recursion close.  A level of another length, or an entry that is not
+    positive and finite, raises ``ValueError``: the walker divides its
+    bounds by the entries.  ``_flat``, a private read-only float64 buffer
+    and not a field, holds the levels flat, level L from 2**L - 1, for the
+    walker and ``apply_generator``.
     """
 
-    __slots__ = ("levels", "_hash")
+    __slots__ = ("levels", "_hash", "_flat")
 
     def __init__(self, levels: tuple[tuple[float, ...], ...]) -> None:
-        # tuples of floats, hashed once: the enumeration caches its diagonal
-        # buffers by ladder, and a call with the same ladder hashes no entry
         levels = tuple(tuple(float(v) for v in diag) for diag in levels)
+        for L, diag in enumerate(levels):
+            if len(diag) != 1 << L:
+                raise ValueError(f"ladder level {L} must hold {1 << L} entries, got {len(diag)}")
+        flat = array("d", [v for diag in levels for v in diag])
+        for v in flat:
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"ladder entries must be positive and finite, got {v!r}")
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "_hash", hash(levels))
+        object.__setattr__(self, "_hash", hash(levels))  # hashed once: the ladder is immutable
+        object.__setattr__(self, "_flat", memoryview(flat).toreadonly())
 
     def __hash__(self) -> int:
         return self._hash

@@ -122,7 +122,7 @@ def _images(ladder, K):
     for diag in ladder.levels[: d.bit_length() - 1]:
         pairs = X.reshape(m, d // (2 * w), 2, w)
         A = pairs[:, :, 0, :]
-        prod = np.array(diag[:w]) * pairs[:, :, 1, :]
+        prod = np.array(diag) * pairs[:, :, 1, :]
         pairs[:, :, 1, :] = A - prod
         A += prod
         w *= 2

@@ -198,6 +198,31 @@ class TestCount:
         assert code == 0
         assert json.loads(out)["count"] == 7
 
+    def test_box_in_exponent_notation(self, capsys):
+        # argparse's own pattern of a negative number has no exponent
+        summaries = []
+        for box in (["-0.001", "-2", "1", "1"], ["-1e-3", "-2", "1", "1"],
+                    ["-1E-03", "-2e0", "1e+0", "10E-1"]):
+            code, out, err = run_cli(capsys, "count", "--dim", "2", "--box", *box)
+            assert (code, err) == (0, "")
+            summary = json.loads(out)
+            del summary["seconds"]
+            summaries.append(summary)
+        assert summaries == [{"d": 2, "N": None, "count": 2}] * 3
+
+    def test_points_row_in_exponent_notation_is_a_box(self, capsys):
+        # 19601 / 13860 is a convergent of sqrt(2): x_1 of k = (-19601, 13860)
+        # is about -2.6e-05, which %.17g prints with an exponent
+        x = apply_generator(build_diag_ladder(Level(1)), (-19601, 13860))
+        box = [repr(v - 0.25) for v in x] + [repr(v + 0.25) for v in x]
+        code, out, _ = run_cli(capsys, "points", "--dim", "2", "--box", *box)
+        assert code == 0
+        row = next(line.split(",") for line in out.splitlines() if "e-05" in line)
+        assert row[0].startswith("-") and row[0].endswith("e-05")
+        code, out, err = run_cli(capsys, "count", "--dim", "2", "--box", *row, *row)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] >= 1
+
 
 class TestPoints:
     def test_one_dimensional_interval(self, capsys):

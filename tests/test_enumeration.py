@@ -2,6 +2,7 @@ import gc
 import importlib
 import math
 import os
+import pickle
 import random
 import shutil
 import struct
@@ -37,7 +38,7 @@ from chebfrolov import (
 )
 from chebfrolov.lattice import build_generator_matrix
 from chebfrolov import enumeration
-from chebfrolov.enumeration import _library
+from chebfrolov.enumeration import _FLOAT64, _INT64, _library
 from chebfrolov.verify import _clamp_bounds, _images, _interval_mean, recursive_enumerate
 
 SQRT2 = math.sqrt(2.0)
@@ -181,13 +182,17 @@ COORDINATES = st.one_of(
 )
 
 
+#: Every positive, finite double, subnormals included: the entries a ladder takes.
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
 class TestApplyGenerator:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(0, 6), extra=st.integers(0, 2))
     def test_matches_the_python_loop_bit_for_bit(self, data, n, extra):
-        # any ladder values, those the walker refuses included, and any coordinates
+        # any entries a ladder takes, subnormal and huge ones included, and any coordinates
         levels = [
-            data.draw(st.lists(st.floats(), min_size=1 << L, max_size=1 << L))
+            data.draw(st.lists(POSITIVE, min_size=1 << L, max_size=1 << L))
             for L in range(n + extra)
         ]
         ladder = DiagLadder(levels)
@@ -200,8 +205,6 @@ class TestApplyGenerator:
         ladder = build_diag_ladder(Level(3))
         rng = random.Random(7)
         v = [rng.uniform(-9, 9) for _ in range(8)]
-        shorter = DiagLadder(ladder.levels[:2] + (ladder.levels[2][:3],))
-        longer = DiagLadder(ladder.levels[:1] + (ladder.levels[1] + (0.5,),) + ladder.levels[2:])
         cases = [
             (ladder, v),
             (ladder, tuple(v)),
@@ -211,14 +214,17 @@ class TestApplyGenerator:
             (ladder, v[:3]),
             (ladder, []),
             (DiagLadder(ladder.levels[:2]), v),
-            (shorter, v),  # a level with fewer entries than its blocks merges those only
-            (longer, v),  # and one with more raises IndexError
             (ladder, v[:7] + [None]),
             (ladder, v[:7] + [10**400]),
         ]
         for args in cases:
             assert outcome(apply_generator, *args) == outcome(reference_apply_generator, *args)
-        assert outcome(apply_generator, longer, v)[0] is IndexError
+        # a level shorter or longer than its blocks is refused before any merge
+        shorter = ladder.levels[:2] + (ladder.levels[2][:3],)
+        longer = ladder.levels[:1] + (ladder.levels[1] + (0.5,),) + ladder.levels[2:]
+        for levels in (shorter, longer):
+            with pytest.raises(ValueError, match="must hold"):
+                DiagLadder(levels)
 
     @pytest.mark.parametrize("n", range(7))
     def test_matches_dense_matrix(self, n):
@@ -555,6 +561,93 @@ class TestKernels:
         assert proc.stdout.split() == ["True"]
         assert not list((copy / "__pycache__").glob("_walk*")), "a partial build was left behind"
 
+    def test_a_build_removes_the_stale_builds_of_its_interpreter(self, tmp_path):
+        package = Path(chebfrolov.__file__).resolve().parent
+        copy = tmp_path / "chebfrolov"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        cache = copy / "__pycache__"
+        cache.mkdir()
+        tag = sys.implementation.cache_tag
+        stale = cache / f"_walk-{tag}-0123456789abcdef.so"  # left by an edit of the source
+        other = cache / "_walk-otherpy-12-0123456789abcdef.so"  # another interpreter's
+        for path in (stale, other):
+            path.write_bytes(b"a build")
+        code = (
+            "import chebfrolov as cf, chebfrolov.enumeration as e\n"
+            "level = cf.Level(1)\n"
+            "print(cf.count_points(level, cf.Box.symmetric(2.0, 2), cf.build_diag_ladder(level)),"
+            " e._library().__file__)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        count, built = proc.stdout.split()
+        level = Level(1)
+        assert int(count) == count_points(level, Box.symmetric(2.0, 2), build_diag_ladder(level))
+        assert Path(built).parent == cache and Path(built).name.startswith(f"_walk-{tag}-")
+        assert sorted(p.name for p in cache.glob("_walk-*")) == sorted([Path(built).name, other.name])
+
+    def test_entry_points_leak_nothing(self):
+        # the entry points count references by hand: run each on its normal
+        # and its error paths, and count the interpreter's allocated blocks
+        walker = _library()
+        level = Level(2)
+        d = level.d
+        ladder = build_diag_ladder(level)
+        lower, upper, diag, n = enumeration._prepare(level, Box.symmetric(3.0, d), ladder)
+        far = Box.symmetric(2.0**50, d)
+        K, X = _INT64 * (4 * d), _FLOAT64 * (4 * d)
+        v, u = array("d", [0.25] * d), array("d", [1.0] * d)
+        text = bytearray(4 * d * 25)
+
+        def consumer(point):
+            raise LookupError
+
+        refusals = [
+            lambda: walker.count(far.lower, far.upper, diag, n),
+            lambda: walker.count(lower[:1], upper, diag, n),
+            lambda: walker.count(("x",) * d, upper, diag, n),
+            lambda: walker.count(lower, upper, diag[:1], n),
+            lambda: walker.state(lower, ("x",) * d, n),
+            lambda: walker.fill(walker.state(lower, upper, n), diag, n, K[:3], X, 0, 4),
+            lambda: walker.fill(walker.state(far.lower, far.upper, n), diag, n, K, X, 0, 4),
+            lambda: walker.points(walker.state(far.lower, far.upper, n), diag, n, 8, LatticePoint),
+            lambda: walker.points(walker.state(lower, upper, n), diag, n, 8, int),
+            lambda: walker.map_nodes(X, d, 0.5, v, None, 1.0),
+            lambda: walker.map_nodes(X, d, 0.5, v, u[:1], 1.0),
+            lambda: walker.format_rows(X, d, 17, text[:10]),
+            lambda: walker.apply_generator(diag, ["x"] * d, n),
+            lambda: walker.apply_generator(diag, [1.0] * 3, n),
+            lambda: walker.apply_generator(diag[:1], [1.0] * d, n),
+            lambda: walker.apply_generator(diag, 5, n),
+            lambda: enumerate_stream(level, Box.symmetric(3.0, d), ladder, consumer),
+        ]
+
+        def calls():
+            walker.count(lower, upper, diag, n)
+            walker.fill(walker.state(lower, upper, n), diag, n, K, X, 0, 4)
+            walker.points(walker.state(lower, upper, n), diag, n, 8, LatticePoint)
+            walker.map_nodes(X, d, 0.5, v, u, 1e9)
+            walker.map_nodes(X, d, 0.5, None, None, 0.0)
+            walker.format_rows(X, d, 17, text)
+            walker.apply_generator(diag, range(d), n)  # ints: each float() is a new object
+            for refusal in refusals:
+                with pytest.raises((ValueError, TypeError, LookupError)):
+                    refusal()
+
+        for _ in range(100):  # fill the interpreter's free lists and caches
+            calls()
+        gc.collect()
+        before = sys.getallocatedblocks()
+        for _ in range(3000):
+            calls()
+        gc.collect()
+        assert sys.getallocatedblocks() - before < 50
+
     def test_missing_python_headers_raise_runtime_error(self, tmp_path):
         # an interpreter installed without its headers: the include directories are empty
         package = Path(chebfrolov.__file__).resolve().parent
@@ -701,43 +794,38 @@ class TestKernels:
             assert np.array(p.x).tobytes() == np.array(apply_generator(other, p.k)).tobytes()
         assert count_points(level, box, other) == len(points)
         assert assert_batches_match_stream(level, box, other, 7) == len(points)
-        broken = DiagLadder(((math.nan,),) + ladder.levels[1:])
-        with pytest.raises(ValueError, match="finite"):
-            count_points(level, box, broken)
-        # a non-positive diagonal reverses or voids the walker's bounds: the
-        # walk would count 0 and fill 2 rows where 15 points lie in the box
-        small, small_box = Level(1), Box.symmetric(3.0, 2)
+        # a ladder refuses at construction what would break the walk: a NaN,
+        # a non-positive diagonal, which reverses or voids the walker's bounds
+        # (it would count 0 and fill 2 rows where 15 points lie in the box),
+        # and a level of the wrong length, which would misplace the diagonals
+        with pytest.raises(ValueError, match="positive and finite, got nan"):
+            DiagLadder(((math.nan,),) + ladder.levels[1:])
         for bad in (-SQRT2, 0.0):
-            broken = DiagLadder(((bad,),))
-            with pytest.raises(ValueError, match="positive"):
-                count_points(small, small_box, broken)
-            with pytest.raises(ValueError, match="positive"):
-                enumerate_batches(small, small_box, broken)
-        # a level of the wrong length would misplace the walker's diagonals
+            with pytest.raises(ValueError, match=f"positive and finite, got {bad!r}"):
+                DiagLadder(((bad,),))
         for levels in (ladder.levels[:1] + ((1.0,),), ladder.levels[:1] + ((1.0, 1.5, 2.0),)):
             with pytest.raises(ValueError, match="level 1 must hold 2 entries"):
-                count_points(Level(2), Box.symmetric(3.0, 4), DiagLadder(levels))
+                DiagLadder(levels)
 
     def test_diagonal_buffer_is_cached_by_ladder(self):
+        # the ladder keeps its levels flat, level L at 2**L - 1, in one
+        # read-only buffer that every entry point reads
         level = Level(4)
         ladder = build_diag_ladder(level)
+        flat = ladder._flat
+        assert flat.format == "d" and flat.readonly
+        assert flat.tolist() == [v for diag in ladder.levels for v in diag]
+        with pytest.raises(TypeError):
+            flat[0] = 1.0
         box = Box.symmetric(3.0, level.d)
-        buffer = enumeration._prepare(level, box, ladder)[2]
-        before = enumeration._diagonals.cache_info()
-        # an equal ladder built anew, from lists, has the same hash and the same buffer
+        assert enumeration._prepare(level, box, ladder)[2] is flat
+        # a lower level reads the same buffer, its first 2**n - 1 values
+        assert enumeration._prepare(Level(2), Box.symmetric(3.0, 4), ladder)[2] is flat
+        # not a field: equal ladders compare, hash, print and pickle by their levels
         same = DiagLadder([list(diag) for diag in ladder.levels])
-        assert hash(same) == hash(ladder)
-        assert enumeration._prepare(level, box, same)[2] is buffer
-        assert enumeration._prepare(level, box, ladder)[2] is buffer
-        after = enumeration._diagonals.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
-        # a lower level of the same ladder takes its own, shorter buffer
-        assert len(enumeration._prepare(Level(2), Box.symmetric(3.0, 4), ladder)[2]) == 3
-        # refusals are not cached: every call repeats them
-        broken = DiagLadder(((math.nan,),) + ladder.levels[1:])
-        for _ in range(2):
-            with pytest.raises(ValueError, match="finite"):
-                count_points(level, box, broken)
+        assert same == ladder and hash(same) == hash(ladder) and same._flat is not flat
+        assert "_flat" not in repr(ladder)
+        assert pickle.loads(pickle.dumps(ladder))._flat.tolist() == flat.tolist()
 
     def test_consumer_may_enumerate_again(self):
         # the walker keeps no state outside its call's own buffers

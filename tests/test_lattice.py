@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebfrolov import (
     Box,
@@ -23,6 +25,9 @@ from chebfrolov.lattice import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+#: Any double, with extra weight on the positive, finite ones a ladder takes.
+ENTRIES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.floats()
 
 
 class TestLevel:
@@ -161,6 +166,25 @@ class TestDiagLadder:
             for i in range(len(prev)):
                 assert abs(cur[i] ** 2 - 2.0 - prev[i]) < 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), depth=st.integers(0, 5))
+    def test_refuses_exactly_the_misshapen_and_non_positive(self, data, depth):
+        # a level L must hold 2**L entries, each positive and finite
+        levels = []
+        for L in range(depth):
+            size = data.draw(st.just(1 << L) | st.sampled_from([0, (1 << L) - 1, 3 << L]))
+            levels.append(data.draw(st.lists(ENTRIES, min_size=size, max_size=size)))
+        good = all(len(diag) == 1 << L for L, diag in enumerate(levels)) and all(
+            0.0 < v < math.inf for diag in levels for v in diag
+        )
+        try:
+            ladder = DiagLadder(levels)
+        except ValueError:
+            assert not good
+        else:
+            assert good and ladder.levels == tuple(map(tuple, levels))
+            assert ladder._flat.tolist() == [v for diag in levels for v in diag]
+
     def test_missing_level(self):
         ladder = build_diag_ladder(Level(2))
         with pytest.raises(ValueError):
@@ -284,6 +308,6 @@ def test_ladder_caches_its_hash():
     assert ladder._hash == hash(ladder.levels) == hash(ladder)
     assert pickle.loads(pickle.dumps(ladder))._hash == ladder._hash
     # a list of lists is stored as tuples of floats and hashed as such
-    assert DiagLadder([[1, 2.0]]).levels == ((1.0, 2.0),)
-    assert hash(DiagLadder([[1, 2.0]])) == hash(((1.0, 2.0),))
+    assert DiagLadder([[1], [2.0, 3]]).levels == ((1.0,), (2.0, 3.0))
+    assert hash(DiagLadder([[1], [2.0, 3]])) == hash(((1.0,), (2.0, 3.0)))
 
