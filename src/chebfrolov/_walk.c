@@ -9,9 +9,8 @@
  * traversal; map_nodes, which maps filled images to cubature nodes in place;
  * and format_rows, which writes filled images as CSV text (see their
  * comments below).  The CPython entry points at the end, the module's only
- * interface (nothing loads it through ctypes), wrap them, check the length
- * of every buffer they are given, and run walk with the GIL released;
- * apply_generator, one more, runs walk's merge on one vector.
+ * interface, wrap them: count and stream walk a whole box, state and fill a
+ * resumable walk, and apply_generator runs walk's merge on one vector.
  *
  * At every block the image is (A + D Y, A - D Y), A and Y the images of its
  * halves and D the diagonal one level down, so a box [l, u] on the block
@@ -78,7 +77,7 @@
  *
  * There is no static state.  Everything lives in a state buffer of
  * walk_state_len(n) eight-byte slots, zero-initialised except for the box
- * (a count's own, or the bytearray of the `state` entry point for fills):
+ * (the call's own for count and stream, the bytearray of `state` for fill):
  *
  *   [0, d)             lower corner  = b, level n
  *   [d, 2d)            upper corner  = g, level n
@@ -410,7 +409,7 @@ static int64_t format_rows(const double *X, int64_t len, int64_t d, int precisio
  * with the GIL released, so no other thread can resize it; walk touches
  * no Python object. */
 
-/* Values in each buffer of the stack scratch pair behind `points`. */
+/* Values in each buffer of the scratch pair behind `stream`. */
 #define SCRATCH 1024
 /* Levels the walker entry points take: d = 2^n <= SCRATCH. */
 #define LEVEL_LIMIT 10
@@ -514,8 +513,7 @@ static PyObject *py_state(PyObject *Py_UNUSED(module), PyObject *const *args, Py
     PyObject *state = PyByteArray_FromStringAndSize(NULL, (Py_ssize_t)(len * 8));
     if (state == NULL)
         return NULL;
-    double *s = (double *)PyByteArray_AS_STRING(state);
-    memset(s, 0, (size_t)len * 8);
+    double *s = memset(PyByteArray_AS_STRING(state), 0, (size_t)len * 8);
     if (corners(s, args[0], args[1], (int64_t)1 << n) < 0) {
         Py_DECREF(state);
         return NULL;
@@ -523,27 +521,40 @@ static PyObject *py_state(PyObject *Py_UNUSED(module), PyObject *const *args, Py
     return state;
 }
 
-/* count(lower, upper, diag, n): the points in the box, walked in a state of
- * the call's own. */
+/* A one-shot walk's own state, to PyMem_Free, holding the box args[0], args[1]
+ * at level *n = args[3], with the diagonals args[2] in diag and `extra` unset
+ * slots after it; NULL with an exception set and no view held. */
+static double *walk_args(PyObject *const *args, Py_buffer *diag, Py_ssize_t *n, int64_t extra)
+{
+    if ((*n = int_arg(args[3], "level", 0, LEVEL_LIMIT)) < 0
+        || values(args[2], diag, 0, ((Py_ssize_t)1 << *n) - 1, "the diagonals") < 0)
+        return NULL;
+    const int64_t len = walk_state_len((int)*n);
+    double *s = PyMem_Malloc((size_t)(len + extra) * 8);
+    if (s == NULL)
+        PyErr_NoMemory();
+    else if (corners(memset(s, 0, (size_t)len * 8), args[0], args[1], (int64_t)1 << *n) == 0)
+        return s;
+    PyMem_Free(s);
+    PyBuffer_Release(diag);
+    return NULL;
+}
+
+/* count(lower, upper, diag, n): the points in the box. */
 static PyObject *py_count(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_ssize_t n;
     Py_buffer diag;
-    if (check_nargs("count", nargs, 4) < 0 || (n = int_arg(args[3], "level", 0, LEVEL_LIMIT)) < 0
-        || values(args[2], &diag, 0, ((Py_ssize_t)1 << n) - 1, "the diagonals") < 0)
+    double *s;
+    if (check_nargs("count", nargs, 4) < 0 || (s = walk_args(args, &diag, &n, 0)) == NULL)
         return NULL;
-    double *s = PyMem_Calloc((size_t)walk_state_len((int)n), 8);
-    int64_t result = 0;
-    if (s == NULL) {
-        PyErr_NoMemory();
-    } else if (corners(s, args[0], args[1], (int64_t)1 << n) == 0) {
-        Py_BEGIN_ALLOW_THREADS
-        result = walk(s, (int)n, diag.buf, NULL, NULL, 0);
-        Py_END_ALLOW_THREADS
-    }
+    int64_t result;
+    Py_BEGIN_ALLOW_THREADS
+    result = walk(s, (int)n, diag.buf, NULL, NULL, 0);
+    Py_END_ALLOW_THREADS
     PyMem_Free(s);
     PyBuffer_Release(&diag);
-    return PyErr_Occurred() ? NULL : walk_result(result);
+    return walk_result(result);
 }
 
 /* fill(state, diag, n, K, X, start, stop): resumes the walk of the state
@@ -584,10 +595,8 @@ static PyObject *lattice_point(PyTypeObject *type, const int64_t *k, const doubl
         goto fail;
     for (int64_t f = 0; f < d; f++) {
         PyObject *kf = PyLong_FromLongLong(k[f]), *xf = PyFloat_FromDouble(x[f]);
-        if (kf != NULL)
-            PyTuple_SET_ITEM(kt, f, kf);
-        if (xf != NULL)
-            PyTuple_SET_ITEM(xt, f, xf);
+        PyTuple_SET_ITEM(kt, f, kf); /* a NULL leaves the slot empty, as it was */
+        PyTuple_SET_ITEM(xt, f, xf);
         if (kf == NULL || xf == NULL)
             goto fail;
     }
@@ -603,52 +612,42 @@ fail:
     return NULL;
 }
 
-/* points(state, diag, n, size, type): resumes the walk of the state for up
- * to `size` points; returns them as a list of `type` (k, x) instances, k and
- * x tuples of ints and floats.  The rows pass through a scratch pair on the
- * stack, SCRATCH / d rows a walk. */
-static PyObject *py_points(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+/* stream(lower, upper, diag, n, type, consumer): calls consumer with each
+ * point of the box, a `type` (k, x) instance of tuples of ints and floats,
+ * and returns their number.  SCRATCH / d rows a walk pass through a pair
+ * behind the state, off the C stack, which consumers that stream again would
+ * overflow; signals are handled after each walk, so Ctrl-C stops a stream. */
+static PyObject *py_stream(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_ssize_t n, size;
-    if (check_nargs("points", nargs, 5) < 0
-        || (size = int_arg(args[3], "size", 0, PY_SSIZE_T_MAX)) < 0)
+    if (check_nargs("stream", nargs, 6) < 0)
         return NULL;
-    if (!PyType_Check(args[4]) || !PyType_IsSubtype((PyTypeObject *)args[4], &PyTuple_Type)) {
-        PyErr_SetString(PyExc_TypeError, "points() needs a tuple subclass for its points");
-        return NULL;
-    }
-    PyTypeObject *type = (PyTypeObject *)args[4];
-    Py_buffer state, diag;
-    if ((n = resume_args(args, &state, &diag)) < 0)
+    if (!PyType_Check(args[4]) || !PyType_IsSubtype((PyTypeObject *)args[4], &PyTuple_Type))
+        return PyErr_Format(PyExc_TypeError, "stream() needs a tuple subclass for its points");
+    Py_ssize_t n;
+    Py_buffer diag;
+    double *s = walk_args(args, &diag, &n, 2 * SCRATCH);
+    if (s == NULL)
         return NULL;
     const int64_t d = (int64_t)1 << n, chunk = SCRATCH / d;
-    int64_t K[SCRATCH];
-    double X[SCRATCH];
-    PyObject *list = PyList_New(0);
-    for (Py_ssize_t got = 0; list != NULL && got < size;) {
-        const int64_t want = size - got < chunk ? size - got : chunk;
-        int64_t rows;
+    double *X = s + walk_state_len((int)n);
+    int64_t *K = (int64_t *)(X + SCRATCH), rows = chunk, total = 0;
+    while (rows == chunk && !PyErr_Occurred()) {
         Py_BEGIN_ALLOW_THREADS
-        rows = walk(state.buf, (int)n, diag.buf, K, X, want);
+        rows = walk(s, (int)n, diag.buf, K, X, chunk);
         Py_END_ALLOW_THREADS
-        if (rows < 0) {
-            Py_CLEAR(list);
-            walk_result(rows);
-            break;
-        }
-        for (int64_t r = 0; r < rows && list != NULL; r++) {
-            PyObject *point = lattice_point(type, K + r * d, X + r * d, d);
-            if (point == NULL || PyList_Append(list, point) < 0)
-                Py_CLEAR(list);
+        for (int64_t r = 0; r < rows && !PyErr_Occurred(); r++) {
+            PyObject *point = lattice_point((PyTypeObject *)args[4], K + r * d, X + r * d, d);
+            Py_XDECREF(point ? PyObject_CallOneArg(args[5], point) : NULL);
             Py_XDECREF(point);
         }
-        got += rows;
-        if (rows < want)
-            break;
+        total += rows;
+        PyErr_CheckSignals();
     }
+    PyMem_Free(s);
     PyBuffer_Release(&diag);
-    PyBuffer_Release(&state);
-    return list;
+    if (PyErr_Occurred())
+        return NULL;
+    return rows < 0 ? walk_result(rows) : PyLong_FromLongLong(total);
 }
 
 /* map_nodes(X, d, s, v, u, bound): map_nodes on the float64 buffer X, rows
@@ -783,7 +782,7 @@ static PyMethodDef entries[] = {
     ENTRY(state, "state(lower, upper, n): a fresh walker state for the box"),
     ENTRY(count, "count(lower, upper, diag, n): the number of points in the box"),
     ENTRY(fill, "fill(state, diag, n, K, X, start, stop): walk into rows start..stop-1"),
-    ENTRY(points, "points(state, diag, n, size, type): up to size points of the walk"),
+    ENTRY(stream, "stream(lower, upper, diag, n, type, consumer): each point to consumer"),
     ENTRY(map_nodes, "map_nodes(X, d, s, v, u, bound): cubature nodes in place"),
     ENTRY(format_rows, "format_rows(X, d, precision, text): CSV rows into text"),
     ENTRY(apply_generator, "apply_generator(diag, coords, n): the generator image"),

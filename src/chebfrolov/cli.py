@@ -31,7 +31,6 @@ import contextlib
 import itertools
 import json
 import math
-import re
 import sys
 import time
 from typing import Callable, Iterator, Sequence, TextIO
@@ -308,13 +307,27 @@ def _add_common_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write output to FILE instead of stdout")
 
 
+class _NegativeNumber:
+    """argparse's test of a negative number: a string that starts with ``-``
+    and that ``float()`` reads, such as ``-1e-05``, ``-1_000`` or ``-inf``.
+    argparse's own pattern takes these for options; ``Box`` and
+    ``CubatureSpec`` refuse the values they must, with their own messages."""
+
+    @staticmethod
+    def match(arg: str) -> bool:
+        try:
+            float(arg)
+        except ValueError:
+            return False
+        return arg.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, taking ``-1e-05`` and ``-2E1`` for values: its own
-    pattern of a negative number has no exponent in CPython 3.11."""
+    """argparse's parser, taking every negative number ``float()`` reads for a value."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)  # subparsers are of this class too
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = _NegativeNumber()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,19 +13,19 @@ and loads nothing.  Its entry points take the box corners as tuples and
 every buffer through the buffer protocol and check each buffer's length.
 The ladder is one of those buffers: :class:`DiagLadder` checks its levels
 once, when it is made, and keeps them flat, level L from offset 2**L - 1.
-They release the GIL around every call of the C walk (a whole count, or
-one fill), so other threads run meanwhile.  For each prefix the innermost
-coordinate ranges over an integer run [lo, hi], which goes to one of two
-leaves:
+They release the GIL around every call of the C walk (a whole count, one
+fill, or one chunk of a stream), so other threads run meanwhile.  For each
+prefix the innermost coordinate ranges over an integer run [lo, hi], which
+goes to one of two leaves:
 
 - A fill writes rows of k and x, each image finished by the last butterfly
   chain, and stops when its rows are full; the next resumes from the
   walk's state buffer.  ``_fill`` fills one pair of int64 and float64
   ``array.array`` buffers again and again and yields each fill;
   ``enumerate_batches`` copies each into ``(K, X)`` numpy arrays.
-  ``enumerate_stream`` takes each fill as a list of ready
-  :class:`LatticePoint` objects from the module's ``points``, which fills
-  a scratch pair of its own, without numpy.  A fill sets k_1..k_d in
+  ``enumerate_stream`` is one call of the module's ``stream``, which fills
+  a scratch pair of its own and hands each row to the consumer as a
+  :class:`LatticePoint`, without numpy.  A fill sets k_1..k_d in
   lexicographic order, mean-first: the first half-block image lies between
   the half-means of the corners, and once it is fixed the second is clamped
   to residual bounds with the level diagonal divided out.
@@ -142,21 +142,12 @@ def enumerate_stream(
 
     Points are visited in lexicographic order of k.  The consumer receives an
     immutable :class:`LatticePoint` (value copies); exceptions it raises
-    propagate and abort the traversal.  Points are produced in batches of
-    ``_STREAM_ROWS`` rows, so memory does not grow with the number of
-    emissions.
+    propagate and abort the traversal.  The walker makes each point just
+    before the consumer gets it and keeps none, so memory does not grow with
+    the number of emissions.  It walks 1024 / d points at a time with the GIL
+    released, and Ctrl-C stops the stream between two such chunks.
     """
-    lower, upper, diag, n = _prepare(level, box, ladder)
-    walker = _library()
-    state = walker.state(lower, upper, n)
-    count = 0
-    while True:
-        points = walker.points(state, diag, n, _STREAM_ROWS, LatticePoint)
-        count += len(points)
-        for point in points:
-            consumer(point)
-        if len(points) < _STREAM_ROWS:
-            return count
+    return _library().stream(*_prepare(level, box, ladder), LatticePoint, consumer)
 
 
 def enumerate_batches(
@@ -196,10 +187,8 @@ def count_points(level: Level, box: Box, ladder: DiagLadder) -> int:
     return _library().count(*_prepare(level, box, ladder))
 
 
-#: Points per fill of :func:`enumerate_stream`, and rows per fill of
-#: ``_fill`` by default.  A fill is held as Python objects at once, so this
-#: bounds the stream's memory (about 150 KB at d = 8); 128 to 1024 rows
-#: cost the same per point.
+#: Rows per fill of ``_fill`` by default (``integrate``, the CLI's ``points``
+#: and the double-box check); 128 to 1024 rows cost the same per point.
 _STREAM_ROWS = 256
 
 #: Rows the buffer pair of a walk starts with (see :func:`_fill`).

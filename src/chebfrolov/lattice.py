@@ -10,8 +10,8 @@ basis) into the block-recursive matrix
                             (A_L, -D_L A_L)),
 
 where D_L is diagonal and positive.  The enumeration and cubature modules
-only ever need the diagonals D_0..D_{n-1} (the "ladder"); dense matrices are
-materialised here, with numpy, for the brute-force oracle and the tests.
+only ever need the diagonals D_0..D_{n-1} (the "ladder"); the dense generator
+is materialised here, with numpy, for the brute-force oracle and the tests.
 """
 
 from __future__ import annotations
@@ -131,20 +131,11 @@ def root_permutation(n: int, k: int) -> int:
 def chebyshev_root(n: int, k: int) -> float:
     """The k-th permuted root: 2*cos(pi*(2*perm(n,k) - 1) / 2**(n+1)).
 
-    All 2**n values are distinct roots of ``rescaled_chebyshev(2**n, .)`` and
-    lie in (-2, 2).
+    All 2**n values are distinct roots of the rescaled Chebyshev polynomial
+    2*cos(2**n * arccos(x/2)) and lie in (-2, 2).
     """
     pos = root_permutation(n, k)
     return 2.0 * math.cos(math.pi * (2 * pos - 1) / (1 << (n + 1)))
-
-
-def rescaled_chebyshev(d: int, x: float) -> float:
-    """Evaluate 2*cos(d*arccos(x/2)) for |x| <= 2 (monic integer polynomial in x)."""
-    if d < 1:
-        raise ValueError(f"degree must be positive, got {d}")
-    if abs(x) > 2.0:
-        raise ValueError(f"argument {x} outside [-2, 2]")
-    return 2.0 * math.cos(d * math.acos(0.5 * x))
 
 
 class DiagLadder(_Value):
@@ -214,15 +205,6 @@ def build_generator_matrix(level: Level, ladder: DiagLadder) -> np.ndarray:
         scaled = diag[:, None] * a
         a = np.block([[a, scaled], [a, -scaled]])
     return a
-
-
-def build_vandermonde(level: Level) -> np.ndarray:
-    """Vandermonde matrix of the permuted roots, powers 0..d-1 across columns."""
-    import numpy as np
-
-    d = level.d
-    roots = np.array([chebyshev_root(level.n, k) for k in range(1, d + 1)])
-    return np.vander(roots, N=d, increasing=True)
 
 
 def det_magnitude(level: Level) -> float:

@@ -210,6 +210,15 @@ class TestCount:
             summaries.append(summary)
         assert summaries == [{"d": 2, "N": None, "count": 2}] * 3
 
+    def test_box_with_underscores(self, capsys):
+        # float() reads -1_000; argparse's own pattern took it for an option
+        counts = []
+        for corner in ("-1_000", "-1000"):
+            code, out, err = run_cli(capsys, "count", "--dim", "2", "--box", corner, corner, "1", "1")
+            assert (code, err) == (0, "")
+            counts.append(json.loads(out)["count"])
+        assert counts[0] == counts[1] > 0
+
     def test_points_row_in_exponent_notation_is_a_box(self, capsys):
         # 19601 / 13860 is a convergent of sqrt(2): x_1 of k = (-19601, 13860)
         # is about -2.6e-05, which %.17g prints with an exponent
@@ -476,6 +485,13 @@ class TestUsageErrors:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize("corner", ["-inf", "-nan"])
+    def test_negative_non_finite_corner_reaches_the_box(self, capsys, corner):
+        # a value, not an option: the box refuses it as it refuses inf and nan
+        code, _, err = run_cli(capsys, "count", "--dim", "2", "--box", corner, "0", "1", "1")
+        assert code == 2
+        assert "box corners must be finite" in err
+
     def test_wrong_box_arity(self, capsys):
         code, _, err = run_cli(capsys, "count", "--dim", "2", "--box", "0", "1")
         assert code == 2
@@ -535,7 +551,7 @@ class TestUsageErrors:
         assert "2**62" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "-inf"])
     def test_bad_scale(self, capsys, scale):
         code, _, err = run_cli(capsys, "count", "--dim", "2", "--scale", scale)
         assert code == 2

@@ -1,6 +1,8 @@
+import _thread
 import gc
 import importlib
 import math
+import operator
 import os
 import pickle
 import random
@@ -459,8 +461,6 @@ SUBMODULE_NAMES = {
     "double_box_check": "chebfrolov.verify",
     "unimodular_check": "chebfrolov.verify",
     "build_generator_matrix": "chebfrolov.lattice",
-    "build_vandermonde": "chebfrolov.lattice",
-    "rescaled_chebyshev": "chebfrolov.lattice",
     "root_permutation": "chebfrolov.lattice",
     "chebyshev_root": "chebfrolov.lattice",
 }
@@ -522,6 +522,8 @@ class TestKernels:
                 exec(f"from chebfrolov import {name}", {})
         verify = importlib.import_module("chebfrolov.verify")
         assert not hasattr(verify, "interval_mean") and not hasattr(verify, "clamp_bounds")
+        lattice = importlib.import_module("chebfrolov.lattice")  # test-only code lives in the tests
+        assert not hasattr(lattice, "build_vandermonde") and not hasattr(lattice, "rescaled_chebyshev")
 
     def test_second_process_reuses_the_cached_library(self):
         code = COUNT_PROCESSES + (
@@ -603,6 +605,7 @@ class TestKernels:
         K, X = _INT64 * (4 * d), _FLOAT64 * (4 * d)
         v, u = array("d", [0.25] * d), array("d", [1.0] * d)
         text = bytearray(4 * d * 25)
+        seen = []
 
         def consumer(point):
             raise LookupError
@@ -615,8 +618,9 @@ class TestKernels:
             lambda: walker.state(lower, ("x",) * d, n),
             lambda: walker.fill(walker.state(lower, upper, n), diag, n, K[:3], X, 0, 4),
             lambda: walker.fill(walker.state(far.lower, far.upper, n), diag, n, K, X, 0, 4),
-            lambda: walker.points(walker.state(far.lower, far.upper, n), diag, n, 8, LatticePoint),
-            lambda: walker.points(walker.state(lower, upper, n), diag, n, 8, int),
+            lambda: walker.stream(far.lower, far.upper, diag, n, LatticePoint, consumer),
+            lambda: walker.stream(lower, upper, diag, n, int, consumer),
+            lambda: walker.stream(lower, upper, diag[:1], n, LatticePoint, consumer),
             lambda: walker.map_nodes(X, d, 0.5, v, None, 1.0),
             lambda: walker.map_nodes(X, d, 0.5, v, u[:1], 1.0),
             lambda: walker.format_rows(X, d, 17, text[:10]),
@@ -630,7 +634,8 @@ class TestKernels:
         def calls():
             walker.count(lower, upper, diag, n)
             walker.fill(walker.state(lower, upper, n), diag, n, K, X, 0, 4)
-            walker.points(walker.state(lower, upper, n), diag, n, 8, LatticePoint)
+            walker.stream(lower, upper, diag, n, LatticePoint, seen.append)
+            seen.clear()
             walker.map_nodes(X, d, 0.5, v, u, 1e9)
             walker.map_nodes(X, d, 0.5, None, None, 0.0)
             walker.format_rows(X, d, 17, text)
@@ -701,6 +706,33 @@ class TestKernels:
         assert quarter > 0.01
         assert any(start + quarter < t < end - quarter for t in stamps)
 
+    def test_ctrl_c_stops_a_stream(self):
+        # a builtin consumer runs no bytecode, so only the walker's own check
+        # of pending signals lets Ctrl-C in before the stream's 88,645 points
+        # (about 1.7 s) are all delivered
+        level = Level(5)
+        ladder = build_diag_ladder(level)
+        box = cubature_box(5, 2**12)
+        count_points(level, Box.symmetric(0.1, level.d), ladder)  # build and load first
+        points = []
+        timer = threading.Timer(0.1, _thread.interrupt_main)
+        # nor may a gc callback run bytecode (hypothesis installs one): the
+        # signal would be raised there and lost as an unraisable exception
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                timer.start()
+                enumerate_stream(level, box, ladder, points.append)
+                timer.join()  # a stream that missed the signal meets it here
+                time.sleep(1.0)
+        finally:
+            timer.cancel()
+            timer.join()
+            if collecting:
+                gc.enable()
+        assert len(points) < 88645
+
     def test_entry_points_refuse_short_buffers_without_writing(self):
         walker = _library()
         level = Level(2)
@@ -713,6 +745,7 @@ class TestKernels:
         text = bytearray(b"?" * (4 * d * 25))
         buffers = (state, K, X, v, u, text)
         before = [bytes(b) for b in buffers]
+        seen = []
         # views one value short of what each call asks for: a write would show in the buffer
         state_, K_, X_, v_, u_, text_ = map(memoryview, buffers)
         refusals = [
@@ -720,7 +753,7 @@ class TestKernels:
             lambda: walker.fill(state, diag, n, K_[: 4 * d - 1], X, 0, 4),
             lambda: walker.fill(state, diag, n, K, X_[: 4 * d - 1], 0, 4),
             lambda: walker.fill(state, diag, n, K, X, 0, 5),
-            lambda: walker.points(state_[:-8], diag, n, 4, LatticePoint),
+            lambda: walker.stream(lower, upper, diag[:2], n, LatticePoint, seen.append),
             lambda: walker.map_nodes(X, d, 0.5, v_[:-1], u, 1.0),
             lambda: walker.map_nodes(X, d, 0.5, v, u_[:-1], 1.0),
             lambda: walker.map_nodes(X_[:-1], d, 0.5, v, u, 1.0),
@@ -730,7 +763,7 @@ class TestKernels:
         for refusal in refusals:
             with pytest.raises(ValueError):
                 refusal()
-        assert [bytes(b) for b in buffers] == before
+        assert [bytes(b) for b in buffers] == before and seen == []
         # the same calls with the full buffers write them
         assert walker.fill(state, diag, n, K, X, 0, 4) == 4
         assert walker.map_nodes(X, d, 0.5, v, u, 1e9) == -1
@@ -1214,6 +1247,49 @@ def test_d64_face_boxes_count_like_the_stream():
             points = collect(level, box, ladder)
             assert count_points(level, box, ladder) == len(points)
             assert (k in {p.k for p in points}) == holds
+
+
+def assert_negation_maps(level, box, ladder):
+    """-B holds the negated points of B, in reverse order, with images negated
+    exactly: IEEE rounding is symmetric, so G(-k) is -Gk to the bit.  The
+    walker checked against itself, at any d and at the faces too."""
+    mirror = Box(tuple(-v for v in box.upper), tuple(-v for v in box.lower))
+    points, mirrored = collect(level, box, ladder), collect(level, mirror, ladder)
+    negated = [LatticePoint(tuple(-c for c in p.k), tuple(-v for v in p.x)) for p in points]
+    assert mirrored == negated[::-1]
+    assert count_points(level, mirror, ladder) == count_points(level, box, ladder) == len(points)
+    return points
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_negation_maps_face_boxes(n):
+    # past the oracle's d <= 8: [Gk, Gk], [Gk, Gk + 1] and [Gk - 1, Gk]
+    level = Level(n)
+    ladder = build_diag_ladder(level)
+    rng = random.Random(900 + n)
+    for _ in range(40):
+        k = tuple(rng.randint(-5, 5) for _ in range(level.d))
+        x = apply_generator(ladder, k)
+        up, down = tuple(v + 1.0 for v in x), tuple(v - 1.0 for v in x)
+        for box in (Box(x, x), Box(x, up), Box(down, x)):
+            assert k in {p.k for p in assert_negation_maps(level, box, ladder)}
+
+
+@st.composite
+def box_near_a_lattice_point(draw):
+    level = Level(draw(st.integers(min_value=0, max_value=4)))
+    k = draw(st.lists(st.integers(-1000, 1000), min_size=level.d, max_size=level.d))
+    side = st.lists(st.floats(0.0, 2.5), min_size=level.d, max_size=level.d)
+    below, above = draw(side), draw(side)
+    x = apply_generator(build_diag_ladder(level), k)
+    return level, Box(tuple(map(operator.sub, x, below)), tuple(map(operator.add, x, above)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(box_near_a_lattice_point())
+def test_negation_maps_small_boxes(case):
+    level, box = case
+    assert_negation_maps(level, box, build_diag_ladder(level))
 
 
 @pytest.mark.parametrize("n", [3, 4])

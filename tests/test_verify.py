@@ -15,9 +15,10 @@ from chebfrolov import (
     oracle_enumerate,
     standard_box,
 )
-from chebfrolov.lattice import build_generator_matrix, build_vandermonde
+from chebfrolov.lattice import build_generator_matrix
 from chebfrolov.verify import double_box_check, reproduce_table, unimodular_check
 from chebfrolov.verify import _eliminate, recursive_enumerate
+from lattice_reference import build_vandermonde
 
 
 def random_box(rng, d, span=5.0):
