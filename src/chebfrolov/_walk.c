@@ -75,15 +75,16 @@
  * map_nodes relies on it too: its nodes must equal the separately rounded
  * operations of the node map, s * (x + v) then / u.
  *
- * There is no static state.  Everything lives in a state buffer of
- * walk_state_len(n) eight-byte slots, zero-initialised except for the box
- * (the call's own for count and stream, the bytearray of `state` for fill):
+ * There is no static state.  Everything lives in a state of walk_state_len(n)
+ * eight-byte slots, set by begin() from the box (the call's own for count
+ * and stream, the opaque capsule of `state` for fill):
  *
  *   [0, d)             lower corner  = b, level n
  *   [d, 2d)            upper corner  = g, level n
  *   [2d, (n+2)d)       b, levels 0..n-1   lower bounds of partial images
  *   [(n+2)d, (2n+2)d)  g, levels 0..n-1   upper bounds
  *   [(2n+2)d, (3n+3)d) a, levels 0..n     partial images
+ *   (3n+3)d            1 + max|corner|, the unit of the slacks
  *   then int64:        started, depth, k[0..d], end[0..d]
  *
  * Level-L slot s covers the flat indices [s 2^L, (s+1) 2^L).  `depth` i
@@ -112,7 +113,7 @@ enum { WALK_RANGE = -1, WALK_OVERFLOW = -2 };
 
 static int64_t walk_state_len(int n)
 {
-    return ((int64_t)3 * n + 5) * ((int64_t)1 << n) + 4;
+    return ((int64_t)3 * n + 5) * ((int64_t)1 << n) + 5;
 }
 
 /* Butterfly merges refreshing the partial images once the coordinate at
@@ -220,22 +221,14 @@ static int64_t walk(double *s, int n, const double *diag, int64_t *K, double *X,
     }
     for (int L = 0; L <= n; L++)
         a[L] = s + (2 * n + 2 + L) * d;
-    int64_t *started = (int64_t *)(s + (3 * n + 3) * d), *depth = started + 1;
+    int64_t *started = (int64_t *)(s + (3 * n + 3) * d + 1), *depth = started + 1;
     int64_t *k = started + 2, *end = k + d + 1;
     /* a0 = a[0] and d0 = D[0][0] are read from their sources: gcc -O2 cannot
      * see that the loops above set a[0] and D[0] */
     double *a0 = s + (2 * n + 2) * d, *b0 = b[0], *g0 = g[0];
     double *b1 = b[n ? 1 : 0], *g1 = g[n ? 1 : 0];
     const double d0 = n ? diag[0] : 1.0;
-    double m = 0.0; /* max |corner| */
-    for (int64_t f = 0; f < d; f++) {
-        if (!(s[f] <= s[d + f]))
-            return 0; /* an empty box, however far */
-        m = fmax(m, fmax(fabs(s[f]), fabs(s[d + f])));
-    }
-    if (!(m < CORNER_LIMIT))
-        return WALK_RANGE;
-    const double slack = (K ? SLACK : COUNT_SLACK) * (1.0 + m);
+    const double slack = (K ? SLACK : COUNT_SLACK) * s[(3 * n + 3) * d];
 
     int64_t i = 0, rows = 0, count = 0;
     double lo, hi;
@@ -402,15 +395,16 @@ static int64_t format_rows(const double *X, int64_t len, int64_t d, int precisio
 
 /* ---- Python entry points ---------------------------------------------------
  *
- * METH_FASTCALL functions over the buffer protocol: the state, K, X, v, u
- * and the diagonals are buffers of eight-byte values (bytearray or
- * array.array, or memoryviews of them), checked for length and alignment
- * before anything is written.  A buffer stays exported while walk runs
- * with the GIL released, so no other thread can resize it; walk touches
- * no Python object. */
+ * METH_FASTCALL functions over the buffer protocol: X, v, u and the
+ * diagonals are buffers of eight-byte values (bytearray or array.array, or
+ * memoryviews of them), checked for length and alignment before anything
+ * is written.  A buffer stays exported while walk runs with the GIL
+ * released, so no other thread can resize it; walk touches no Python
+ * object.  Walker states and fill rows are the module's own. */
 
 /* Values in each buffer of the scratch pair behind `stream`. */
 #define SCRATCH 1024
+#define FILL_ROWS 256 /* rows a fill's pair starts with */
 /* Levels the walker entry points take: d = 2^n <= SCRATCH. */
 #define LEVEL_LIMIT 10
 
@@ -453,23 +447,6 @@ static int values(PyObject *obj, Py_buffer *view, int writable, Py_ssize_t need,
     return -1;
 }
 
-/* Writes the box corners, two tuples of d floats, to the state s. */
-static int corners(double *s, PyObject *lower, PyObject *upper, int64_t d)
-{
-    if (!PyTuple_Check(lower) || !PyTuple_Check(upper) || PyTuple_GET_SIZE(lower) != d
-        || PyTuple_GET_SIZE(upper) != d) {
-        PyErr_Format(PyExc_ValueError, "the corners must be two tuples of %lld floats",
-                     (long long)d);
-        return -1;
-    }
-    for (int64_t f = 0; f < 2 * d; f++) {
-        s[f] = PyFloat_AsDouble(PyTuple_GET_ITEM(f < d ? lower : upper, f % d));
-        if (s[f] == -1.0 && PyErr_Occurred())
-            return -1;
-    }
-    return 0;
-}
-
 /* A walk result: the int, or ValueError for the negative codes. */
 static PyObject *walk_result(int64_t result)
 {
@@ -483,61 +460,89 @@ static PyObject *walk_result(int64_t result)
     return NULL;
 }
 
-/* The level args[2] of a walk to resume, with views of its state args[0]
- * and diagonals args[1]; -1 with an exception set and no view held if one
- * is short, or if the state's depth is not one of the walk. */
-static Py_ssize_t resume_args(PyObject *const *args, Py_buffer *state, Py_buffer *diag)
+/* Begins the walk of the box lower, upper (two tuples of d floats) in the
+ * zeroed state s: a box empty in some coordinate (lower > upper, or NaN) is
+ * a walk already done, however far; another with a corner beyond
+ * CORNER_LIMIT is refused; else s keeps 1 + max|corner|, the slacks' unit. */
+static int begin(double *s, PyObject *lower, PyObject *upper, int n)
 {
-    const Py_ssize_t n = int_arg(args[2], "level", 0, LEVEL_LIMIT);
-    if (n < 0 || values(args[0], state, 1, walk_state_len((int)n), "the state") < 0)
+    const int64_t d = (int64_t)1 << n;
+    if (!PyTuple_Check(lower) || !PyTuple_Check(upper) || PyTuple_GET_SIZE(lower) != d
+        || PyTuple_GET_SIZE(upper) != d) {
+        PyErr_Format(PyExc_ValueError, "the corners must be two tuples of %lld floats",
+                     (long long)d);
         return -1;
-    if (values(args[1], diag, 0, ((Py_ssize_t)1 << n) - 1, "the diagonals") == 0) {
-        const int64_t d = (int64_t)1 << n;
-        const int64_t *started = (const int64_t *)((double *)state->buf + (3 * n + 3) * d);
-        if (!started[0] || (started[1] >= 0 && started[1] <= d))
-            return n;
-        PyErr_SetString(PyExc_ValueError, "the walker state is corrupt");
-        PyBuffer_Release(diag);
     }
-    PyBuffer_Release(state);
-    return -1;
+    for (int64_t f = 0; f < 2 * d; f++) {
+        s[f] = PyFloat_AsDouble(PyTuple_GET_ITEM(f < d ? lower : upper, f % d));
+        if (s[f] == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    double m = 0.0, *unit = s + (3 * n + 3) * d;
+    for (int64_t f = 0; f < d; f++) {
+        if (!(s[f] <= s[d + f])) {
+            ((int64_t *)unit)[1] = 1; /* started, at depth 0: done */
+            return 0;
+        }
+        m = fmax(m, fmax(fabs(s[f]), fabs(s[d + f])));
+    }
+    if (!(m < CORNER_LIMIT))
+        return walk_result(WALK_RANGE) ? 0 : -1;
+    *unit = 1.0 + m;
+    return 0;
 }
 
-/* state(lower, upper, n): a fresh walker state for the box at level n. */
+/* A fresh walk of the box lower, upper at level n, begun, in a block of
+ * walk_state_len(n) slots and `extra` unset ones after them, to PyMem_Free;
+ * NULL with an exception set. */
+static double *new_walk(PyObject *lower, PyObject *upper, int n, int64_t extra)
+{
+    const int64_t len = walk_state_len(n);
+    double *s = PyMem_Malloc((size_t)(len + extra) * 8);
+    if (s == NULL)
+        PyErr_NoMemory();
+    else if (begin(memset(s, 0, (size_t)len * 8), lower, upper, n) == 0)
+        return s;
+    PyMem_Free(s);
+    return NULL;
+}
+
+#define STATE "chebfrolov._walk.state"
+
+static void free_state(PyObject *state)
+{
+    PyMem_Free(PyCapsule_GetPointer(state, STATE));
+}
+
+/* state(lower, upper, n): a new walk of the box at level n, an opaque capsule
+ * holding its state, with n as its context. */
 static PyObject *py_state(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_ssize_t n;
-    if (check_nargs("state", nargs, 3) < 0 || (n = int_arg(args[2], "level", 0, LEVEL_LIMIT)) < 0)
+    double *s;
+    if (check_nargs("state", nargs, 3) < 0 || (n = int_arg(args[2], "level", 0, LEVEL_LIMIT)) < 0
+        || (s = new_walk(args[0], args[1], (int)n, 0)) == NULL)
         return NULL;
-    const int64_t len = walk_state_len((int)n);
-    PyObject *state = PyByteArray_FromStringAndSize(NULL, (Py_ssize_t)(len * 8));
+    PyObject *state = PyCapsule_New(s, STATE, free_state);
     if (state == NULL)
-        return NULL;
-    double *s = memset(PyByteArray_AS_STRING(state), 0, (size_t)len * 8);
-    if (corners(s, args[0], args[1], (int64_t)1 << n) < 0) {
-        Py_DECREF(state);
-        return NULL;
-    }
+        PyMem_Free(s);
+    else
+        PyCapsule_SetContext(state, (void *)(intptr_t)n);
     return state;
 }
 
-/* A one-shot walk's own state, to PyMem_Free, holding the box args[0], args[1]
- * at level *n = args[3], with the diagonals args[2] in diag and `extra` unset
- * slots after it; NULL with an exception set and no view held. */
+/* A one-shot walk's own state (see new_walk) of the box args[0], args[1] at
+ * level *n = args[3], with the diagonals args[2] in diag; NULL with an
+ * exception set and no view held. */
 static double *walk_args(PyObject *const *args, Py_buffer *diag, Py_ssize_t *n, int64_t extra)
 {
     if ((*n = int_arg(args[3], "level", 0, LEVEL_LIMIT)) < 0
         || values(args[2], diag, 0, ((Py_ssize_t)1 << *n) - 1, "the diagonals") < 0)
         return NULL;
-    const int64_t len = walk_state_len((int)*n);
-    double *s = PyMem_Malloc((size_t)(len + extra) * 8);
+    double *s = new_walk(args[0], args[1], (int)*n, extra);
     if (s == NULL)
-        PyErr_NoMemory();
-    else if (corners(memset(s, 0, (size_t)len * 8), args[0], args[1], (int64_t)1 << *n) == 0)
-        return s;
-    PyMem_Free(s);
-    PyBuffer_Release(diag);
-    return NULL;
+        PyBuffer_Release(diag);
+    return s;
 }
 
 /* count(lower, upper, diag, n): the points in the box. */
@@ -557,34 +562,49 @@ static PyObject *py_count(PyObject *Py_UNUSED(module), PyObject *const *args, Py
     return walk_result(result);
 }
 
-/* fill(state, diag, n, K, X, start, stop): resumes the walk of the state
- * into rows start..stop-1 of the int64 buffer K and the float64 buffer X;
- * returns the row it reached, stop if the rows are full. */
+/* fill(state, diag, size): resumes the walk of a `state` for up to size rows
+ * and returns them as a pair of bytearrays, K (int64) and X (float64), d
+ * values a row, empty once the walk is done.  The pair starts with
+ * min(size, FILL_ROWS) rows, doubles while the walk fills it and is trimmed
+ * to the rows written, so a huge size costs at most twice the rows written. */
 static PyObject *py_fill(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_ssize_t n, start = 0, stop;
-    Py_buffer state, diag, K, X;
-    if (check_nargs("fill", nargs, 7) < 0 || (n = resume_args(args, &state, &diag)) < 0)
+    if (check_nargs("fill", nargs, 3) < 0)
         return NULL;
-    const Py_ssize_t d = (Py_ssize_t)1 << n;
+    if (!PyCapsule_IsValid(args[0], STATE))
+        return PyErr_Format(PyExc_TypeError, "fill() needs a walker state made by state()");
+    double *s = PyCapsule_GetPointer(args[0], STATE);
+    const int n = (int)(intptr_t)PyCapsule_GetContext(args[0]);
+    const Py_ssize_t d = (Py_ssize_t)1 << n, row = 8 * d;
+    Py_ssize_t size, rows = 0;
+    Py_buffer diag;
+    if ((size = int_arg(args[2], "size", 1, PY_SSIZE_T_MAX / row)) < 0
+        || values(args[1], &diag, 0, d - 1, "the diagonals") < 0)
+        return NULL;
+    Py_ssize_t cap = size < FILL_ROWS ? size : FILL_ROWS;
+    PyObject *K = PyByteArray_FromStringAndSize(NULL, cap * row), *pair = NULL;
+    PyObject *X = K ? PyByteArray_FromStringAndSize(NULL, cap * row) : NULL;
     int64_t result = 0;
-    if ((stop = int_arg(args[6], "stop", 0, PY_SSIZE_T_MAX / d)) >= 0
-        && (start = int_arg(args[5], "start", 0, stop)) >= 0
-        && values(args[3], &K, 1, stop * d, "K") == 0) {
-        if (values(args[4], &X, 1, stop * d, "X") == 0) {
-            Py_BEGIN_ALLOW_THREADS
-            result = walk(state.buf, (int)n, diag.buf, (int64_t *)K.buf + start * d,
-                          (double *)X.buf + start * d, stop - start);
-            Py_END_ALLOW_THREADS
-            PyBuffer_Release(&X);
-        }
-        PyBuffer_Release(&K);
+    while (X != NULL) {
+        Py_BEGIN_ALLOW_THREADS
+        result = walk(s, n, diag.buf, (int64_t *)PyByteArray_AS_STRING(K) + rows * d,
+                      (double *)PyByteArray_AS_STRING(X) + rows * d, cap - rows);
+        Py_END_ALLOW_THREADS
+        if (result < 0 || (rows += result) < cap || cap == size)
+            break;
+        cap = cap < size - cap ? 2 * cap : size; /* full: double the pair */
+        if (PyByteArray_Resize(K, cap * row) < 0 || PyByteArray_Resize(X, cap * row) < 0)
+            break;
     }
     PyBuffer_Release(&diag);
-    PyBuffer_Release(&state);
-    if (PyErr_Occurred())
-        return NULL;
-    return result < 0 ? walk_result(result) : PyLong_FromLongLong(start + result);
+    if (result < 0)
+        walk_result(result);
+    else if (!PyErr_Occurred() && PyByteArray_Resize(K, rows * row) == 0
+             && PyByteArray_Resize(X, rows * row) == 0)
+        pair = PyTuple_Pack(2, K, X);
+    Py_XDECREF(K);
+    Py_XDECREF(X);
+    return pair;
 }
 
 /* The instance of the tuple subclass `type` holding (k, x), d values each. */
@@ -689,37 +709,34 @@ static PyObject *py_map_nodes(PyObject *Py_UNUSED(module), PyObject *const *args
     return PyErr_Occurred() ? NULL : PyLong_FromLongLong(result);
 }
 
-/* format_rows(X, d, precision, text): format_rows of the float64 buffer X,
- * rows of d, into the writable buffer text, which must hold
- * precision + 8 bytes a value (see format_rows); returns the bytes written. */
+/* format_rows(X, d, precision): format_rows of the float64 buffer X, rows
+ * of d, as a bytearray of the text, sized for precision + 8 bytes a value
+ * (see format_rows) and trimmed to the bytes written. */
 static PyObject *py_format_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
                                 Py_ssize_t nargs)
 {
     Py_ssize_t d, precision;
-    if (check_nargs("format_rows", nargs, 4) < 0
+    if (check_nargs("format_rows", nargs, 3) < 0
         || (d = int_arg(args[1], "dimension", 1, PY_SSIZE_T_MAX)) < 0
         || (precision = int_arg(args[2], "precision", 1, 4096)) < 0)
         return NULL;
-    Py_buffer X, text;
+    Py_buffer X;
     if (values(args[0], &X, 0, 0, "X") < 0)
         return NULL;
-    if (PyObject_GetBuffer(args[3], &text, PyBUF_WRITABLE) < 0) {
-        PyBuffer_Release(&X);
-        return NULL;
-    }
-    const Py_ssize_t len = X.len / 8;
-    int64_t size = 0;
+    const Py_ssize_t len = X.len / 8, cap = len * (precision + 8);
+    PyObject *text = NULL;
     if (len % d != 0) {
         PyErr_Format(PyExc_ValueError, "X holds %zd values, not rows of %zd", len, d);
-    } else if (text.len / (precision + 8) < len) {
-        PyErr_Format(PyExc_ValueError, "text holds %zd bytes, fewer than %zd", text.len,
-                     len * (precision + 8));
-    } else if ((size = format_rows(X.buf, len, d, (int)precision, text.buf, text.len)) < 0) {
-        PyErr_SetString(PyExc_RuntimeError, "format_rows could not write a fill as CSV text");
+    } else if ((text = PyByteArray_FromStringAndSize(NULL, cap)) != NULL) {
+        const int64_t size = format_rows(X.buf, len, d, (int)precision,
+                                         PyByteArray_AS_STRING(text), cap);
+        if (size < 0)
+            PyErr_SetString(PyExc_RuntimeError, "format_rows could not write a fill as CSV text");
+        if (size < 0 || PyByteArray_Resize(text, size) < 0)
+            Py_CLEAR(text);
     }
-    PyBuffer_Release(&text);
     PyBuffer_Release(&X);
-    return PyErr_Occurred() ? NULL : PyLong_FromLongLong(size);
+    return text;
 }
 
 /* apply_generator(diag, coords, n): the generator image of the 2^n reals
@@ -779,12 +796,12 @@ done:
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef entries[] = {
-    ENTRY(state, "state(lower, upper, n): a fresh walker state for the box"),
+    ENTRY(state, "state(lower, upper, n): a new walk of the box, to fill"),
     ENTRY(count, "count(lower, upper, diag, n): the number of points in the box"),
-    ENTRY(fill, "fill(state, diag, n, K, X, start, stop): walk into rows start..stop-1"),
+    ENTRY(fill, "fill(state, diag, size): the next rows (K, X) of the walk, up to size"),
     ENTRY(stream, "stream(lower, upper, diag, n, type, consumer): each point to consumer"),
     ENTRY(map_nodes, "map_nodes(X, d, s, v, u, bound): cubature nodes in place"),
-    ENTRY(format_rows, "format_rows(X, d, precision, text): CSV rows into text"),
+    ENTRY(format_rows, "format_rows(X, d, precision): the CSV text of the rows"),
     ENTRY(apply_generator, "apply_generator(diag, coords, n): the generator image"),
     {NULL, NULL, 0, NULL},
 };

@@ -16,9 +16,9 @@ limit of :class:`~chebfrolov.lattice.Level`; verify and table refuse limits
 that select no golden row.
 
 No command loads numpy.  ``points`` writes the CSV text of each fill of
-the walker in the walker library (``format_rows`` of ``_walk.c``, printf's
-``%.*g`` in the C locale, the bytes of :func:`format_point`) into one
-buffer, reused from fill to fill; JSONL lines are made in Python.
+the walker, made in the walker library (``format_rows`` of ``_walk.c``,
+printf's ``%.*g`` in the C locale, the bytes of :func:`format_point`);
+JSONL lines are made in Python.
 ``integrate`` maps each fill to cubature nodes in the walker library;
 ``verify`` filters fills and solves its small linear systems in Python.
 Only ``verify`` imports :mod:`chebfrolov.verify`.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import sys
@@ -153,9 +152,7 @@ def _cmd_points(args: argparse.Namespace) -> int:
     level = Level.from_dimension(args.dim)
     box = _resolve_box(args, level, _resolve_scale(args))
     d = level.d
-    fills = _fill(level, box, build_diag_ladder(level))
-    first = next(fills, None)  # the walker refuses a box at its first call
-    fills = itertools.chain([first] if first else [], fills)
+    fills = _fill(level, box, build_diag_ladder(level))  # refuses a far box here
     with _output(args) as out:
         if args.format == "csv":
             if args.header:
@@ -172,20 +169,15 @@ def _cmd_points(args: argparse.Namespace) -> int:
 def _write_csv(out: TextIO, fills: Iterator, d: int, precision: int) -> None:
     """Write the images X of each fill as CSV lines of d values.
 
-    ``format_rows`` of the walker library formats a whole fill into one
-    byte buffer, which grows to the largest fill and is reused; its text
-    goes to the binary layer of ``out`` once the text layer is flushed, or
-    is decoded for a stream without one (such as ``io.StringIO``).
+    ``format_rows`` of the walker library formats each fill as one bytearray,
+    written to the binary layer of ``out`` once the text layer is flushed,
+    or decoded for a stream without one (such as ``io.StringIO``).
     """
-    width = precision + 8  # the most bytes a value and its separator take (see _walk.c)
-    text = bytearray()
     out.flush()
     raw = getattr(out, "buffer", None)
     write = raw.write if raw is not None else lambda b: out.write(str(b, "ascii"))
     for _, X in fills:
-        if len(text) < len(X) * width:
-            text = bytearray(len(X) * width)
-        write(memoryview(text)[: _format_rows(X, d, precision, text)])
+        write(_format_rows(X, d, precision))
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:

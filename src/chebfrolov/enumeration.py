@@ -20,8 +20,8 @@ goes to one of two leaves:
 
 - A fill writes rows of k and x, each image finished by the last butterfly
   chain, and stops when its rows are full; the next resumes from the
-  walk's state buffer.  ``_fill`` fills one pair of int64 and float64
-  ``array.array`` buffers again and again and yields each fill;
+  walk's state, which the module owns.  Each fill returns its rows in a
+  new int64 and float64 pair; ``_fill`` yields them and
   ``enumerate_batches`` copies each into ``(K, X)`` numpy arrays.
   ``enumerate_stream`` is one call of the module's ``stream``, which fills
   a scratch pair of its own and hands each row to the consumer as a
@@ -49,9 +49,10 @@ own merges on one vector in the same module, and the oracle's
 both make the walker's operations.  The bounds that prune the search
 differ: a count's are its own, and so is its slack.
 A box with a corner beyond +-2**48, where the slack would reach a quarter
-in a fill and 2 in a count, or one that needs a coordinate beyond +-2**62
-is refused with ``ValueError``, unless it is empty (lower > upper in some
-coordinate).
+in a fill and 2 in a count, is refused with ``ValueError`` when its walk
+is made, at the call, unless it is empty (lower > upper in some
+coordinate); so is one that needs a coordinate beyond +-2**62, once the
+walk reaches it.
 
 The same module holds ``map_nodes``, the node map of :func:`integrate`,
 and ``format_rows``, the CSV text of the CLI's ``points``, called through
@@ -67,7 +68,6 @@ import math
 import operator
 import os
 import sys
-from array import array
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
@@ -162,10 +162,10 @@ def enumerate_batches(
     every batch but the last has exactly ``size`` rows.  Rows follow the
     lexicographic k order of :func:`enumerate_stream`, and ``X`` is
     bit-identical to the streamed images.  The walker stops when a batch is
-    full and resumes from its state for the next, into the same buffers, so
-    memory stays O(min(size, points) * d); each batch is a copy that owns its
-    arrays.  Arguments are checked by this call, before the first batch is
-    asked for.
+    full and resumes from its state for the next, so memory stays
+    O(min(size, points) * d); each batch is a copy that owns its arrays.
+    Arguments and the box are checked by this call, before the first batch
+    is asked for.
     """
     import numpy as np
 
@@ -191,16 +191,6 @@ def count_points(level: Level, box: Box, ladder: DiagLadder) -> int:
 #: and the double-box check); 128 to 1024 rows cost the same per point.
 _STREAM_ROWS = 256
 
-#: Rows the buffer pair of a walk starts with (see :func:`_fill`).
-#: ``array.array`` zeroes what it allocates, so a small start keeps a
-#: small query cheap at every d: with 1024 rows, ``enumerate_batches`` on an
-#: empty d = 64 box took 0.5 ms.
-_START_ROWS = 64
-
-#: One zero of each buffer type; ``_INT64 * n`` is a zeroed buffer of n values.
-_INT64 = array("q", [0])
-_FLOAT64 = array("d", [0.0])
-
 #: How the walker is built, before the include flags of the interpreter's
 #: headers (see :func:`_build_command`): no option changes it.
 #: ``-ffp-contract=off`` keeps every multiply and add a separately rounded
@@ -224,44 +214,30 @@ def _prepare(level, box, ladder):
 
 
 def _fill(level, box, ladder, size=_STREAM_ROWS):
-    """Check the arguments of a walk; return the generator of its fills ``(K, X)``.
+    """Check the arguments of a walk and make it; return the generator of its fills.
 
-    K and X are memoryviews of the filled rows of one ``array.array`` pair,
-    int64 and float64, d values a row in the lexicographic k order.  A fill
-    holds at most ``size`` rows and the next overwrites it, so a caller
-    finishes with one before it asks for the next.  The pair starts with at
-    most ``_START_ROWS`` rows and doubles, up to ``size``, only while the
-    first fill is written: a huge ``size`` costs at most twice the rows
-    written, and no buffer is resized once a view of it is out.
+    Each fill ``(K, X)`` is a pair of memoryviews, int64 and float64, of up
+    to ``size`` rows of d values in the lexicographic k order, in buffers of
+    its own that the walker sized.  The walk is made here, so a box the
+    walker refuses raises at this call.
     """
     lower, upper, diag, n = _prepare(level, box, ladder)
     size = operator.index(size)
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
-    return _fills(_library().state(lower, upper, n), diag, n, size)
+    return _fills(_library().state(lower, upper, n), diag, size, size * level.d)
 
 
-def _fills(state, diag, n, size):
-    """The generator behind :func:`_fill`."""
+def _fills(state, diag, size, full):
+    """The generator behind :func:`_fill`: a fill of fewer than ``full`` values is the last."""
     fill = _library().fill
-    d = 1 << n
-    capacity = min(size, _START_ROWS)
-    K = _INT64 * (capacity * d)
-    X = _FLOAT64 * (capacity * d)
-    rows = 0
     while True:
-        rows = fill(state, diag, n, K, X, rows, capacity)
-        if rows == capacity < size:  # the first fill outgrew the pair
-            more = min(capacity, size - capacity)
-            K += _INT64 * (more * d)
-            X += _FLOAT64 * (more * d)
-            capacity += more
-            continue
-        if rows:
-            yield memoryview(K)[: rows * d], memoryview(X)[: rows * d]
-        if rows < size:
+        K, X = fill(state, diag, size)
+        K, X = memoryview(K).cast("q"), memoryview(X).cast("d")
+        if K:
+            yield K, X
+        if len(K) < full:
             return
-        rows = 0
 
 
 def _map_nodes(X, d, shrink, v, u, bound):
@@ -272,11 +248,10 @@ def _map_nodes(X, d, shrink, v, u, bound):
     return _library().map_nodes(X, d, shrink, v, u, bound)
 
 
-def _format_rows(X, d, precision, text):
-    """``format_rows`` of ``_walk.c``: write the rows of d values of the
-    float64 buffer X into the bytearray ``text`` as CSV (a value and its
-    separator take at most ``precision + 8`` bytes); return the bytes written."""
-    return _library().format_rows(X, d, precision, text)
+def _format_rows(X, d, precision):
+    """``format_rows`` of ``_walk.c``: the CSV text of the rows of d values of
+    the float64 buffer X, as a bytearray."""
+    return _library().format_rows(X, d, precision)
 
 
 @lru_cache(maxsize=None)

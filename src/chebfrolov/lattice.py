@@ -151,7 +151,7 @@ class DiagLadder(_Value):
     walker and ``apply_generator``.
     """
 
-    __slots__ = ("levels", "_hash", "_flat")
+    __slots__ = ("levels", "_flat")
 
     def __init__(self, levels: tuple[tuple[float, ...], ...]) -> None:
         levels = tuple(tuple(float(v) for v in diag) for diag in levels)
@@ -163,11 +163,7 @@ class DiagLadder(_Value):
             if not 0.0 < v < math.inf:
                 raise ValueError(f"ladder entries must be positive and finite, got {v!r}")
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "_hash", hash(levels))  # hashed once: the ladder is immutable
         object.__setattr__(self, "_flat", memoryview(flat).toreadonly())
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def depth(self) -> int:

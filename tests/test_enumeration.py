@@ -1,4 +1,5 @@
 import _thread
+import datetime
 import gc
 import importlib
 import math
@@ -33,14 +34,15 @@ from chebfrolov import (
     count_points,
     enumerate_batches,
     enumerate_stream,
+    integrate,
     oracle_enumerate,
     randomized_box,
     sample_shift,
     standard_box,
 )
-from chebfrolov.lattice import build_generator_matrix
+from chebfrolov.lattice import build_generator_matrix, root_permutation
 from chebfrolov import enumeration
-from chebfrolov.enumeration import _FLOAT64, _INT64, _library
+from chebfrolov.enumeration import _library
 from chebfrolov.verify import _clamp_bounds, _images, _interval_mean, recursive_enumerate
 
 SQRT2 = math.sqrt(2.0)
@@ -601,10 +603,10 @@ class TestKernels:
         d = level.d
         ladder = build_diag_ladder(level)
         lower, upper, diag, n = enumeration._prepare(level, Box.symmetric(3.0, d), ladder)
-        far = Box.symmetric(2.0**50, d)
-        K, X = _INT64 * (4 * d), _FLOAT64 * (4 * d)
+        wide = Box.symmetric(8.0, d)  # 1,459 points: a fill of them outgrows its first pair
+        far, empty = Box.symmetric(2.0**50, d), Box((2.0**50,) * d, (0.0,) * d)
+        X = array("d", [0.5]) * (4 * d)
         v, u = array("d", [0.25] * d), array("d", [1.0] * d)
-        text = bytearray(4 * d * 25)
         seen = []
 
         def consumer(point):
@@ -616,14 +618,18 @@ class TestKernels:
             lambda: walker.count(("x",) * d, upper, diag, n),
             lambda: walker.count(lower, upper, diag[:1], n),
             lambda: walker.state(lower, ("x",) * d, n),
-            lambda: walker.fill(walker.state(lower, upper, n), diag, n, K[:3], X, 0, 4),
-            lambda: walker.fill(walker.state(far.lower, far.upper, n), diag, n, K, X, 0, 4),
+            lambda: walker.state(far.lower, far.upper, n),
+            lambda: walker.fill(bytearray(8 * 200), diag, 4),
+            lambda: walker.fill(datetime.datetime_CAPI, diag, 4),
+            lambda: walker.fill(walker.state(lower, upper, n), diag, 0),
+            lambda: walker.fill(walker.state(lower, upper, n), diag[:1], 4),
             lambda: walker.stream(far.lower, far.upper, diag, n, LatticePoint, consumer),
             lambda: walker.stream(lower, upper, diag, n, int, consumer),
             lambda: walker.stream(lower, upper, diag[:1], n, LatticePoint, consumer),
             lambda: walker.map_nodes(X, d, 0.5, v, None, 1.0),
             lambda: walker.map_nodes(X, d, 0.5, v, u[:1], 1.0),
-            lambda: walker.format_rows(X, d, 17, text[:10]),
+            lambda: walker.format_rows(X[:3], d, 17),
+            lambda: walker.format_rows(X, d, 0),
             lambda: walker.apply_generator(diag, ["x"] * d, n),
             lambda: walker.apply_generator(diag, [1.0] * 3, n),
             lambda: walker.apply_generator(diag[:1], [1.0] * d, n),
@@ -633,12 +639,16 @@ class TestKernels:
 
         def calls():
             walker.count(lower, upper, diag, n)
-            walker.fill(walker.state(lower, upper, n), diag, n, K, X, 0, 4)
+            walk = walker.state(wide.lower, wide.upper, n)
+            walker.fill(walk, diag, 4)
+            walker.fill(walk, diag, 10**6)  # the rest: doubled from 256 rows, then trimmed
+            walker.fill(walk, diag, 4)  # done: an empty pair
+            walker.fill(walker.state(empty.lower, empty.upper, n), diag, 4)
             walker.stream(lower, upper, diag, n, LatticePoint, seen.append)
             seen.clear()
             walker.map_nodes(X, d, 0.5, v, u, 1e9)
             walker.map_nodes(X, d, 0.5, None, None, 0.0)
-            walker.format_rows(X, d, 17, text)
+            walker.format_rows(X, d, 17)
             walker.apply_generator(diag, range(d), n)  # ints: each float() is a new object
             for refusal in refusals:
                 with pytest.raises((ValueError, TypeError, LookupError)):
@@ -740,34 +750,40 @@ class TestKernels:
         ladder = build_diag_ladder(level)
         lower, upper, diag, n = enumeration._prepare(level, Box.symmetric(3.0, d), ladder)
         state = walker.state(lower, upper, n)
-        K, X = array("q", [7]) * (4 * d), array("d", [7.0]) * (4 * d)
+        far = Box.symmetric(2.0**50, d)
+        X = array("d", [7.0]) * (4 * d)
         v, u = array("d", [0.25] * d), array("d", [1.0] * d)
-        text = bytearray(b"?" * (4 * d * 25))
-        buffers = (state, K, X, v, u, text)
+        buffers = (X, v, u)
         before = [bytes(b) for b in buffers]
         seen = []
         # views one value short of what each call asks for: a write would show in the buffer
-        state_, K_, X_, v_, u_, text_ = map(memoryview, buffers)
+        X_, v_, u_ = map(memoryview, buffers)
         refusals = [
-            lambda: walker.fill(state_[:-8], diag, n, K, X, 0, 4),
-            lambda: walker.fill(state, diag, n, K_[: 4 * d - 1], X, 0, 4),
-            lambda: walker.fill(state, diag, n, K, X_[: 4 * d - 1], 0, 4),
-            lambda: walker.fill(state, diag, n, K, X, 0, 5),
+            lambda: walker.fill(state, diag[:2], 4),
+            lambda: walker.fill(state, diag, 0),
+            lambda: walker.state(far.lower, far.upper, n),
             lambda: walker.stream(lower, upper, diag[:2], n, LatticePoint, seen.append),
             lambda: walker.map_nodes(X, d, 0.5, v_[:-1], u, 1.0),
             lambda: walker.map_nodes(X, d, 0.5, v, u_[:-1], 1.0),
             lambda: walker.map_nodes(X_[:-1], d, 0.5, v, u, 1.0),
-            lambda: walker.format_rows(X, d, 17, text_[:-1]),
-            lambda: walker.format_rows(X_[:-1], d, 17, text),
+            lambda: walker.format_rows(X_[:-1], d, 17),
         ]
         for refusal in refusals:
             with pytest.raises(ValueError):
                 refusal()
+        # a state is the walker's own: a buffer or another module's capsule is none
+        for foreign in (bytearray(8 * 200), datetime.datetime_CAPI):
+            with pytest.raises(TypeError, match="walker state"):
+                walker.fill(foreign, diag, 4)
         assert [bytes(b) for b in buffers] == before and seen == []
+        # the refused fills did not move the walk: it starts at its first row
+        rows = walker.fill(state, diag, 4)
+        assert rows == walker.fill(walker.state(lower, upper, n), diag, 4)
+        first = next(enumerate_batches(level, Box.symmetric(3.0, d), ladder, 4))
+        assert bytes(rows[0]) == first[0].tobytes() and bytes(rows[1]) == first[1].tobytes()
         # the same calls with the full buffers write them
-        assert walker.fill(state, diag, n, K, X, 0, 4) == 4
         assert walker.map_nodes(X, d, 0.5, v, u, 1e9) == -1
-        assert walker.format_rows(X, d, 17, text) > 0
+        assert len(walker.format_rows(X, d, 17)) > 0
         assert [bytes(b) for b in buffers] != before
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -1002,6 +1018,24 @@ class TestCount:
         box = Box((1e300,) * level.d, (0.5e300,) * level.d)
         assert count_points(level, box, ladder) == 0
         assert collect(level, box, ladder) == []
+        assert list(enumerate_batches(level, box, ladder)) == []
+
+    @pytest.mark.parametrize("n", [0, 2, 6])
+    def test_far_boxes_are_refused_at_the_call(self, n):
+        # the walker refuses a corner beyond +-2**48 when the walk is made:
+        # enumerate_batches raises before a batch is asked for
+        level = Level(n)
+        ladder = build_diag_ladder(level)
+        box = Box((0.0,) * level.d, (2.0**48,) * level.d)
+        for call in (count_points, enumerate_batches):
+            with pytest.raises(ValueError, match=r"corner beyond \+-2\*\*48"):
+                call(level, box, ladder)
+        with pytest.raises(ValueError, match=r"corner beyond \+-2\*\*48"):
+            enumerate_stream(level, box, ladder, lambda p: None)
+        if n < 6:  # no double scale puts a d = 64 standard box that far out
+            spec = CubatureSpec(level, 2.0 ** (60 * level.d))
+            with pytest.raises(ValueError, match=r"corner beyond \+-2\*\*48"):
+                integrate(spec, lambda x: 1.0, ladder)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_deep_levels_stream_and_count_agree(self, n):
@@ -1290,6 +1324,53 @@ def box_near_a_lattice_point(draw):
 def test_negation_maps_small_boxes(case):
     level, box = case
     assert_negation_maps(level, box, build_diag_ladder(level))
+
+
+def galois_permutation(n, m):
+    """The coordinate permutation p of the automorphism zeta -> zeta**m (m odd)
+    of the 4d-th roots of unity.  Coordinate i carries the root 2 cos(pi j / 2d),
+    j = 2 root_permutation(n, i + 1) - 1, which goes to 2 cos(pi m j / 2d), the
+    root of coordinate p[i]: m j = +-j' mod 4d.  The lattice holds
+    (x[p[0]], ..., x[p[d-1]]) whenever it holds x."""
+    d = 1 << n
+    js = [2 * root_permutation(n, i) - 1 for i in range(1, d + 1)]
+    where = {j: i for i, j in enumerate(js)}
+    return [where[min(m * j % (4 * d), -m * j % (4 * d))] for j in js]
+
+
+#: Scales of the randomized boxes of the Galois test per level n (d = 2**n).
+GALOIS_SCALES = {1: 2.0**12, 2: 2.0**12, 3: 2.0**11, 4: 2.0**11, 5: 2.0**9}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_galois_permutations_map_boxes(n):
+    # past the oracle's d <= 8, away from faces: a box with random corners
+    # and its image under a random Galois permutation hold as many points;
+    # up to d = 16 the integer matrix S with G S = P G maps the k-sets
+    level = Level(n)
+    d = level.d
+    ladder = build_diag_ladder(level)
+    rng = random.Random(1200 + n)
+    boxes = []
+    for _ in range(6):
+        x = apply_generator(ladder, [rng.randint(-50, 50) for _ in range(d)])
+        lower = [v - rng.uniform(0.5, 4.0) for v in x]
+        boxes.append(Box(lower, [v + rng.uniform(0.5, 4.0) for v in x]))
+    if n in GALOIS_SCALES:
+        spec = CubatureSpec(level, GALOIS_SCALES[n])
+        boxes += [randomized_box(spec, sample_shift(seed, d), ladder)[0] for seed in (n, n + 10)]
+    G = build_generator_matrix(level, ladder)
+    for box in boxes:
+        p = galois_permutation(n, rng.randrange(3, 2 * d, 2))
+        image = Box([box.lower[i] for i in p], [box.upper[i] for i in p])
+        assert count_points(level, image, ladder) == count_points(level, box, ladder)
+        if n > 4:
+            continue
+        S = np.linalg.solve(G, G[p])
+        assert np.abs(S - np.round(S)).max() < 1e-9
+        ks = np.array([q.k for q in collect(level, box, ladder)], np.int64).reshape(-1, d)
+        mapped = ks @ np.round(S).astype(np.int64).T
+        assert set(map(tuple, mapped.tolist())) == {q.k for q in collect(level, image, ladder)}
 
 
 @pytest.mark.parametrize("n", [3, 4])
