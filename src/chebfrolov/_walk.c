@@ -466,20 +466,19 @@ static PyObject *walk_result(int64_t result)
  * CORNER_LIMIT is refused; else s keeps 1 + max|corner|, the slacks' unit. */
 static int begin(double *s, PyObject *lower, PyObject *upper, int n)
 {
-    const int64_t d = (int64_t)1 << n;
+    const Py_ssize_t d = (Py_ssize_t)1 << n;
     if (!PyTuple_Check(lower) || !PyTuple_Check(upper) || PyTuple_GET_SIZE(lower) != d
         || PyTuple_GET_SIZE(upper) != d) {
-        PyErr_Format(PyExc_ValueError, "the corners must be two tuples of %lld floats",
-                     (long long)d);
+        PyErr_Format(PyExc_ValueError, "the corners must be two tuples of %zd floats", d);
         return -1;
     }
-    for (int64_t f = 0; f < 2 * d; f++) {
+    for (Py_ssize_t f = 0; f < 2 * d; f++) {
         s[f] = PyFloat_AsDouble(PyTuple_GET_ITEM(f < d ? lower : upper, f % d));
         if (s[f] == -1.0 && PyErr_Occurred())
             return -1;
     }
     double m = 0.0, *unit = s + (3 * n + 3) * d;
-    for (int64_t f = 0; f < d; f++) {
+    for (Py_ssize_t f = 0; f < d; f++) {
         if (!(s[f] <= s[d + f])) {
             ((int64_t *)unit)[1] = 1; /* started, at depth 0: done */
             return 0;
@@ -515,7 +514,7 @@ static void free_state(PyObject *state)
 }
 
 /* state(lower, upper, n): a new walk of the box at level n, an opaque capsule
- * holding its state, with n as its context. */
+ * holding its state, with n as its context; one fill at a time resumes it. */
 static PyObject *py_state(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_ssize_t n;
@@ -586,9 +585,10 @@ static PyObject *py_fill(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
     PyObject *X = K ? PyByteArray_FromStringAndSize(NULL, cap * row) : NULL;
     int64_t result = 0;
     while (X != NULL) {
+        int64_t *k = (int64_t *)PyByteArray_AS_STRING(K) + rows * d;
+        double *x = (double *)PyByteArray_AS_STRING(X) + rows * d;
         Py_BEGIN_ALLOW_THREADS
-        result = walk(s, n, diag.buf, (int64_t *)PyByteArray_AS_STRING(K) + rows * d,
-                      (double *)PyByteArray_AS_STRING(X) + rows * d, cap - rows);
+        result = walk(s, n, diag.buf, k, x, cap - rows);
         Py_END_ALLOW_THREADS
         if (result < 0 || (rows += result) < cap || cap == size)
             break;
