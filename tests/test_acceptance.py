@@ -35,7 +35,10 @@ from lattice_reference import rescaled_chebyshev
 MEDIUM_RANGES = {2: 20, 4: 20, 8: 14, 16: 24, 32: 16}
 
 #: The rest of the table, re-checked only on request (``pytest -m golden_full``).
-FULL_RANGES = {16: 30, 32: 20}
+FULL_RANGES = {16: 30, 32: 24}
+
+#: Golden rows re-checked on standard boxes made asymmetric by one ulp.
+FULL_WALK_ROWS = [(8, 14), (16, 14), (16, 16), (32, 6), (32, 8)]
 
 _golden = {(rec.d, rec.log2n): rec.count for rec in load_golden_table()}
 _count_cache: dict[tuple[int, int], int] = {}
@@ -96,6 +99,22 @@ def test_golden_counts_medium_scales():
            not mismatches and spot_ok)
 
 
+def test_golden_counts_on_the_full_walk():
+    # a count of a box symmetric about 0 walks half the search tree; the
+    # standard box with its last upper corner one ulp higher is not symmetric
+    # and holds the same points, so its count walks the whole tree
+    mismatches = []
+    for d, m in FULL_WALK_ROWS:
+        level, ladder = _ladder(d)
+        box = standard_box(CubatureSpec(level, float(2**m)))
+        upper = box.upper[:-1] + (math.nextafter(box.upper[-1], math.inf),)
+        count = count_points(level, Box(box.lower, upper), ladder)
+        if count != _golden[(d, m)]:
+            mismatches.append((d, m, _golden[(d, m)], count))
+    report(f"golden counts, asymmetric boxes {FULL_WALK_ROWS}: {mismatches or 'exact'}",
+           not mismatches)
+
+
 @pytest.mark.golden_full
 def test_golden_counts_full_table():
     mismatches = [
@@ -104,7 +123,7 @@ def test_golden_counts_full_table():
         for m in range(1, max_m + 1)
         if observed_count(d, m) != _golden[(d, m)]
     ]
-    report(f"golden counts, full table (d=16 to N=2**30, d=32 to N=2**20): {mismatches or 'exact'}",
+    report(f"golden counts, full table (d=16 to N=2**30, d=32 to N=2**24): {mismatches or 'exact'}",
            not mismatches)
 
 

@@ -1326,6 +1326,54 @@ def test_negation_maps_small_boxes(case):
     assert_negation_maps(level, box, build_diag_ladder(level))
 
 
+@st.composite
+def symmetric_box(draw):
+    """A box [-h, h] and its level: h is |Gk| (faces), |Gk| moved one ulp
+    either way in each coordinate, random, or |Gk| with some coordinates 0
+    (corners -0.0 and 0.0).  Past d = 4, k has one or two entries +-1, which
+    keeps the oracle's sweep and the stream's search tree small.  One box in
+    about four has one lower corner moved in, so it is not symmetric."""
+    level = Level(draw(st.integers(min_value=0, max_value=6)))
+    d = level.d
+    if level.n <= 2:
+        k = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    else:
+        k = [0] * d
+        for j in draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=2, unique=True)):
+            k[j] = draw(st.sampled_from([-1, 1]))
+    face = [abs(v) for v in apply_generator(build_diag_ladder(level), k)]
+    kind = draw(st.sampled_from(["face", "ulp", "random", "zero"]))
+    flags = draw(st.lists(st.booleans(), min_size=d, max_size=d)) if kind in ("ulp", "zero") else []
+    if kind == "ulp":
+        half = [abs(math.nextafter(v, math.inf if up else -math.inf)) for v, up in zip(face, flags)]
+    elif kind == "random":  # past d = 4, within the faces
+        factors = draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
+        half = [4.0 * f if level.n <= 2 else f * v for v, f in zip(face, factors)]
+    elif kind == "zero":
+        half = [0.0 if zero else v for v, zero in zip(face, flags)]
+    else:
+        half = face
+    lower = [-v for v in half]
+    if draw(st.integers(0, 3)) == 0:
+        lower[draw(st.integers(0, d - 1))] *= draw(st.floats(0.0, 0.5))
+    return level, Box(lower, half)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(symmetric_box())
+def test_symmetric_boxes_count_like_the_stream(case):
+    # a count of a box symmetric about 0 walks only the k whose first nonzero
+    # coordinate in its order (k_d, k_{d-1}, ...) is positive and counts their
+    # runs twice; the stream walks the whole tree, and so does the count of a
+    # box symmetric in all coordinates but one
+    level, box = case
+    ladder = build_diag_ladder(level)
+    points = collect(level, box, ladder)
+    assert count_points(level, box, ladder) == len(points)
+    if level.n <= 3:
+        assert points == oracle_enumerate(level, box)
+
+
 def galois_permutation(n, m):
     """The coordinate permutation p of the automorphism zeta -> zeta**m (m odd)
     of the 4d-th roots of unity.  Coordinate i carries the root 2 cos(pi j / 2d),
