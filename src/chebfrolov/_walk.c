@@ -6,8 +6,9 @@
  * both arrive as arguments, the ladder as the flat buffer of its diagonals
  * (level L from 2^L - 1), whose entries chebfrolov.lattice.DiagLadder has
  * checked positive and finite.  Its core is three C functions: walk, the
- * traversal; map_nodes, which maps filled images to cubature nodes in place;
- * and format_rows, which writes filled images as CSV text (see their
+ * traversal; map_nodes, which maps filled images to cubature nodes in place
+ * by one formula, s (x + v) / u, the deterministic rule being the identity
+ * shift; and format_rows, which writes filled images as CSV text (see their
  * comments below).  The CPython entry points at the end, the module's only
  * interface, wrap them: count and stream walk a whole box, state and fill a
  * resumable walk, and apply_generator runs walk's merge on one vector.
@@ -364,18 +365,19 @@ static int64_t walk(double *s, int n, const double *diag, int64_t *K, double *X,
 }
 
 /* The cubature node map of chebfrolov.cubature, in place on len values of X,
- * rows of d (len a multiple of d): x -> s * x (v == NULL, the deterministic rule) or
- * x -> s * (x + v) / u (the randomized rule; v and u hold d values each), each
- * a separately rounded IEEE operation in that order.  Returns the index of
- * the first node with !(|node| <= bound), NaN included, or -1; the values
- * past it are left unmapped. */
+ * rows of d (len a multiple of d): x -> s * (x + v) / u, v and u holding d
+ * values each, each a separately rounded IEEE operation in that order.  The
+ * deterministic rule is the identity shift u = 1, v = 0 (-0.0 for any x:
+ * x + -0.0 and x / 1.0 are x).  Returns the index of the first node with
+ * !(|node| <= bound), NaN included, or -1; the values past it are left
+ * unmapped. */
 static int64_t map_nodes(double *X, int64_t len, int64_t d, double s, const double *v,
                   const double *u, double bound)
 {
     for (int64_t i = 0; i < len; i += d) {
         double *row = X + i;
         for (int64_t f = 0; f < d; f++) {
-            const double node = v ? s * (row[f] + v[f]) / u[f] : s * row[f];
+            const double node = s * (row[f] + v[f]) / u[f];
             row[f] = node;
             if (!(fabs(node) <= bound))
                 return i + f;
@@ -701,7 +703,7 @@ static PyObject *py_stream(PyObject *Py_UNUSED(module), PyObject *const *args, P
 }
 
 /* map_nodes(X, d, s, v, u, bound): map_nodes on the float64 buffer X, rows
- * of d; v and u are both None or float64 buffers of d values. */
+ * of d; v and u are float64 buffers of d values. */
 static PyObject *py_map_nodes(PyObject *Py_UNUSED(module), PyObject *const *args,
                               Py_ssize_t nargs)
 {
@@ -715,19 +717,12 @@ static PyObject *py_map_nodes(PyObject *Py_UNUSED(module), PyObject *const *args
     const double bound = PyFloat_AsDouble(args[5]);
     if (bound == -1.0 && PyErr_Occurred())
         return NULL;
-    const int shifted = args[3] != Py_None;
-    if (shifted != (args[4] != Py_None)) {
-        PyErr_SetString(PyExc_ValueError, "map_nodes() takes v and u together, or neither");
-        return NULL;
-    }
     Py_buffer X, v, u;
     if (values(args[0], &X, 1, 0, "X") < 0)
         return NULL;
     int64_t result = -1;
     if ((X.len / 8) % d != 0) {
         PyErr_Format(PyExc_ValueError, "X holds %zd values, not rows of %zd", X.len / 8, d);
-    } else if (!shifted) {
-        result = map_nodes(X.buf, X.len / 8, d, s, NULL, NULL, bound);
     } else if (values(args[3], &v, 0, d, "v") == 0) {
         if (values(args[4], &u, 0, d, "u") == 0) {
             result = map_nodes(X.buf, X.len / 8, d, s, v.buf, u.buf, bound);

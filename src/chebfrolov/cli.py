@@ -40,7 +40,7 @@ from .cubature import (
     sample_shift,
     standard_box,
 )
-from .enumeration import Box, LatticePoint, _fill, _format_rows, count_points
+from .enumeration import Box, LatticePoint, _fill, _library, count_points
 from .golden import load_golden_table
 from .lattice import Level, build_diag_ladder
 
@@ -176,8 +176,9 @@ def _write_csv(out: TextIO, fills: Iterator, d: int, precision: int) -> None:
     out.flush()
     raw = getattr(out, "buffer", None)
     write = raw.write if raw is not None else lambda b: out.write(str(b, "ascii"))
+    format_rows = _library().format_rows
     for _, X in fills:
-        write(_format_rows(X, d, precision))
+        write(format_rows(X, d, precision))
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:

@@ -14,13 +14,16 @@ near its faces, 11,867 nodes at d = 32, N = 2**6 and 77 at d = 16, N = 2
 The randomized variant draws a diagonal dilation u in [1/2, 3/2]^d and a
 lattice shift v in [0, 1]^d; its nodes are the lattice points of a dilated,
 shifted box mapped by x -> s * (x + G v) / u componentwise (G v is the
-generator image of the shift).  With u = 1, v = 0 it degenerates to the
-deterministic rule bit-for-bit.  Averaging over shifts gives an unbiased
-estimator of the integral.
+generator image of the shift).  Averaging over shifts gives an unbiased
+estimator of the integral.  The deterministic rule is this rule at u = 1,
+v = 0, :meth:`RandomShift.identity`, and runs as it: its box, weight and
+nodes are those of the identity shift, bit for bit (``-base - 0.0`` is
+``-base``, ``w / 1.0`` is ``w``, and ``x + 0.0`` and ``x / 1.0`` are ``x``
+for every image, which is never -0.0).
 
 The node map runs in the compiled walker library (``map_nodes`` of
-``_walk.c``) on each fill of the walker, so :func:`integrate` and
-:func:`map_to_unit` load no numpy.
+``_walk.c``, the one formula) on each fill of the walker, so
+:func:`integrate` and :func:`map_to_unit` load no numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import random
 from array import array
 from typing import Callable, NamedTuple, Sequence
 
-from .enumeration import Box, _fill, _map_nodes, apply_generator
+from .enumeration import Box, _fill, _library, apply_generator
 from .lattice import DiagLadder, Level, _Value, det_magnitude
 
 #: Evaluation contract for integrands: total on the closed centered unit cube.
@@ -159,17 +162,20 @@ def map_to_unit(
 ) -> tuple[float, ...]:
     """Map an enumerated lattice point to its cubature node in [-1/2, 1/2]^d.
 
-    Deterministic rule: node = shrink * x.  Randomized rule: node =
-    shrink * (x + shift_vector) / u componentwise.  x must have the lattice
-    dimension.  Raises :class:`ConsistencyError` if the result leaves the
-    cube by more than ``NODE_TOLERANCE`` (which would indicate an
-    enumeration/mapping mismatch).
+    node = shrink * (x + shift_vector) / u componentwise.  Without a shift
+    this is the identity shift u = 1 with shift vector -0.0, so node =
+    shrink * x, the deterministic rule, for every x (-0.0 included).  x must
+    have the lattice dimension.  Raises :class:`ConsistencyError` if the
+    result leaves the cube by more than ``NODE_TOLERANCE`` (which would
+    indicate an enumeration/mapping mismatch).
     """
     if (shift is None) != (shift_vector is None):
         raise ValueError("give a shift and its shift_vector together, or neither")
     node = array("d", x)
     if len(node) != spec.level.d:
         raise ValueError(f"point dimension {len(node)} != lattice dimension {spec.level.d}")
+    if shift is None:
+        shift, shift_vector = RandomShift.identity(len(node)), (-0.0,) * len(node)
     _node_map(spec, shift, shift_vector)(node)
     return tuple(node)
 
@@ -184,20 +190,18 @@ def _node_map(spec, shift, shift_vector):
     the cube by more than ``NODE_TOLERANCE``, read when the map is made.
     """
     d = spec.level.d
-    if shift is None:
-        v = u = None
-    else:
-        if not len(shift.u) == len(shift_vector) == d:
-            raise ValueError(
-                f"shift dimension {len(shift.u)} or shift vector length {len(shift_vector)}"
-                f" != lattice dimension {d}"
-            )
-        v, u = array("d", shift_vector), array("d", shift.u)
+    if not len(shift.u) == len(shift_vector) == d:
+        raise ValueError(
+            f"shift dimension {len(shift.u)} or shift vector length {len(shift_vector)}"
+            f" != lattice dimension {d}"
+        )
+    v, u = array("d", shift_vector), array("d", shift.u)
     s = spec.shrink
     bound = 0.5 + NODE_TOLERANCE
+    map_nodes = _library().map_nodes
 
     def apply(X):
-        bad = _map_nodes(X, d, s, v, u, bound)
+        bad = map_nodes(X, d, s, v, u, bound)
         if bad >= 0:
             c = X[bad]
             raise ConsistencyError(f"node coordinate {c!r} outside [-1/2, 1/2] beyond tolerance")
@@ -220,11 +224,11 @@ def integrate(
 ) -> IntegrationResult:
     """Weighted sum of f over the cubature nodes, plus the node count.
 
-    The deterministic weight is 1/N.  For a randomized shift the weight also
-    carries the dilation's volume change: 1/(N * prod(u)), the |det| of the
-    dilated shrunk generator, which keeps the estimator unbiased for every
-    dilation (the identity shift reproduces the deterministic value
-    bit-for-bit).
+    The weight is 1/(N * prod(u)), the |det| of the dilated shrunk
+    generator: its factor 1/prod(u), the dilation's volume change, keeps the
+    estimator unbiased for every dilation.  Without a shift the rule is the
+    deterministic one, run as :meth:`RandomShift.identity`, whose weight is
+    1/N exactly.
 
     Nodes come from the walker's fills, as in :func:`enumerate_stream`: each
     fill is mapped into the unit cube and checked in the walker library, by
@@ -234,20 +238,16 @@ def integrate(
     would change the value); ``compensated`` switches it to Kahan summation.
     No numpy is loaded.
     """
-    level = spec.level
+    d = spec.level.d
     if shift is None:
-        box = standard_box(spec)
-        shift_vector: tuple[float, ...] | None = None
-        node_weight = spec.weight
-    else:
-        box, shift_vector = randomized_box(spec, shift, ladder)
-        node_weight = spec.weight / math.prod(shift.u)
-    d = level.d
+        shift = RandomShift.identity(d)
+    box, shift_vector = randomized_box(spec, shift, ladder)
+    node_weight = spec.weight / math.prod(shift.u)
     node_map = _node_map(spec, shift, shift_vector)
     total = 0.0
     carry = 0.0
     count = 0
-    for _, X in _fill(level, box, ladder):
+    for _, X in _fill(spec.level, box, ladder):
         node_map(X)
         count += len(X) // d
         values = map(f, zip(*[iter(X.tolist())] * d))

@@ -61,8 +61,9 @@ coordinate); so is one that needs a coordinate beyond +-2**62, once the
 walk reaches it.
 
 The same module holds ``map_nodes``, the node map of :func:`integrate`,
-and ``format_rows``, the CSV text of the CLI's ``points``, called through
-``_map_nodes`` and ``_format_rows``: no other module loads it.
+and ``format_rows``, the CSV text of the CLI's ``points``, which
+:mod:`~chebfrolov.cubature` and :mod:`~chebfrolov.cli` call directly on the
+module :func:`_library` returns; only :func:`_library` loads it.
 Numpy is imported only by ``enumerate_batches``, the one function that
 builds arrays, so counting, streaming, filling and :func:`apply_generator`
 run without it.
@@ -170,7 +171,8 @@ def enumerate_batches(
     bit-identical to the streamed images.  The walker stops when a batch is
     full and resumes from its state for the next, so memory stays
     O(min(size, points) * d); each batch's arrays are writable views of a
-    buffer pair of its own, which nothing else holds.
+    buffer pair of its own, which nothing else holds.  A size beyond the
+    rows a buffer can hold, ``sys.maxsize // (8 * d)``, means that many.
     Arguments and the box are checked by this call, before the first batch
     is asked for.
     """
@@ -235,6 +237,7 @@ def _fill(level, box, ladder, size=_STREAM_ROWS):
     size = operator.index(size)
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
+    size = min(size, sys.maxsize // (8 * level.d))
     return _fills(_library().state(lower, upper, n), diag, size, size * level.d)
 
 
@@ -248,20 +251,6 @@ def _fills(state, diag, size, full):
             yield K, X
         if len(K) < full:
             return
-
-
-def _map_nodes(X, d, shrink, v, u, bound):
-    """``map_nodes`` of ``_walk.c``: map the rows of d images in the float64
-    buffer X in place to shrink * x, or to shrink * (x + v) / u where the
-    float64 arrays v and u are given; return the index of the first node
-    beyond +-bound, or -1."""
-    return _library().map_nodes(X, d, shrink, v, u, bound)
-
-
-def _format_rows(X, d, precision):
-    """``format_rows`` of ``_walk.c``: the CSV text of the rows of d values of
-    the float64 buffer X, as a bytearray."""
-    return _library().format_rows(X, d, precision)
 
 
 @lru_cache(maxsize=None)

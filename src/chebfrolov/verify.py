@@ -3,10 +3,11 @@
 Four routes confirm the enumeration: a brute-force oracle that inverts the
 dense generator and tests every integer vector in a bounding box, a
 recursive reference that applies the half-mean and clamp split of the box
-directly (not the compiled walker), a two-scale consistency check that
-enumerates the double-scale box and filters, and regression against an
-embedded table of known-good node counts for the standard cubature boxes
-(:mod:`chebfrolov.golden`).  Of this module the package exports only
+directly in Python, not through the walk (its anchors and images come from
+:func:`apply_generator`, the walker module's merges), a two-scale
+consistency check that enumerates the double-scale box and filters, and
+regression against an embedded table of known-good node counts for the
+standard cubature boxes (:mod:`chebfrolov.golden`).  Of this module the package exports only
 :func:`oracle_enumerate`, on first access; the checks are imported from here.
 
 The oracle, the reference and the filter keep a point iff its
@@ -173,9 +174,12 @@ def recursive_enumerate(level: Level, box: Box) -> list[LatticePoint]:
     the corners; for each, its image ``apply_generator(ladder, k1)`` fixes
     the clamped bounds of the second half-block.  Every range reaches
     ``_SLACK * (1 + max|corner|)`` past its rounded bounds, and a candidate
-    is kept iff its image lies in the box.  Shares no code with the compiled
-    traversal and returns the same list as streaming into a list,
-    bit-for-bit, at any level.
+    is kept iff its image lies in the box.  It shares the walker module's
+    ``merge()`` with the compiled traversal, through the anchors and images
+    :func:`apply_generator` makes, but nothing else: its bounds, its slack
+    (``_SLACK``, 2**-45), its order (whole half-blocks, recursively) and its
+    membership filter (every candidate's image) are its own.  It returns the
+    same list as streaming into a list, bit-for-bit, at any level.
     """
     if box.dimension != level.d:
         raise ValueError(f"box dimension {box.dimension} != {level.d}")

@@ -1,5 +1,7 @@
+import itertools
 import math
 import statistics
+from array import array
 
 import numpy as np
 import pytest
@@ -178,8 +180,21 @@ class TestMapToUnit:
     def test_out_of_cube_raises(self):
         spec = CubatureSpec(Level(1), 4.0)
         far = 10.0 / spec.shrink
-        with pytest.raises(ConsistencyError):
-            map_to_unit((far, far), spec)
+        for bad in (far, -far, 1e300, math.inf, -math.inf, math.nan):
+            with pytest.raises(ConsistencyError):
+                map_to_unit((bad, bad), spec)
+            with pytest.raises(ConsistencyError):
+                map_to_unit((-0.0, bad), spec)
+
+    @pytest.mark.parametrize("n", range(3))
+    def test_identity_keeps_the_sign_of_zero(self, n):
+        # without a shift the map is the identity shift, v = -0.0: x + -0.0 is x
+        spec = CubatureSpec(Level(n), 4.0)
+        d = spec.level.d
+        mixed = (-0.0, 0.0, -1e-300, 0.25) * d
+        for x in ((-0.0,) * d, (0.0,) * d, mixed[:d]):
+            node = map_to_unit(x, spec)
+            assert array("d", node).tobytes() == array("d", [spec.shrink * c for c in x]).tobytes()
 
     def test_missing_shift_vector(self):
         spec = CubatureSpec(Level(1), 4.0)
@@ -230,12 +245,19 @@ class TestIntegrate:
             assert all(-0.5 - 1e-9 <= c <= 0.5 + 1e-9 for c in node)
 
     def test_identity_shift_bit_for_bit(self):
-        level = Level(1)
-        spec = CubatureSpec(level, 64.0)
-        ladder = build_diag_ladder(level)
-        plain = integrate(spec, product_of_cosines, ladder)
-        via_shift = integrate(spec, product_of_cosines, ladder, RandomShift.identity(2))
-        assert plain == via_shift
+        # d = 1..32, plain and compensated sums; coord1 sums to about 0,
+        # where the sign of zero shows in value.hex()
+        for n, scale in [(0, 2**8), (1, 2**8), (2, 2**8), (3, 2**6), (4, 2**2), (5, 2)]:
+            level = Level(n)
+            spec = CubatureSpec(level, float(scale))
+            ladder = build_diag_ladder(level)
+            identity = RandomShift.identity(level.d)
+            integrands = (product_of_cosines, lambda x: x[0])
+            for f, compensated in itertools.product(integrands, (False, True)):
+                plain = integrate(spec, f, ladder, compensated=compensated)
+                via_shift = integrate(spec, f, ladder, identity, compensated=compensated)
+                assert plain.node_count == via_shift.node_count > 0
+                assert plain.value.hex() == via_shift.value.hex()
 
     def test_node_count_matches_count_points(self):
         level = Level(2)

@@ -647,7 +647,7 @@ class TestKernels:
             walker.stream(lower, upper, diag, n, LatticePoint, seen.append)
             seen.clear()
             walker.map_nodes(X, d, 0.5, v, u, 1e9)
-            walker.map_nodes(X, d, 0.5, None, None, 0.0)
+            walker.map_nodes(X, d, 0.5, v, u, 0.0)  # stops at the first node
             walker.format_rows(X, d, 17)
             walker.apply_generator(diag, range(d), n)  # ints: each float() is a new object
             for refusal in refusals:
@@ -771,6 +771,10 @@ class TestKernels:
         for refusal in refusals:
             with pytest.raises(ValueError):
                 refusal()
+        # one node map: v and u are buffers, with no None for the deterministic rule
+        for shift in ((None, u), (v, None), (None, None)):
+            with pytest.raises(TypeError):
+                walker.map_nodes(X, d, 0.5, *shift, 1.0)
         # a state is the walker's own: a buffer or another module's capsule is none
         for foreign in (bytearray(8 * 200), datetime.datetime_CAPI):
             with pytest.raises(TypeError, match="walker state"):
@@ -1145,6 +1149,16 @@ class TestBatches:
         level = Level(1)
         box = cubature_box(1, 2**17)
         assert assert_batches_match_stream(level, box, build_diag_ladder(level), 10**12) > 2**17
+
+    @pytest.mark.parametrize("size", [sys.maxsize, 2**62, 2**100])
+    @pytest.mark.parametrize("n,box", [(0, Box((-3.5,), (3.2,))), (6, Box.symmetric(2.0, 64))])
+    def test_sizes_past_a_buffer_mean_its_most_rows(self, n, box, size):
+        # more rows than sys.maxsize bytes hold: one batch of every point, not
+        # a ValueError or OverflowError at the first batch
+        level = Level(n)
+        ladder = build_diag_ladder(level)
+        assert assert_batches_match_stream(level, box, ladder, size) > 0
+        assert len(list(enumerate_batches(level, box, ladder, size))) == 1
 
     def test_each_batch_owns_its_arrays(self):
         level = Level(2)
