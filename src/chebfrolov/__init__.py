@@ -10,7 +10,7 @@ The package names the enumerators, the cubature rule and the types they
 take, plus :func:`load_golden_table`, :func:`det_magnitude` and
 :func:`oracle_enumerate`, which is imported from :mod:`chebfrolov.verify`
 on first access (PEP 562).  The other checks, the golden records and the
-dense generator are imported from their own modules.
+roots are imported from their own modules.
 """
 
 from .cubature import (

@@ -3,9 +3,10 @@
  * The CPython extension module chebfrolov._walk, built on first use by
  * chebfrolov.enumeration (cc -O2 -ffp-contract=off, with the interpreter's
  * headers) and cached on disk.  One module serves every level n and ladder:
- * both arrive as arguments, the ladder as the flat buffer of its diagonals
- * (level L from 2^L - 1), whose entries chebfrolov.lattice.DiagLadder has
- * checked positive and finite.  Its core is three C functions: walk, the
+ * both arrive as arguments when a walk is made, the ladder as the flat
+ * buffer of its diagonals (level L from 2^L - 1), whose entries
+ * chebfrolov.lattice.DiagLadder has checked positive and finite; the walk
+ * copies them into its state.  Its core is three C functions: walk, the
  * traversal; map_nodes, which maps filled images to cubature nodes in place
  * by one formula, s (x + v) / u, the deterministic rule being the identity
  * shift; and format_rows, which writes filled images as CSV text (see their
@@ -82,8 +83,9 @@
  * operations of the node map, s * (x + v) then / u.
  *
  * There is no static state.  Everything lives in a state of walk_state_len(n)
- * eight-byte slots, set by begin() from the box (the call's own for count
- * and stream, the opaque capsule of `state` for fill):
+ * eight-byte slots, set by walk_args() from the box and the ladder when the
+ * walk is made (the call's own for count and stream, the opaque capsule of
+ * `state` for fill, so every fill of a walk reads the ladder it began with):
  *
  *   [0, d)             lower corner  = b, level n
  *   [d, 2d)            upper corner  = g, level n
@@ -91,6 +93,7 @@
  *   [(n+2)d, (2n+2)d)  g, levels 0..n-1   upper bounds
  *   [(2n+2)d, (3n+3)d) a, levels 0..n     partial images
  *   (3n+3)d            1 + max|corner|, the unit of the slacks
+ *   then 2^n - 1:      the diagonals, level L from 2^L - 1 (the ladder's)
  *   then int64:        started, depth, k[0..d], end[0..d]
  *
  * Level-L slot s covers the flat indices [s 2^L, (s+1) 2^L).  `depth` i
@@ -119,7 +122,14 @@ enum { WALK_RANGE = -1, WALK_OVERFLOW = -2 };
 
 static int64_t walk_state_len(int n)
 {
-    return ((int64_t)3 * n + 5) * ((int64_t)1 << n) + 5;
+    return ((int64_t)3 * n + 6) * ((int64_t)1 << n) + 4;
+}
+
+/* The unit of the slacks in the state s of a level-n walk: the diagonals
+ * follow it, and the int64 slots follow them (see the layout above). */
+static double *walk_unit(double *s, int n)
+{
+    return s + ((int64_t)3 * n + 3) * ((int64_t)1 << n);
 }
 
 /* Butterfly merges refreshing the partial images once the coordinate at
@@ -223,10 +233,11 @@ static void halve(int64_t i, int64_t kk, int64_t d, int64_t *zd, double *lo)
         *lo = 0.0;
 }
 
-static int64_t walk(double *s, int n, const double *diag, int64_t *K, double *X, int64_t size)
+static int64_t walk(double *s, int n, int64_t *K, double *X, int64_t size)
 {
     /* depth i walks flat index i - 1 in a fill, d - i in a count */
     const int64_t d = (int64_t)1 << n, last = K ? d - 1 : 0, step = K ? 1 : -1;
+    const double *unit = walk_unit(s, n), *diag = unit + 1;
     double *b[n + 1], *g[n + 1], *a[n + 1];
     const double *D[n + 1];
     b[n] = s;
@@ -238,14 +249,14 @@ static int64_t walk(double *s, int n, const double *diag, int64_t *K, double *X,
     }
     for (int L = 0; L <= n; L++)
         a[L] = s + (2 * n + 2 + L) * d;
-    int64_t *started = (int64_t *)(s + (3 * n + 3) * d + 1), *depth = started + 1;
+    int64_t *started = (int64_t *)(diag + d - 1), *depth = started + 1;
     int64_t *k = started + 2, *end = k + d + 1;
     /* a0 = a[0] and d0 = D[0][0] are read from their sources: gcc -O2 cannot
      * see that the loops above set a[0] and D[0] */
     double *a0 = s + (2 * n + 2) * d, *b0 = b[0], *g0 = g[0];
     double *b1 = b[n ? 1 : 0], *g1 = g[n ? 1 : 0];
     const double d0 = n ? diag[0] : 1.0;
-    const double slack = (K ? SLACK : COUNT_SLACK) * s[(3 * n + 3) * d];
+    const double slack = (K ? SLACK : COUNT_SLACK) * *unit;
 
     int64_t i = 0, rows = 0, count = 0, zd = -1;
     double lo, hi;
@@ -425,9 +436,9 @@ static int64_t format_rows(const double *X, int64_t len, int64_t d, int precisio
  * METH_FASTCALL functions over the buffer protocol: X, v, u and the
  * diagonals are buffers of eight-byte values (bytearray or array.array, or
  * memoryviews of them), checked for length and alignment before anything
- * is written.  A buffer stays exported while walk runs with the GIL
- * released, so no other thread can resize it; walk touches no Python
- * object.  Walker states and fill rows are the module's own. */
+ * is written.  Walker states and fill rows are the module's own: a walk
+ * copies its diagonals into its state when it is made, so walk, which runs
+ * with the GIL released, touches no Python object and no caller's buffer. */
 
 /* Values in each buffer of the scratch pair behind `stream`. */
 #define SCRATCH 1024
@@ -504,10 +515,10 @@ static int begin(double *s, PyObject *lower, PyObject *upper, int n)
         if (s[f] == -1.0 && PyErr_Occurred())
             return -1;
     }
-    double m = 0.0, *unit = s + (3 * n + 3) * d;
+    double m = 0.0, *unit = walk_unit(s, n);
     for (Py_ssize_t f = 0; f < d; f++) {
         if (!(s[f] <= s[d + f])) {
-            ((int64_t *)unit)[1] = 1; /* started, at depth 0: done */
+            ((int64_t *)unit)[d] = 1; /* started, at depth 0: done */
             return 0;
         }
         m = fmax(m, fmax(fabs(s[f]), fabs(s[d + f])));
@@ -518,19 +529,28 @@ static int begin(double *s, PyObject *lower, PyObject *upper, int n)
     return 0;
 }
 
-/* A fresh walk of the box lower, upper at level n, begun, in a block of
- * walk_state_len(n) slots and `extra` unset ones after them, to PyMem_Free;
- * NULL with an exception set. */
-static double *new_walk(PyObject *lower, PyObject *upper, int n, int64_t extra)
+/* A new walk of the box args[0], args[1] (see begin) at level *n = args[3],
+ * with the 2^n - 1 diagonals of the buffer args[2] copied into its state, in
+ * a block of walk_state_len(n) slots and `extra` unset ones after them, to
+ * PyMem_Free; NULL with an exception set.  No view is held once it returns. */
+static double *walk_args(PyObject *const *args, Py_ssize_t *n, int64_t extra)
 {
-    const int64_t len = walk_state_len(n);
+    Py_buffer diag;
+    if ((*n = int_arg(args[3], "level", 0, LEVEL_LIMIT)) < 0
+        || values(args[2], &diag, 0, ((Py_ssize_t)1 << *n) - 1, "the diagonals") < 0)
+        return NULL;
+    const int64_t len = walk_state_len((int)*n);
     double *s = PyMem_Malloc((size_t)(len + extra) * 8);
-    if (s == NULL)
+    if (s == NULL) {
         PyErr_NoMemory();
-    else if (begin(memset(s, 0, (size_t)len * 8), lower, upper, n) == 0)
-        return s;
-    PyMem_Free(s);
-    return NULL;
+    } else if (begin(memset(s, 0, (size_t)len * 8), args[0], args[1], (int)*n) < 0) {
+        PyMem_Free(s);
+        s = NULL;
+    } else {
+        memcpy(walk_unit(s, (int)*n) + 1, diag.buf, (((size_t)1 << *n) - 1) * 8);
+    }
+    PyBuffer_Release(&diag);
+    return s;
 }
 
 #define STATE "chebfrolov._walk.state"
@@ -540,15 +560,15 @@ static void free_state(PyObject *state)
     PyMem_Free(PyCapsule_GetPointer(state, STATE));
 }
 
-/* state(lower, upper, n): a new walk of the box at level n, an opaque capsule
- * holding its state, with n as its context; one fill at a time resumes it.
- * One slot past the state keeps the rows the last fill's pair reached. */
+/* state(lower, upper, diag, n): a new walk of the box at level n under the
+ * diagonals diag, an opaque capsule holding its state, with n as its context;
+ * one fill at a time resumes it.  One slot past the state keeps the rows the
+ * last fill's pair reached. */
 static PyObject *py_state(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_ssize_t n;
     double *s;
-    if (check_nargs("state", nargs, 3) < 0 || (n = int_arg(args[2], "level", 0, LEVEL_LIMIT)) < 0
-        || (s = new_walk(args[0], args[1], (int)n, 1)) == NULL)
+    if (check_nargs("state", nargs, 4) < 0 || (s = walk_args(args, &n, 1)) == NULL)
         return NULL;
     *(int64_t *)(s + walk_state_len((int)n)) = FILL_ROWS;
     PyObject *state = PyCapsule_New(s, STATE, free_state);
@@ -559,46 +579,30 @@ static PyObject *py_state(PyObject *Py_UNUSED(module), PyObject *const *args, Py
     return state;
 }
 
-/* A one-shot walk's own state (see new_walk) of the box args[0], args[1] at
- * level *n = args[3], with the diagonals args[2] in diag; NULL with an
- * exception set and no view held. */
-static double *walk_args(PyObject *const *args, Py_buffer *diag, Py_ssize_t *n, int64_t extra)
-{
-    if ((*n = int_arg(args[3], "level", 0, LEVEL_LIMIT)) < 0
-        || values(args[2], diag, 0, ((Py_ssize_t)1 << *n) - 1, "the diagonals") < 0)
-        return NULL;
-    double *s = new_walk(args[0], args[1], (int)*n, extra);
-    if (s == NULL)
-        PyBuffer_Release(diag);
-    return s;
-}
-
 /* count(lower, upper, diag, n): the points in the box. */
 static PyObject *py_count(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_ssize_t n;
-    Py_buffer diag;
     double *s;
-    if (check_nargs("count", nargs, 4) < 0 || (s = walk_args(args, &diag, &n, 0)) == NULL)
+    if (check_nargs("count", nargs, 4) < 0 || (s = walk_args(args, &n, 0)) == NULL)
         return NULL;
     int64_t result;
     Py_BEGIN_ALLOW_THREADS
-    result = walk(s, (int)n, diag.buf, NULL, NULL, 0);
+    result = walk(s, (int)n, NULL, NULL, 0);
     Py_END_ALLOW_THREADS
     PyMem_Free(s);
-    PyBuffer_Release(&diag);
     return walk_result(result);
 }
 
-/* fill(state, diag, size): resumes the walk of a `state` for up to size rows
- * and returns them as a pair of bytearrays, K (int64) and X (float64), d
- * values a row, empty once the walk is done.  The pair starts with as many
- * rows as the previous fill's reached (FILL_ROWS for the first), at most
- * size, doubles while the walk fills it and is trimmed to the rows written,
- * so a huge size costs at most twice the most rows a fill of the walk wrote. */
+/* fill(state, size): resumes the walk of a `state` for up to size rows and
+ * returns them as a pair of bytearrays, K (int64) and X (float64), d values
+ * a row, empty once the walk is done.  The pair starts with as many rows as
+ * the previous fill's reached (FILL_ROWS for the first), at most size,
+ * doubles while the walk fills it and is trimmed to the rows written, so a
+ * huge size costs at most twice the most rows a fill of the walk wrote. */
 static PyObject *py_fill(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_nargs("fill", nargs, 3) < 0)
+    if (check_nargs("fill", nargs, 2) < 0)
         return NULL;
     if (!PyCapsule_IsValid(args[0], STATE))
         return PyErr_Format(PyExc_TypeError, "fill() needs a walker state made by state()");
@@ -607,9 +611,7 @@ static PyObject *py_fill(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
     const Py_ssize_t d = (Py_ssize_t)1 << n, row = 8 * d;
     int64_t *reach = (int64_t *)(s + walk_state_len(n));
     Py_ssize_t size, rows = 0;
-    Py_buffer diag;
-    if ((size = int_arg(args[2], "size", 1, PY_SSIZE_T_MAX / row)) < 0
-        || values(args[1], &diag, 0, d - 1, "the diagonals") < 0)
+    if ((size = int_arg(args[1], "size", 1, PY_SSIZE_T_MAX / row)) < 0)
         return NULL;
     Py_ssize_t cap = size < *reach ? size : (Py_ssize_t)*reach;
     PyObject *K = PyByteArray_FromStringAndSize(NULL, cap * row), *pair = NULL;
@@ -619,7 +621,7 @@ static PyObject *py_fill(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
         int64_t *k = (int64_t *)PyByteArray_AS_STRING(K) + rows * d;
         double *x = (double *)PyByteArray_AS_STRING(X) + rows * d;
         Py_BEGIN_ALLOW_THREADS
-        result = walk(s, n, diag.buf, k, x, cap - rows);
+        result = walk(s, n, k, x, cap - rows);
         Py_END_ALLOW_THREADS
         if (result < 0 || (rows += result) < cap || cap == size)
             break;
@@ -627,7 +629,6 @@ static PyObject *py_fill(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
         if (PyByteArray_Resize(K, cap * row) < 0 || PyByteArray_Resize(X, cap * row) < 0)
             break;
     }
-    PyBuffer_Release(&diag);
     *reach = cap;
     if (result < 0)
         walk_result(result);
@@ -676,8 +677,7 @@ static PyObject *py_stream(PyObject *Py_UNUSED(module), PyObject *const *args, P
     if (!PyType_Check(args[4]) || !PyType_IsSubtype((PyTypeObject *)args[4], &PyTuple_Type))
         return PyErr_Format(PyExc_TypeError, "stream() needs a tuple subclass for its points");
     Py_ssize_t n;
-    Py_buffer diag;
-    double *s = walk_args(args, &diag, &n, 2 * SCRATCH);
+    double *s = walk_args(args, &n, 2 * SCRATCH);
     if (s == NULL)
         return NULL;
     const int64_t d = (int64_t)1 << n, chunk = SCRATCH / d;
@@ -685,7 +685,7 @@ static PyObject *py_stream(PyObject *Py_UNUSED(module), PyObject *const *args, P
     int64_t *K = (int64_t *)(X + SCRATCH), rows = chunk, total = 0;
     while (rows == chunk && !PyErr_Occurred()) {
         Py_BEGIN_ALLOW_THREADS
-        rows = walk(s, (int)n, diag.buf, K, X, chunk);
+        rows = walk(s, (int)n, K, X, chunk);
         Py_END_ALLOW_THREADS
         for (int64_t r = 0; r < rows && !PyErr_Occurred(); r++) {
             PyObject *point = lattice_point((PyTypeObject *)args[4], K + r * d, X + r * d, d);
@@ -696,7 +696,6 @@ static PyObject *py_stream(PyObject *Py_UNUSED(module), PyObject *const *args, P
         PyErr_CheckSignals();
     }
     PyMem_Free(s);
-    PyBuffer_Release(&diag);
     if (PyErr_Occurred())
         return NULL;
     return rows < 0 ? walk_result(rows) : PyLong_FromLongLong(total);
@@ -821,9 +820,9 @@ done:
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef entries[] = {
-    ENTRY(state, "state(lower, upper, n): a new walk of the box, to fill"),
+    ENTRY(state, "state(lower, upper, diag, n): a new walk of the box, to fill"),
     ENTRY(count, "count(lower, upper, diag, n): the number of points in the box"),
-    ENTRY(fill, "fill(state, diag, size): the next rows (K, X) of the walk, up to size"),
+    ENTRY(fill, "fill(state, size): the next rows (K, X) of the walk, up to size"),
     ENTRY(stream, "stream(lower, upper, diag, n, type, consumer): each point to consumer"),
     ENTRY(map_nodes, "map_nodes(X, d, s, v, u, bound): cubature nodes in place"),
     ENTRY(format_rows, "format_rows(X, d, precision): the CSV text of the rows"),

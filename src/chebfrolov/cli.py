@@ -225,13 +225,13 @@ def _golden_limits(args: argparse.Namespace) -> tuple[Level, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import double_box_check, reproduce_table, unimodular_check
+    from .verify import UNIMODULAR_MAX_LEVEL, double_box_check, reproduce_table, unimodular_check
 
     max_level, max_log2 = _golden_limits(args)
     table = load_golden_table()
     failures = 0
     with _output(args) as out:
-        for n in range(min(max_level.n, 3) + 1):
+        for n in range(min(max_level.n, UNIMODULAR_MAX_LEVEL) + 1):
             check = unimodular_check(Level(n))
             status = "PASS" if check.passed else "FAIL"
             failures += not check.passed

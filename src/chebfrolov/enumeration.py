@@ -20,7 +20,8 @@ goes to one of two leaves:
 
 - A fill writes rows of k and x, each image finished by the last butterfly
   chain, and stops when its rows are full; the next resumes from the
-  walk's state, which the module owns.  Each fill returns its rows in a
+  walk's state, which the module owns, with the ladder the walk was made
+  with: ``fill`` takes no diagonals.  Each fill returns its rows in a
   new int64 and float64 pair; ``_fill`` yields them and
   ``enumerate_batches`` wraps each as ``(K, X)`` numpy arrays, without a
   copy.
@@ -50,10 +51,10 @@ All three entry points compute images with identical floating-point
 operations, so they keep the same points, and the images the stream and
 the batches emit agree bit-for-bit with :func:`apply_generator`, in the
 same lexicographic order of k.  :func:`apply_generator` runs the walk's
-own merges on one vector in the same module, and the oracle's
-``verify._images`` runs the merge tree on many rows at once in numpy;
-both make the walker's operations.  The bounds that prune the search
-differ: a count's are its own, and so is its slack.
+own merges on one vector in the same module, and so does the oracle of
+:mod:`~chebfrolov.verify` on each of its candidates: the package has one
+image arithmetic.  The bounds that prune the search differ: a count's
+are its own, and so is its slack.
 A box with a corner beyond +-2**48, where the slack would reach a quarter
 in a fill and 2 in a count, is refused with ``ValueError`` when its walk
 is made, at the call, unless it is empty (lower > upper in some
@@ -63,10 +64,12 @@ walk reaches it.
 The same module holds ``map_nodes``, the node map of :func:`integrate`,
 and ``format_rows``, the CSV text of the CLI's ``points``, which
 :mod:`~chebfrolov.cubature` and :mod:`~chebfrolov.cli` call directly on the
-module :func:`_library` returns; only :func:`_library` loads it.
-Numpy is imported only by ``enumerate_batches``, the one function that
-builds arrays, so counting, streaming, filling and :func:`apply_generator`
-run without it.
+module :func:`_library` returns, as the oracle of :mod:`~chebfrolov.verify`
+calls its ``apply_generator``; only :func:`_library` loads it.
+Numpy is imported only by ``enumerate_batches``, the one function of the
+package that builds arrays, so counting, streaming, filling,
+:func:`apply_generator` and every check of :mod:`~chebfrolov.verify` run
+without it.
 """
 
 from __future__ import annotations
@@ -125,10 +128,10 @@ def apply_generator(ladder: DiagLadder, coords: Sequence[float]) -> tuple[float,
     Runs the traversal's merge tree on the vector, each coordinate taken as
     ``float()`` takes it, in the walker's module: round j maps each pair of
     2**(j-1)-blocks (A, Y) to (A + D*Y, A - D*Y), each entry as
-    ``p = D[i] * y; a + p; a - p``.  These are the operations of the walker
-    and of the oracle's row-wise ``verify._images``, so for integer coords
-    the result matches emitted point images bit-for-bit.  The diagonals are
-    the ladder's flat buffer, the one the walker reads.
+    ``p = D[i] * y; a + p; a - p``.  These are the walker's operations, so
+    for integer coords the result matches emitted point images bit-for-bit;
+    the oracle calls the same merges on each candidate.  The diagonals are
+    the ladder's flat buffer, the one the walker copies.
     """
     d = len(coords)
     n = d.bit_length() - 1
@@ -216,7 +219,7 @@ def _prepare(level, box, ladder):
     The box must have the lattice dimension and the ladder must reach the
     level.  The result is (lower, upper, diagonals, n): the box corners and
     the ladder's flat diagonal buffer, whose first 2**n - 1 values the
-    walker reads.
+    walker copies into the walk's state when it makes the walk.
     """
     if box.dimension != level.d:
         raise ValueError(f"box dimension {box.dimension} != lattice dimension {level.d}")
@@ -233,19 +236,19 @@ def _fill(level, box, ladder, size=_STREAM_ROWS):
     its own that the walker sized.  The walk is made here, so a box the
     walker refuses raises at this call.
     """
-    lower, upper, diag, n = _prepare(level, box, ladder)
+    args = _prepare(level, box, ladder)
     size = operator.index(size)
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
     size = min(size, sys.maxsize // (8 * level.d))
-    return _fills(_library().state(lower, upper, n), diag, size, size * level.d)
+    return _fills(_library().state(*args), size, size * level.d)
 
 
-def _fills(state, diag, size, full):
+def _fills(state, size, full):
     """The generator behind :func:`_fill`: a fill of fewer than ``full`` values is the last."""
     fill = _library().fill
     while True:
-        K, X = fill(state, diag, size)
+        K, X = fill(state, size)
         K, X = memoryview(K).cast("q"), memoryview(X).cast("d")
         if K:
             yield K, X

@@ -1,4 +1,4 @@
-"""Permuted Chebyshev roots, diagonal ladders, and generating matrices.
+"""Permuted Chebyshev roots and the diagonal ladders of the generator.
 
 For dimensions d = 2**n the lattice handled by this package is generated by
 the Vandermonde matrix of the roots of the rescaled degree-d Chebyshev
@@ -9,9 +9,10 @@ basis) into the block-recursive matrix
     A_0 = (1),   A_{L+1} = ((A_L,  D_L A_L),
                             (A_L, -D_L A_L)),
 
-where D_L is diagonal and positive.  The enumeration and cubature modules
-only ever need the diagonals D_0..D_{n-1} (the "ladder"); the dense generator
-is materialised here, with numpy, for the brute-force oracle and the tests.
+where D_L is diagonal and positive.  The package only ever needs the
+diagonals D_0..D_{n-1} (the "ladder"): the generator is applied by butterfly
+merges over them, and the checks of :mod:`chebfrolov.verify` take its dense
+rows from the images of the unit vectors.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Highest recursion depth n (d = 2**n <= 64).  The walker's slacks are
 #: measured on face boxes up to d = 64 and no further (the table in the
@@ -183,24 +180,6 @@ def build_diag_ladder(level: Level) -> DiagLadder:
             for L in range(level.n)
         )
     )
-
-
-def build_generator_matrix(level: Level, ladder: DiagLadder) -> np.ndarray:
-    """Dense 2**n x 2**n generator built by the block recursion.
-
-    Only the brute-force oracle and the tests touch this; the enumeration
-    algorithms and the unimodular check work from the ladder alone.
-    """
-    import numpy as np
-
-    if ladder.depth < level.n:
-        raise ValueError(f"ladder depth {ladder.depth} < level {level.n}")
-    a = np.ones((1, 1))
-    for L in range(level.n):
-        diag = np.asarray(ladder.levels[L])
-        scaled = diag[:, None] * a
-        a = np.block([[a, scaled], [a, -scaled]])
-    return a
 
 
 def det_magnitude(level: Level) -> float:

@@ -1,7 +1,7 @@
 """Independent correctness machinery.
 
 Four routes confirm the enumeration: a brute-force oracle that inverts the
-dense generator and tests every integer vector in a bounding box, a
+generator and tests every integer vector in a bounding box, a
 recursive reference that applies the half-mean and clamp split of the box
 directly in Python, not through the walk (its anchors and images come from
 :func:`apply_generator`, the walker module's merges), a two-scale
@@ -14,10 +14,10 @@ The oracle, the reference and the filter keep a point iff its
 :func:`apply_generator` image x has ``lower <= x <= upper``, as the
 enumerators do.
 
-Only the oracle (with its row-wise image tree ``_images``) loads numpy.
-The two-scale check filters the walker's fills in Python, and the
-unimodular check solves its d <= 8 system by Gaussian elimination in
-Python, so the CLI's ``verify`` runs without numpy.
+Nothing here loads numpy.  The generator's rows are the images of the unit
+vectors, and the oracle and the unimodular check both solve their d <= 8
+systems with them by Gaussian elimination in Python (:func:`_eliminate`);
+the two-scale check filters the walker's fills in Python.
 """
 
 from __future__ import annotations
@@ -28,15 +28,19 @@ import operator
 from typing import NamedTuple, Sequence
 
 from .cubature import CubatureSpec, standard_box
-from .enumeration import Box, LatticePoint, _fill, apply_generator, count_points
+from .enumeration import Box, LatticePoint, _fill, _library, apply_generator, count_points
 from .golden import CountRecord, load_golden_table
-from .lattice import DiagLadder, Level, build_diag_ladder, build_generator_matrix, chebyshev_root
+from .lattice import DiagLadder, Level, build_diag_ladder, chebyshev_root
 
 #: The brute-force oracle refuses levels above this (bounding-box cost).
 ORACLE_MAX_LEVEL = 3
 
 #: Hard cap on candidate vectors the oracle will sweep.
 _ORACLE_MAX_CANDIDATES = 1 << 24
+
+#: :func:`unimodular_check` refuses levels above this, and the CLI's
+#: ``verify`` checks every level up to it.
+UNIMODULAR_MAX_LEVEL = 3
 
 #: How far past its rounded bounds :func:`recursive_enumerate` looks, per
 #: unit of 1 + max|corner|: 4 times the count slack of ``_walk.c`` (32 times
@@ -66,14 +70,15 @@ class UnimodularCheck(NamedTuple):
 def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:
     """Brute-force reference enumeration, independent of the streaming code.
 
-    Inverts the dense generator, derives integer bounds for k by interval
-    arithmetic on the box corners, and keeps every candidate whose image
-    (computed as by :func:`apply_generator`) lies in the closed box.
+    Inverts the generator (its rows from :func:`_generator_rows`) by
+    :func:`_eliminate`, bounds each k_i by interval arithmetic on the box
+    corners, padded by ``1e-6 + 1e-12 * max(|lo|, |hi|)`` before rounding,
+    and keeps every candidate whose image, made by the walker module's
+    merges as :func:`apply_generator` makes it, lies in the closed box.
     Returns points in lexicographic k order.  Only sensible for small
-    levels; larger ones are refused.
+    levels; larger ones, and more than ``_ORACLE_MAX_CANDIDATES``
+    candidates, are refused before any is swept.
     """
-    import numpy as np
-
     if level.n > ORACLE_MAX_LEVEL:
         raise ValueError(
             f"oracle refuses level {level.n} > {ORACLE_MAX_LEVEL}: "
@@ -81,53 +86,34 @@ def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:
         )
     if box.dimension != level.d:
         raise ValueError(f"box dimension {box.dimension} != {level.d}")
+    d = level.d
     ladder = build_diag_ladder(level)
-    inv = np.linalg.inv(build_generator_matrix(level, ladder))
-    b = np.asarray(box.lower)
-    c = np.asarray(box.upper)
-    # interval image of the box under the inverse, inflated before rounding
-    lo = np.minimum(inv * b, inv * c).sum(axis=1)
-    hi = np.maximum(inv * b, inv * c).sum(axis=1)
-    pad = 1e-6 + 1e-12 * np.maximum(np.abs(lo), np.abs(hi))
-    kmin = np.ceil(lo - pad).astype(int)
-    kmax = np.floor(hi + pad).astype(int)
-    sizes = np.maximum(kmax - kmin + 1, 0)
-    total = int(np.prod(sizes))
-    if total == 0:
-        return []
-    if total > _ORACLE_MAX_CANDIDATES:
+    identity = [[float(i == j) for j in range(d)] for i in range(d)]
+    inv, _ = _eliminate(_generator_rows(ladder, d), identity)
+    lower, upper = box.lower, box.upper
+    ranges = []
+    for row in inv:
+        # interval image of the box under the inverse, inflated before rounding
+        lo = sum(min(g * b, g * c) for g, b, c in zip(row, lower, upper))
+        hi = sum(max(g * b, g * c) for g, b, c in zip(row, lower, upper))
+        pad = 1e-6 + 1e-12 * max(abs(lo), abs(hi))
+        ranges.append(range(math.ceil(lo - pad), math.floor(hi + pad) + 1))
+    if (total := math.prod(map(len, ranges))) > _ORACLE_MAX_CANDIDATES:
         raise ValueError(f"oracle candidate set too large ({total} vectors)")
 
+    image, flat, n = _library().apply_generator, ladder._flat, level.n
     accepted: list[LatticePoint] = []
-    candidates = itertools.product(*(range(a, z + 1) for a, z in zip(kmin, kmax)))
-    while chunk := list(itertools.islice(candidates, 65536)):
-        X = _images(ladder, np.array(chunk))
-        inside = np.flatnonzero(np.all((X >= b) & (X <= c), axis=1))
-        accepted += [LatticePoint(chunk[i], tuple(X[i].tolist())) for i in inside]
+    for k in itertools.product(*ranges):
+        x = image(flat, k, n)
+        if all(map(operator.le, lower, x)) and all(map(operator.le, x, upper)):
+            accepted.append(LatticePoint(k, x))
     return accepted
 
 
-def _images(ladder, K):
-    """Generator images of the rows of K, bit-identical to the streamed ones.
-
-    Runs the traversal's merge tree on all rows at once (a copy of K, which
-    may be integer or real): round j pairs the 2**(j-1)-blocks and maps (A, Y) to (A + D*Y, A - D*Y)
-    with D the ladder diagonal at level j - 1, the operations the traversal
-    performs one point at a time.
-    """
-    import numpy as np
-
-    m, d = K.shape
-    X = K.astype(np.float64)
-    w = 1
-    for diag in ladder.levels[: d.bit_length() - 1]:
-        pairs = X.reshape(m, d // (2 * w), 2, w)
-        A = pairs[:, :, 0, :]
-        prod = np.array(diag) * pairs[:, :, 1, :]
-        pairs[:, :, 1, :] = A - prod
-        A += prod
-        w *= 2
-    return X
+def _generator_rows(ladder: DiagLadder, d: int) -> list[tuple[float, ...]]:
+    """The d x d generator as rows: its columns are the images of the unit vectors."""
+    columns = [apply_generator(ladder, [float(i == j) for i in range(d)]) for j in range(d)]
+    return list(zip(*columns))
 
 
 def _interval_mean(level: int, values: Sequence[float]) -> tuple[float, ...]:
@@ -236,11 +222,10 @@ def unimodular_check(level: Level) -> UnimodularCheck:
     integer and the deviation of |det| from one; passes when both are below
     1e-6.
     """
-    if level.n > 3:
-        raise ValueError(f"unimodular check limited to level <= 3, got {level.n}")
+    if level.n > UNIMODULAR_MAX_LEVEL:
+        raise ValueError(f"unimodular check refuses level {level.n} > {UNIMODULAR_MAX_LEVEL}")
     d = level.d
     ladder = build_diag_ladder(level)
-    columns = [apply_generator(ladder, [float(i == j) for i in range(d)]) for j in range(d)]
     vand = []
     for k in range(1, d + 1):
         root, power, row = chebyshev_root(level.n, k), 1.0, []
@@ -248,7 +233,7 @@ def unimodular_check(level: Level) -> UnimodularCheck:
             row.append(power)
             power *= root
         vand.append(row)
-    s, _ = _eliminate(vand, list(zip(*columns)))
+    s, _ = _eliminate(vand, _generator_rows(ladder, d))
     if s is None:
         return UnimodularCheck(math.inf, math.inf, False)
     _, det = _eliminate(s, [[]] * d)

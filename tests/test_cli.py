@@ -671,6 +671,7 @@ map_to_unit([0.0] * 8, spec)
 map_to_unit([-v for v in shift_vector], spec, shift, shift_vector)
 assert unimodular_check(Level(3)).passed
 assert double_box_check(Level(2), 16.0).agree
+assert len(oracle_enumerate(Level(1), Box.symmetric(2.0, 2))) == 7
 with contextlib.redirect_stdout(io.StringIO()):
     assert chebfrolov.cli.main(["count", "--dim", "8", "--log2-scale", "8"]) == 0
     assert chebfrolov.cli.main(["integrate", "--dim", "8", "--log2-scale", "8"]) == 0
@@ -679,10 +680,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert chebfrolov.cli.main(["table", "--max-dim", "4", "--max-log2-scale", "3"]) == 0
 assert chebfrolov.cli.main(["points", "--dim", "8", "--log2-scale", "8", "--out", sys.argv[1]]) == 0
 assert "numpy" not in sys.modules, "numpy was loaded"
-if sys.argv[2] == "batches":
-    assert sum(len(K) for K, X in enumerate_batches(level, box, ladder, 100)) == n
-else:
-    assert len(oracle_enumerate(Level(1), Box.symmetric(2.0, 2))) == 7
+assert sum(len(K) for K, X in enumerate_batches(level, box, ladder, 100)) == n
 assert "numpy" in sys.modules
 print(n)
 """
@@ -690,19 +688,17 @@ print(n)
 
 def test_numpy_loaded_only_where_arrays_are_built(tmp_path):
     # importing, counting, streaming, integration (both rules), map_to_unit,
-    # the unimodular and double-box checks and every CLI command run
-    # without numpy; the batches and the oracle still load it, each in a
-    # child of its own
+    # the oracle, the unimodular and double-box checks and every CLI command
+    # run without numpy; only the batches load it
     target = tmp_path / "pts.csv"
-    for loader in ("batches", "oracle"):
-        proc = subprocess.run(
-            [sys.executable, "-c", NUMPY_FREE_CHILD, str(target), loader],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": package_path()},
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        n = int(proc.stdout)
-        assert n > 200
-        assert target.read_text().count("\n") == n
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_CHILD, str(target)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_path()},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    n = int(proc.stdout)
+    assert n > 200
+    assert target.read_text().count("\n") == n

@@ -24,7 +24,7 @@ from chebfrolov import (
     sample_shift,
     standard_box,
 )
-from chebfrolov.lattice import build_generator_matrix
+from lattice_reference import build_generator_matrix
 
 
 def product_of_cosines(x):

@@ -40,10 +40,11 @@ from chebfrolov import (
     sample_shift,
     standard_box,
 )
-from chebfrolov.lattice import build_generator_matrix, root_permutation
+from chebfrolov.lattice import root_permutation
 from chebfrolov import enumeration
 from chebfrolov.enumeration import _library
-from chebfrolov.verify import _clamp_bounds, _images, _interval_mean, recursive_enumerate
+from chebfrolov.verify import _clamp_bounds, _interval_mean, recursive_enumerate
+from lattice_reference import build_generator_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -244,7 +245,7 @@ class TestApplyGenerator:
 
     @pytest.mark.parametrize("n", range(7))
     def test_matches_images_byte_for_byte(self, n):
-        # the scalar merge tree and the row-wise one perform the same operations
+        # the compiled merge tree and the Python reference perform the same operations
         rng = random.Random(n + 200)
         d = 1 << n
         ladder = build_diag_ladder(Level(n))
@@ -258,7 +259,7 @@ class TestApplyGenerator:
         vectors += [[rng.choice(draws)() for _ in range(d)] for _ in range(10)]
         for v in vectors:
             got = np.array(apply_generator(ladder, v), dtype=np.float64)
-            assert got.tobytes() == _images(ladder, np.array([v], dtype=np.float64))[0].tobytes()
+            assert got.tobytes() == np.array(reference_apply_generator(ladder, v)).tobytes()
 
     def test_scalar_pair(self):
         ladder = build_diag_ladder(Level(1))
@@ -462,7 +463,6 @@ SUBMODULE_NAMES = {
     "reproduce_table": "chebfrolov.verify",
     "double_box_check": "chebfrolov.verify",
     "unimodular_check": "chebfrolov.verify",
-    "build_generator_matrix": "chebfrolov.lattice",
     "root_permutation": "chebfrolov.lattice",
     "chebyshev_root": "chebfrolov.lattice",
 }
@@ -525,7 +525,8 @@ class TestKernels:
         verify = importlib.import_module("chebfrolov.verify")
         assert not hasattr(verify, "interval_mean") and not hasattr(verify, "clamp_bounds")
         lattice = importlib.import_module("chebfrolov.lattice")  # test-only code lives in the tests
-        assert not hasattr(lattice, "build_vandermonde") and not hasattr(lattice, "rescaled_chebyshev")
+        for name in ("build_vandermonde", "rescaled_chebyshev", "build_generator_matrix"):
+            assert not hasattr(lattice, name)
 
     def test_second_process_reuses_the_cached_library(self):
         code = COUNT_PROCESSES + (
@@ -617,12 +618,13 @@ class TestKernels:
             lambda: walker.count(lower[:1], upper, diag, n),
             lambda: walker.count(("x",) * d, upper, diag, n),
             lambda: walker.count(lower, upper, diag[:1], n),
-            lambda: walker.state(lower, ("x",) * d, n),
-            lambda: walker.state(far.lower, far.upper, n),
-            lambda: walker.fill(bytearray(8 * 200), diag, 4),
-            lambda: walker.fill(datetime.datetime_CAPI, diag, 4),
-            lambda: walker.fill(walker.state(lower, upper, n), diag, 0),
-            lambda: walker.fill(walker.state(lower, upper, n), diag[:1], 4),
+            lambda: walker.state(lower, ("x",) * d, diag, n),
+            lambda: walker.state(far.lower, far.upper, diag, n),
+            lambda: walker.state(lower, upper, diag[:1], n),
+            lambda: walker.fill(bytearray(8 * 200), 4),
+            lambda: walker.fill(datetime.datetime_CAPI, 4),
+            lambda: walker.fill(walker.state(lower, upper, diag, n), 0),
+            lambda: walker.fill(walker.state(lower, upper, diag, n), diag, 4),
             lambda: walker.stream(far.lower, far.upper, diag, n, LatticePoint, consumer),
             lambda: walker.stream(lower, upper, diag, n, int, consumer),
             lambda: walker.stream(lower, upper, diag[:1], n, LatticePoint, consumer),
@@ -639,11 +641,11 @@ class TestKernels:
 
         def calls():
             walker.count(lower, upper, diag, n)
-            walk = walker.state(wide.lower, wide.upper, n)
-            walker.fill(walk, diag, 4)
-            walker.fill(walk, diag, 10**6)  # the rest: doubled from 256 rows, then trimmed
-            walker.fill(walk, diag, 4)  # done: an empty pair
-            walker.fill(walker.state(empty.lower, empty.upper, n), diag, 4)
+            walk = walker.state(wide.lower, wide.upper, diag, n)
+            walker.fill(walk, 4)
+            walker.fill(walk, 10**6)  # the rest: doubled from 256 rows, then trimmed
+            walker.fill(walk, 4)  # done: an empty pair
+            walker.fill(walker.state(empty.lower, empty.upper, diag, n), 4)
             walker.stream(lower, upper, diag, n, LatticePoint, seen.append)
             seen.clear()
             walker.map_nodes(X, d, 0.5, v, u, 1e9)
@@ -749,7 +751,7 @@ class TestKernels:
         d = level.d
         ladder = build_diag_ladder(level)
         lower, upper, diag, n = enumeration._prepare(level, Box.symmetric(3.0, d), ladder)
-        state = walker.state(lower, upper, n)
+        state = walker.state(lower, upper, diag, n)
         far = Box.symmetric(2.0**50, d)
         X = array("d", [7.0]) * (4 * d)
         v, u = array("d", [0.25] * d), array("d", [1.0] * d)
@@ -759,9 +761,9 @@ class TestKernels:
         # views one value short of what each call asks for: a write would show in the buffer
         X_, v_, u_ = map(memoryview, buffers)
         refusals = [
-            lambda: walker.fill(state, diag[:2], 4),
-            lambda: walker.fill(state, diag, 0),
-            lambda: walker.state(far.lower, far.upper, n),
+            lambda: walker.state(lower, upper, diag[:2], n),
+            lambda: walker.fill(state, 0),
+            lambda: walker.state(far.lower, far.upper, diag, n),
             lambda: walker.stream(lower, upper, diag[:2], n, LatticePoint, seen.append),
             lambda: walker.map_nodes(X, d, 0.5, v_[:-1], u, 1.0),
             lambda: walker.map_nodes(X, d, 0.5, v, u_[:-1], 1.0),
@@ -778,17 +780,38 @@ class TestKernels:
         # a state is the walker's own: a buffer or another module's capsule is none
         for foreign in (bytearray(8 * 200), datetime.datetime_CAPI):
             with pytest.raises(TypeError, match="walker state"):
-                walker.fill(foreign, diag, 4)
+                walker.fill(foreign, 4)
         assert [bytes(b) for b in buffers] == before and seen == []
         # the refused fills did not move the walk: it starts at its first row
-        rows = walker.fill(state, diag, 4)
-        assert rows == walker.fill(walker.state(lower, upper, n), diag, 4)
+        rows = walker.fill(state, 4)
+        assert rows == walker.fill(walker.state(lower, upper, diag, n), 4)
         first = next(enumerate_batches(level, Box.symmetric(3.0, d), ladder, 4))
         assert bytes(rows[0]) == first[0].tobytes() and bytes(rows[1]) == first[1].tobytes()
         # the same calls with the full buffers write them
         assert walker.map_nodes(X, d, 0.5, v, u, 1e9) == -1
         assert len(walker.format_rows(X, d, 17)) > 0
         assert [bytes(b) for b in buffers] != before
+
+    def test_fills_resume_with_the_ladder_the_walk_was_made_with(self):
+        # the walk copies its diagonals when it is made: a caller's buffer
+        # changed between two fills does not reach it, and no fill takes any
+        walker = _library()
+        level = Level(3)
+        ladder = build_diag_ladder(level)
+        box = standard_box(CubatureSpec(level, 2.0**10))
+        lower, upper, _, n = enumeration._prepare(level, box, ladder)
+        diag = array("d", ladder._flat)
+        state = walker.state(lower, upper, diag, n)
+        first = walker.fill(state, 3)
+        for i in range(len(diag)):
+            diag[i] *= 1.25
+        rest = walker.fill(state, 10**6)
+        [(K, X)] = enumerate_batches(level, box, ladder, 10**6)
+        assert len(K) == 1067
+        assert bytes(first[0] + rest[0]) == K.tobytes()
+        assert bytes(first[1] + rest[1]) == X.tobytes()
+        with pytest.raises(TypeError, match="2 arguments"):
+            walker.fill(state, diag, 4)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_interleaved_walks_stay_independent(self, n):

@@ -16,8 +16,8 @@ from chebfrolov import (
     build_diag_ladder,
     det_magnitude,
 )
-from chebfrolov.lattice import build_generator_matrix, chebyshev_root, root_permutation
-from lattice_reference import build_vandermonde, rescaled_chebyshev
+from chebfrolov.lattice import chebyshev_root, root_permutation
+from lattice_reference import build_generator_matrix, build_vandermonde, rescaled_chebyshev
 
 SQRT2 = math.sqrt(2.0)
 

@@ -15,10 +15,10 @@ from chebfrolov import (
     oracle_enumerate,
     standard_box,
 )
-from chebfrolov.lattice import build_generator_matrix
+from chebfrolov import verify
 from chebfrolov.verify import double_box_check, reproduce_table, unimodular_check
 from chebfrolov.verify import _eliminate, recursive_enumerate
-from lattice_reference import build_vandermonde
+from lattice_reference import build_generator_matrix, build_vandermonde
 
 
 def random_box(rng, d, span=5.0):
@@ -73,8 +73,19 @@ class TestOracle:
         assert oracle_enumerate(Level(1), Box((1.0, 1.0), (-1.0, -1.0))) == []
 
     def test_refuses_large_level(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="oracle refuses level 4 > 3"):
             oracle_enumerate(Level(4), Box.symmetric(1.0, 16))
+
+    def test_refuses_too_many_candidates_before_sweeping(self, monkeypatch):
+        # 30,255,687 candidates at d = 8: the walker module, which decides
+        # each candidate, must not even be asked for
+        def no_sweep():
+            raise AssertionError("a candidate was swept")
+
+        monkeypatch.setattr(verify, "_library", no_sweep)
+        with pytest.raises(ValueError, match=r"candidate set too large \(30255687 vectors\)"):
+            oracle_enumerate(Level(3), Box.symmetric(5.0, 8))
+        assert 30255687 > verify._ORACLE_MAX_CANDIDATES
 
     def test_agrees_with_both_enumerators(self):
         rng = random.Random(2024)
@@ -181,7 +192,8 @@ class TestUnimodular:
         assert check.det_deviation < 1e-6
 
     def test_refuses_large_level(self):
-        with pytest.raises(ValueError):
+        assert verify.UNIMODULAR_MAX_LEVEL == 3
+        with pytest.raises(ValueError, match="unimodular check refuses level 4 > 3"):
             unimodular_check(Level(4))
 
 
