@@ -17,7 +17,8 @@ that select no golden row.
 
 No command loads numpy.  ``points`` writes the CSV text of each fill of
 the walker, made in the walker library (``format_rows`` of ``_walk.c``,
-printf's ``%.*g`` in the C locale, the bytes of :func:`format_point`);
+printf's ``%.*g`` in the C locale, the bytes of Python's
+``format(x, ".{p}g")``);
 JSONL lines are made in Python.
 ``integrate`` maps each fill to cubature nodes in the walker library;
 ``verify`` filters fills and solves its small linear systems in Python.
@@ -40,7 +41,7 @@ from .cubature import (
     sample_shift,
     standard_box,
 )
-from .enumeration import Box, LatticePoint, _fill, _library, count_points
+from .enumeration import Box, _fill, _library, count_points
 from .golden import load_golden_table
 from .lattice import Level, build_diag_ladder
 
@@ -62,20 +63,6 @@ _MAX_DIGITS = 767
 
 class UsageError(Exception):
     """Invalid configuration detected after argparse."""
-
-
-def format_point(point: LatticePoint, fmt: str, precision: int) -> str:
-    """One output line per point: CSV of x, or a JSONL object with k and x.
-
-    The Python reference of the CSV text ``points`` writes through the
-    walker library's ``format_rows``.
-    """
-    if fmt == "csv":
-        p = min(precision, _MAX_DIGITS)
-        return ",".join([f"{c:.{p}g}" for c in point.x])
-    if fmt == "jsonl":
-        return _json_line(list(point.k), list(point.x))
-    raise UsageError(f"unknown point format {fmt!r}")
 
 
 def _json_line(k: list[int], x: list[float]) -> str:

@@ -1,18 +1,17 @@
 """Independent correctness machinery.
 
-Four routes confirm the enumeration: a brute-force oracle that inverts the
-generator and tests every integer vector in a bounding box, a
-recursive reference that applies the half-mean and clamp split of the box
-directly in Python, not through the walk (its anchors and images come from
-:func:`apply_generator`, the walker module's merges), a two-scale
+Three routes confirm the enumeration: a brute-force oracle that inverts the
+generator and tests every integer vector in a bounding box, a two-scale
 consistency check that enumerates the double-scale box and filters, and
 regression against an embedded table of known-good node counts for the
-standard cubature boxes (:mod:`chebfrolov.golden`).  Of this module the package exports only
-:func:`oracle_enumerate`, on first access; the checks are imported from here.
+standard cubature boxes (:mod:`chebfrolov.golden`).  The tests hold a
+fourth, the recursive reference that applies the half-mean and clamp split
+of the box in Python (``tests/lattice_reference.py``).  Of this module the
+package exports only :func:`oracle_enumerate`, on first access; the checks
+are imported from here.
 
-The oracle, the reference and the filter keep a point iff its
-:func:`apply_generator` image x has ``lower <= x <= upper``, as the
-enumerators do.
+The oracle and the filter keep a point iff its :func:`apply_generator`
+image x has ``lower <= x <= upper``, as the enumerators do.
 
 Nothing here loads numpy.  The generator's rows are the images of the unit
 vectors, and the oracle and the unimodular check both solve their d <= 8
@@ -25,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .cubature import CubatureSpec, standard_box
 from .enumeration import Box, LatticePoint, _fill, _library, apply_generator, count_points
@@ -41,12 +40,6 @@ _ORACLE_MAX_CANDIDATES = 1 << 24
 #: :func:`unimodular_check` refuses levels above this, and the CLI's
 #: ``verify`` checks every level up to it.
 UNIMODULAR_MAX_LEVEL = 3
-
-#: How far past its rounded bounds :func:`recursive_enumerate` looks, per
-#: unit of 1 + max|corner|: 4 times the count slack of ``_walk.c`` (32 times
-#: the fill slack), so that equal results check the walker's constants
-#: instead of repeating them.  Every candidate is then decided on its image.
-_SLACK = 2.0**-45
 
 
 class TableCheck(NamedTuple):
@@ -114,82 +107,6 @@ def _generator_rows(ladder: DiagLadder, d: int) -> list[tuple[float, ...]]:
     """The d x d generator as rows: its columns are the images of the unit vectors."""
     columns = [apply_generator(ladder, [float(i == j) for i in range(d)]) for j in range(d)]
     return list(zip(*columns))
-
-
-def _interval_mean(level: int, values: Sequence[float]) -> tuple[float, ...]:
-    """Componentwise mean of the two halves of a length-2**(level+1) vector."""
-    half = 1 << level
-    return tuple((values[t] + values[half + t]) / 2.0 for t in range(half))
-
-
-def _clamp_bounds(
-    level: int,
-    anchor: Sequence[float],
-    lower: Sequence[float],
-    upper: Sequence[float],
-    ladder: DiagLadder,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Bounds for the second half-block image once the first contributes ``anchor``.
-
-    For the 2**(level+1)-dimensional box [lower, upper] and a fixed image
-    ``anchor`` of the first half-block, a second half-block image y is
-    feasible iff lo <= y <= hi componentwise, where
-
-        lo = max(lower_1 - anchor, anchor - upper_2) / D,
-        hi = min(upper_1 - anchor, anchor - lower_2) / D,
-
-    with subscripts naming corner halves and D the ladder diagonal at
-    ``level``.  Whenever lower <= upper and anchor sits between the half
-    means, lo <= hi (the slice is nonempty).
-    """
-    half = 1 << level
-    dl = ladder.level(level)
-    lo = []
-    hi = []
-    for t in range(half):
-        a = anchor[t]
-        lo.append(max(lower[t] - a, a - upper[half + t]) / dl[t])
-        hi.append(min(upper[t] - a, a - lower[half + t]) / dl[t])
-    return tuple(lo), tuple(hi)
-
-
-def recursive_enumerate(level: Level, box: Box) -> list[LatticePoint]:
-    """Reference enumeration by the explicit divide-and-conquer recursion.
-
-    The first half-block k1 ranges over the points between the half-means of
-    the corners; for each, its image ``apply_generator(ladder, k1)`` fixes
-    the clamped bounds of the second half-block.  Every range reaches
-    ``_SLACK * (1 + max|corner|)`` past its rounded bounds, and a candidate
-    is kept iff its image lies in the box.  It shares the walker module's
-    ``merge()`` with the compiled traversal, through the anchors and images
-    :func:`apply_generator` makes, but nothing else: its bounds, its slack
-    (``_SLACK``, 2**-45), its order (whole half-blocks, recursively) and its
-    membership filter (every candidate's image) are its own.  It returns the
-    same list as streaming into a list, bit-for-bit, at any level.
-    """
-    if box.dimension != level.d:
-        raise ValueError(f"box dimension {box.dimension} != {level.d}")
-    ladder = build_diag_ladder(level)
-    slack = _SLACK * (1.0 + max(map(abs, box.lower + box.upper)))
-    points = (
-        LatticePoint(k, apply_generator(ladder, k))
-        for k in _recursive_ks(level.n, box.lower, box.upper, ladder, slack)
-    )
-    return [
-        p for p in points if all(lo <= x <= hi for x, lo, hi in zip(p.x, box.lower, box.upper))
-    ]
-
-
-def _recursive_ks(n, lower, upper, ladder, slack):
-    if n == 0:
-        lo, hi = math.ceil(lower[0] - slack), math.floor(upper[0] + slack)
-        return [(k,) for k in range(lo, hi + 1)]
-    L = n - 1
-    out = []
-    for k1 in _recursive_ks(L, _interval_mean(L, lower), _interval_mean(L, upper), ladder, slack):
-        lo2, hi2 = _clamp_bounds(L, apply_generator(ladder, k1), lower, upper, ladder)
-        out.extend(k1 + k2 for k2 in _recursive_ks(L, lo2, hi2, ladder, slack))
-    return out
 
 
 def double_box_check(level: Level, scale: float) -> DoubleBoxCheck:

@@ -28,8 +28,8 @@ from chebfrolov import (
     standard_box,
 )
 from chebfrolov.lattice import chebyshev_root, root_permutation
-from chebfrolov.verify import double_box_check, recursive_enumerate, unimodular_check
-from lattice_reference import build_generator_matrix, rescaled_chebyshev
+from chebfrolov.verify import double_box_check, unimodular_check
+from lattice_reference import build_generator_matrix, recursive_enumerate, rescaled_chebyshev
 
 #: (dimension, max log2N) ranges exercised at desk scale.
 MEDIUM_RANGES = {2: 20, 4: 20, 8: 14, 16: 24, 32: 16}

@@ -27,7 +27,7 @@ from chebfrolov import (
     enumerate_stream,
     standard_box,
 )
-from chebfrolov.cli import _write_csv, format_point, main
+from chebfrolov.cli import _write_csv, main
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +40,17 @@ def package_path():
     """PYTHONPATH for a child that must import the same package as this process."""
     src = str(Path(chebfrolov.__file__).resolve().parent.parent)
     return os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+
+def format_point(point, fmt, precision):
+    """One line of ``points`` for a point: the CSV of x, or a JSONL object
+    with k and x.  The Python reference of the bytes the CLI writes; no
+    double has more than 767 significant digits, so higher precisions print
+    the text of ``.767g``."""
+    if fmt == "csv":
+        p = min(precision, 767)
+        return ",".join([f"{c:.{p}g}" for c in point.x])
+    return json.dumps({"k": list(point.k), "x": list(point.x)}, separators=(",", ":"))
 
 
 def reference_points(level, box, fmt, precision, header):

@@ -17,8 +17,8 @@ from chebfrolov import (
 )
 from chebfrolov import verify
 from chebfrolov.verify import double_box_check, reproduce_table, unimodular_check
-from chebfrolov.verify import _eliminate, recursive_enumerate
-from lattice_reference import build_generator_matrix, build_vandermonde
+from chebfrolov.verify import _eliminate
+from lattice_reference import build_generator_matrix, build_vandermonde, recursive_enumerate
 
 
 def random_box(rng, d, span=5.0):
