@@ -65,7 +65,7 @@
  *
  * A count slack of 2^-50 missed points at d = 32 and 64, 2^-49 at d = 64.
  * No larger d was measured, so lattice.MAX_LEVEL = 6 (d <= 64) rests on
- * this table.
+ * this table, and every entry point refuses a higher level (LEVEL_LIMIT).
  * The tests hold both against a reference with 4 times the count slack.
  * Far from the origin a slack widens ranges by whole integers and the
  * search tree opens (a d = 16 box of side 3 near k = 1e14 did not end), so
@@ -443,8 +443,8 @@ static int64_t format_rows(const double *X, int64_t len, int64_t d, int precisio
 /* Values in each buffer of the scratch pair behind `stream`. */
 #define SCRATCH 1024
 #define FILL_ROWS 256 /* rows the first fill's pair of a walk starts with */
-/* Levels the walker entry points take: d = 2^n <= SCRATCH. */
-#define LEVEL_LIMIT 10
+/* Levels the walker entry points take: lattice.MAX_LEVEL, d = 2^n <= 64. */
+#define LEVEL_LIMIT 6
 
 static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
 {
@@ -778,7 +778,7 @@ static PyObject *py_apply_generator(PyObject *Py_UNUSED(module), PyObject *const
         || values(args[0], &diag, 0, ((Py_ssize_t)1 << n) - 1, "the diagonals") < 0)
         return NULL;
     const Py_ssize_t d = (Py_ssize_t)1 << n;
-    double v[2][SCRATCH], *a[LEVEL_LIMIT + 1];
+    double v[2][1 << LEVEL_LIMIT], *a[LEVEL_LIMIT + 1];
     const double *D[LEVEL_LIMIT + 1];
     for (int L = 0; L <= n; L++) {
         a[L] = v[L & 1];

@@ -179,7 +179,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     ladder = build_diag_ladder(level)
     f = INTEGRANDS[args.integrand]
     start = time.monotonic()
-    result = integrate(spec, f, ladder, shift, compensated=args.compensated)
+    result = integrate(spec, f, ladder, shift)
     elapsed = time.monotonic() - start
     summary = {
         "d": level.d,
@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_dim_arg(p_int)
         _add_scale_args(p_int)
         p_int.add_argument("--integrand", choices=sorted(INTEGRANDS), default="cospi")
-        p_int.add_argument("--compensated", action="store_true", help="Kahan accumulation")
         if name == "integrate-random":
             p_int.add_argument("--seed", type=int, default=0)
         _add_common_output(p_int)

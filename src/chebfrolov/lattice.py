@@ -166,11 +166,6 @@ class DiagLadder(_Value):
     def depth(self) -> int:
         return len(self.levels)
 
-    def level(self, L: int) -> tuple[float, ...]:
-        if not 0 <= L < len(self.levels):
-            raise ValueError(f"ladder has no level {L} (depth {len(self.levels)})")
-        return self.levels[L]
-
 
 def build_diag_ladder(level: Level) -> DiagLadder:
     """Ladder of diagonals for all block merges up to ``level`` (empty for n=0)."""

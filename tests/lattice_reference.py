@@ -76,7 +76,7 @@ def _clamp_bounds(
     means, lo <= hi (the slice is nonempty).
     """
     half = 1 << level
-    dl = ladder.level(level)
+    dl = ladder.levels[level]
     lo = []
     hi = []
     for t in range(half):

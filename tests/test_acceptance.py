@@ -201,7 +201,7 @@ def test_root_and_permutation_suite():
     )
     ladder = build_diag_ladder(Level(5))
     worst_ladder = max(
-        abs(ladder.level(L)[i] ** 2 - 2.0 - ladder.level(L - 1)[i])
+        abs(ladder.levels[L][i] ** 2 - 2.0 - ladder.levels[L - 1][i])
         for L in range(1, ladder.depth)
         for i in range(1 << (L - 1))
     )

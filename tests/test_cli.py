@@ -67,6 +67,17 @@ def reference_points(level, box, fmt, precision, header):
     return "".join(line + "\n" for line in lines)
 
 
+def assert_same_lines(out, expected):
+    """``out == expected`` to the byte, trailing newline included, asserted on
+    the first line that differs: pytest's diff of two whole outputs of about
+    200 kB runs for minutes, and so does its diff of their lists of lines
+    under ``-v``."""
+    got, want = out.splitlines(keepends=True), expected.splitlines(keepends=True)
+    for number, (line, wanted) in enumerate(zip(got, want), 1):
+        assert line == wanted, f"line {number}"
+    assert len(got) == len(want)
+
+
 class TestFormatPoint:
     def test_csv_zeros(self):
         assert format_point(LatticePoint((0, 0), (0.0, 0.0)), "csv", 17) == "0,0"
@@ -190,7 +201,7 @@ class TestFormatRows:
         level = Level(2)
         box = standard_box(CubatureSpec(level, 64.0))
         expected = reference_points(level, box, "csv", 17, False)
-        assert target.read_text() == expected
+        assert_same_lines(target.read_text(), expected)
         assert "." in expected
 
 
@@ -303,7 +314,7 @@ class TestPointsBytes:
                 "--format", fmt, "--precision", str(precision)]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert out == reference_points(level, box, fmt, precision, False)
+        assert_same_lines(out, reference_points(level, box, fmt, precision, False))
 
     @pytest.mark.parametrize("d", [1, 2, 8])
     def test_header_to_out_file(self, capsys, tmp_path, d):
@@ -314,7 +325,8 @@ class TestPointsBytes:
                 "--header", "--out", str(target)]
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (0, "")
-        assert target.read_bytes() == reference_points(level, box, "csv", 17, True).encode()
+        expected = reference_points(level, box, "csv", 17, True).encode()
+        assert_same_lines(target.read_bytes(), expected)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("precision", [1, 6, 17])
@@ -325,8 +337,7 @@ class TestPointsBytes:
                 "--format", fmt, "--precision", str(precision)]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        expected = reference_points(level, Box(lower, upper), fmt, precision, True)
-        assert out == expected
+        assert_same_lines(out, reference_points(level, Box(lower, upper), fmt, precision, True))
         assert out.count("\n") > 40
 
     #: Half-widths of the seeded boxes: about 10 to 1,000 points each
@@ -348,7 +359,7 @@ class TestPointsBytes:
                     "--precision", str(precision)]
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
-            assert out == reference_points(level, box, "csv", precision, False)
+            assert_same_lines(out, reference_points(level, box, "csv", precision, False))
             lines += out.count("\n")
         assert lines > 3
 
@@ -364,7 +375,7 @@ class TestPointsBytes:
                     "--out", str(target)]
             code, out, err = run_cli(capsys, *argv)
             assert (code, out, err) == (0, "", "")
-            assert target.read_text() == reference_points(level, box, "csv", 5000, False)
+            assert_same_lines(target.read_text(), reference_points(level, box, "csv", 5000, False))
 
     def test_stream_without_binary_layer(self, capsys):
         # main() run with stdout redirected to io.StringIO writes decoded text
@@ -374,7 +385,7 @@ class TestPointsBytes:
             code = main(["points", "--dim", "8", "--log2-scale", "10", "--header"])
         assert code == 0
         box = standard_box(CubatureSpec(level, 1024.0))
-        assert buffer.getvalue() == reference_points(level, box, "csv", 17, True)
+        assert_same_lines(buffer.getvalue(), reference_points(level, box, "csv", 17, True))
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_empty_box(self, capsys, fmt):
@@ -637,6 +648,14 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--precision" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["integrate", "integrate-random"])
+    def test_integrate_has_one_sum(self, capsys, command):
+        # the sum is the plain sequential one: there is no --compensated
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dim", "2", "--log2-scale", "4", "--compensated"])
+        assert exc.value.code == 2
+        assert "--compensated" in capsys.readouterr().err
+
 
 @pytest.mark.skipif(shutil.which("chebfrolov") is None, reason="console script not installed")
 def test_console_script_entry_point():
@@ -675,9 +694,8 @@ assert enumerate_stream(level, box, ladder, lambda p: None) == n
 apply_generator(ladder, [1.0] * 8)
 shift = sample_shift(1, 8)
 _, shift_vector = randomized_box(spec, shift, ladder)
-for compensated in (False, True):
-    assert integrate(spec, lambda x: 1.0, ladder, compensated=compensated).node_count == n
-    assert integrate(spec, lambda x: 1.0, ladder, shift, compensated=compensated).node_count
+assert integrate(spec, lambda x: 1.0, ladder).node_count == n
+assert integrate(spec, lambda x: 1.0, ladder, shift).node_count
 map_to_unit([0.0] * 8, spec)
 map_to_unit([-v for v in shift_vector], spec, shift, shift_vector)
 assert unimodular_check(Level(3)).passed

@@ -1,4 +1,3 @@
-import itertools
 import math
 import statistics
 from array import array
@@ -245,17 +244,16 @@ class TestIntegrate:
             assert all(-0.5 - 1e-9 <= c <= 0.5 + 1e-9 for c in node)
 
     def test_identity_shift_bit_for_bit(self):
-        # d = 1..32, plain and compensated sums; coord1 sums to about 0,
-        # where the sign of zero shows in value.hex()
+        # d = 1..32; coord1 sums to about 0, where the sign of zero shows
+        # in value.hex()
         for n, scale in [(0, 2**8), (1, 2**8), (2, 2**8), (3, 2**6), (4, 2**2), (5, 2)]:
             level = Level(n)
             spec = CubatureSpec(level, float(scale))
             ladder = build_diag_ladder(level)
             identity = RandomShift.identity(level.d)
-            integrands = (product_of_cosines, lambda x: x[0])
-            for f, compensated in itertools.product(integrands, (False, True)):
-                plain = integrate(spec, f, ladder, compensated=compensated)
-                via_shift = integrate(spec, f, ladder, identity, compensated=compensated)
+            for f in (product_of_cosines, lambda x: x[0]):
+                plain = integrate(spec, f, ladder)
+                via_shift = integrate(spec, f, ladder, identity)
                 assert plain.node_count == via_shift.node_count > 0
                 assert plain.value.hex() == via_shift.value.hex()
 
@@ -266,14 +264,12 @@ class TestIntegrate:
         result = integrate(spec, lambda x: 1.0, ladder)
         assert result.node_count == count_points(level, standard_box(spec), ladder)
 
-    def test_compensated_agrees(self):
-        level = Level(2)
-        spec = CubatureSpec(level, float(2**10))
-        ladder = build_diag_ladder(level)
-        plain = integrate(spec, product_of_cosines, ladder)
-        kahan = integrate(spec, product_of_cosines, ladder, compensated=True)
-        assert kahan.node_count == plain.node_count
-        assert kahan.value == pytest.approx(plain.value, rel=1e-12)
+    def test_sum_has_no_options(self):
+        # one plain sequential sum: integrate takes no compensated keyword
+        level = Level(1)
+        spec, ladder = CubatureSpec(level, 16.0), build_diag_ladder(level)
+        with pytest.raises(TypeError, match="compensated"):
+            integrate(spec, product_of_cosines, ladder, compensated=True)
 
     def test_integrand_error_propagates(self):
         level = Level(1)
@@ -299,25 +295,18 @@ class TestIntegrate:
         assert abs(statistics.fmean(values) - truth) < 4 * se
 
 
-def per_node_reference(spec, f, ladder, shift=None, compensated=False):
+def per_node_reference(spec, f, ladder, shift=None):
     """integrate written node by node: stream, map_to_unit, sequential sum."""
     if shift is None:
         box, shift_vector, weight = standard_box(spec), None, spec.weight
     else:
         box, shift_vector = randomized_box(spec, shift, ladder)
         weight = spec.weight / math.prod(shift.u)
-    total = carry = 0.0
+    total = 0.0
     points = []
     enumerate_stream(spec.level, box, ladder, points.append)
     for p in points:
-        fx = f(map_to_unit(p.x, spec, shift, shift_vector))
-        if compensated:
-            y = fx - carry
-            t = total + y
-            carry = (t - total) - y
-            total = t
-        else:
-            total += fx
+        total += f(map_to_unit(p.x, spec, shift, shift_vector))
     return weight * total, len(points)
 
 
@@ -325,26 +314,24 @@ class TestIntegrateMatchesPerNodeReference:
     CASES = [(0, 2**11), (1, 2**12), (2, 2**10), (3, 2**9)]
 
     @pytest.mark.parametrize("n,scale", CASES)
-    @pytest.mark.parametrize("compensated", [False, True])
-    def test_deterministic(self, n, scale, compensated):
+    def test_deterministic(self, n, scale):
         level = Level(n)
         spec = CubatureSpec(level, float(scale))
         ladder = build_diag_ladder(level)
-        result = integrate(spec, product_of_cosines, ladder, compensated=compensated)
-        value, count = per_node_reference(spec, product_of_cosines, ladder, None, compensated)
+        result = integrate(spec, product_of_cosines, ladder)
+        value, count = per_node_reference(spec, product_of_cosines, ladder)
         assert result.node_count == count > 0
         assert result.value == value  # bit-for-bit, not approximately
 
     @pytest.mark.parametrize("n,scale", CASES)
-    @pytest.mark.parametrize("compensated", [False, True])
-    def test_randomized(self, n, scale, compensated):
+    def test_randomized(self, n, scale):
         level = Level(n)
         spec = CubatureSpec(level, float(scale))
         ladder = build_diag_ladder(level)
         for seed in (3, 11):
             shift = sample_shift(seed, level.d)
-            result = integrate(spec, product_of_cosines, ladder, shift, compensated=compensated)
-            value, count = per_node_reference(spec, product_of_cosines, ladder, shift, compensated)
+            result = integrate(spec, product_of_cosines, ladder, shift)
+            value, count = per_node_reference(spec, product_of_cosines, ladder, shift)
             assert result.node_count == count > 0
             assert result.value == value
 

@@ -67,8 +67,7 @@ CLI_RUNS = {
     "points_jsonl": ["points", "--dim", "8", "--log2-scale", "7", "--format", "jsonl"],
     "points_box64": ["points", "--dim", "64", "--box", *["-1.5"] * 64, *["1.5"] * 64],
     "integrate": ["integrate", "--dim", "4", "--log2-scale", "10"],
-    "integrate_one": ["integrate", "--dim", "2", "--log2-scale", "12", "--integrand", "one",
-                      "--compensated"],
+    "integrate_one": ["integrate", "--dim", "2", "--log2-scale", "12", "--integrand", "one"],
     "integrate_random": ["integrate-random", "--dim", "4", "--log2-scale", "9", "--seed", "3"],
     "integrate_random8": ["integrate-random", "--dim", "8", "--log2-scale", "8", "--seed", "11",
                           "--integrand", "coord1"],

@@ -40,7 +40,7 @@ from chebfrolov import (
     sample_shift,
     standard_box,
 )
-from chebfrolov.lattice import root_permutation
+from chebfrolov.lattice import MAX_LEVEL, chebyshev_root, root_permutation
 from chebfrolov import enumeration
 from chebfrolov.enumeration import _library
 from lattice_reference import (
@@ -140,8 +140,9 @@ class TestClampBounds:
             assert all(x <= y for x, y in zip(lo, hi))
 
     def test_missing_ladder_level(self):
+        # a level-1 ladder holds level 0 only
         ladder = build_diag_ladder(Level(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError):
             _clamp_bounds(1, (0.0, 0.0), (0.0,) * 4, (1.0,) * 4, ladder)
 
 
@@ -798,6 +799,28 @@ class TestKernels:
         assert walker.map_nodes(X, d, 0.5, v, u, 1e9) == -1
         assert len(walker.format_rows(X, d, 17)) > 0
         assert [bytes(b) for b in buffers] != before
+
+    def test_entry_points_refuse_levels_past_max_level(self):
+        # the slacks are measured up to MAX_LEVEL only: one level higher, each
+        # entry point that takes a level refuses it before it reads the
+        # diagonals (None, no buffer, would raise TypeError) or streams a point
+        walker = _library()
+        n = MAX_LEVEL + 1
+        d = 1 << n
+        diag = array("d", [chebyshev_root(L + 1, k) for L in range(n) for k in range(1, 2**L + 1)])
+        lower, upper = (-1.0,) * d, (1.0,) * d  # holds the origin
+        seen = []
+        calls = [
+            lambda diag: walker.state(lower, upper, diag, n),
+            lambda diag: walker.count(lower, upper, diag, n),
+            lambda diag: walker.stream(lower, upper, diag, n, LatticePoint, seen.append),
+            lambda diag: walker.apply_generator(diag, [1.0] * d, n),
+        ]
+        for call in calls:
+            for buffer in (diag, None):
+                with pytest.raises(ValueError, match=rf"level {n} is outside \[0, {MAX_LEVEL}\]"):
+                    call(buffer)
+        assert seen == []
 
     def test_fills_resume_with_the_ladder_the_walk_was_made_with(self):
         # the walk copies its diagonals when it is made: a caller's buffer

@@ -137,12 +137,12 @@ class TestDiagLadder:
     def test_level_one(self):
         ladder = build_diag_ladder(Level(1))
         assert ladder.depth == 1
-        assert ladder.level(0) == pytest.approx((SQRT2,), abs=1e-15)
+        assert ladder.levels[0] == pytest.approx((SQRT2,), abs=1e-15)
 
     def test_level_two(self):
         ladder = build_diag_ladder(Level(2))
-        assert ladder.level(0) == pytest.approx((SQRT2,), abs=1e-15)
-        assert ladder.level(1) == pytest.approx(
+        assert ladder.levels[0] == pytest.approx((SQRT2,), abs=1e-15)
+        assert ladder.levels[1] == pytest.approx(
             (2.0 * math.cos(math.pi / 8.0), 2.0 * math.cos(3.0 * math.pi / 8.0)),
             abs=1e-15,
         )
@@ -150,14 +150,14 @@ class TestDiagLadder:
     def test_all_entries_positive(self):
         ladder = build_diag_ladder(Level(5))
         for L in range(ladder.depth):
-            assert all(v > 0.0 for v in ladder.level(L))
+            assert all(v > 0.0 for v in ladder.levels[L])
 
     def test_square_minus_two_identity(self):
         # entry(L, i)**2 - 2 == entry(L-1, i) for the shared first half
         ladder = build_diag_ladder(Level(5))
         for L in range(1, ladder.depth):
-            cur = ladder.level(L)
-            prev = ladder.level(L - 1)
+            cur = ladder.levels[L]
+            prev = ladder.levels[L - 1]
             for i in range(len(prev)):
                 assert abs(cur[i] ** 2 - 2.0 - prev[i]) < 1e-12
 
@@ -181,11 +181,11 @@ class TestDiagLadder:
             assert ladder._flat.tolist() == [v for diag in levels for v in diag]
 
     def test_missing_level(self):
+        # a level-n ladder holds the diagonals of levels 0..n-1 and no more
         ladder = build_diag_ladder(Level(2))
-        with pytest.raises(ValueError):
-            ladder.level(2)
-        with pytest.raises(ValueError):
-            ladder.level(-1)
+        assert ladder.depth == len(ladder.levels) == 2
+        with pytest.raises(IndexError):
+            ladder.levels[2]
 
 
 class TestGeneratorMatrix:
