@@ -669,7 +669,9 @@ fail:
  * point of the box, a `type` (k, x) instance of tuples of ints and floats,
  * and returns their number.  SCRATCH / d rows a walk pass through a pair
  * behind the state, off the C stack, which consumers that stream again would
- * overflow; signals are handled after each walk, so Ctrl-C stops a stream. */
+ * overflow.  Signals are handled before each point and after each walk, so
+ * Ctrl-C stops a stream; a Python gc callback that a point's allocations
+ * start can still take a signal that arrives during that collection. */
 static PyObject *py_stream(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     if (check_nargs("stream", nargs, 6) < 0)
@@ -687,7 +689,7 @@ static PyObject *py_stream(PyObject *Py_UNUSED(module), PyObject *const *args, P
         Py_BEGIN_ALLOW_THREADS
         rows = walk(s, (int)n, K, X, chunk);
         Py_END_ALLOW_THREADS
-        for (int64_t r = 0; r < rows && !PyErr_Occurred(); r++) {
+        for (int64_t r = 0; r < rows && !PyErr_Occurred() && PyErr_CheckSignals() == 0; r++) {
             PyObject *point = lattice_point((PyTypeObject *)args[4], K + r * d, X + r * d, d);
             Py_XDECREF(point ? PyObject_CallOneArg(args[5], point) : NULL);
             Py_XDECREF(point);

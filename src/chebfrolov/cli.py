@@ -6,7 +6,7 @@ count             number of lattice points in a box (JSON summary)
 points            stream the points themselves (CSV or JSONL, one per line)
 integrate         deterministic cubature of a built-in integrand
 integrate-random  randomized cubature with a seeded shift
-verify            unimodularity, two-scale and golden-count checks
+verify            unimodularity, golden-count and two-scale checks
 table             dump the embedded golden count rows
 
 Output is deterministic for a fixed configuration (timing fields aside).
@@ -211,47 +211,37 @@ def _golden_limits(args: argparse.Namespace) -> tuple[Level, int]:
     return max_level, max_log2
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _checks(max_level: Level, max_log2: int) -> Iterator[tuple[bool, str, str]]:
+    """``verify``'s checks in order, each as (passed, label, detail): the
+    unimodular check of each level up to ``UNIMODULAR_MAX_LEVEL``, the golden
+    rows within the limits, and the two-scale check of those rows with d <= 8
+    and log2N <= 10."""
     from .verify import UNIMODULAR_MAX_LEVEL, double_box_check, reproduce_table, unimodular_check
 
+    for n in range(min(max_level.n, UNIMODULAR_MAX_LEVEL) + 1):
+        check = unimodular_check(Level(n))
+        detail = f"int_dev={check.max_integer_deviation:.2e}, det_dev={check.det_deviation:.2e}"
+        yield check.passed, f"unimodular n={n}", detail
+    golden = reproduce_table(max_level, max_log2)
+    for record, observed, match in golden:
+        label = f"golden d={record.d} log2N={record.log2n}"
+        yield match, label, f"expected={record.count}, observed={observed}"
+    for record, _, _ in golden:
+        if record.d <= 8 and record.log2n <= 10:
+            check = double_box_check(Level.from_dimension(record.d), float(2**record.log2n))
+            label = f"double-box d={record.d} log2N={record.log2n}"
+            yield check.agree, label, f"direct={check.direct}, filtered={check.filtered}"
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
     max_level, max_log2 = _golden_limits(args)
-    table = load_golden_table()
     failures = 0
     with _output(args) as out:
-        for n in range(min(max_level.n, UNIMODULAR_MAX_LEVEL) + 1):
-            check = unimodular_check(Level(n))
-            status = "PASS" if check.passed else "FAIL"
-            failures += not check.passed
-            print(
-                f"unimodular n={n}: {status} "
-                f"(int_dev={check.max_integer_deviation:.2e}, det_dev={check.det_deviation:.2e})",
-                file=out,
-            )
-
-        for record, observed, match in reproduce_table(max_level, max_log2):
-            status = "PASS" if match else "FAIL"
-            failures += not match
-            print(
-                f"golden d={record.d} log2N={record.log2n}: {status} "
-                f"(expected={record.count}, observed={observed})",
-                file=out,
-            )
-
-        for record in table:
-            if record.d > min(max_level.d, 8) or record.log2n > min(max_log2, 10):
-                continue
-            level = Level.from_dimension(record.d)
-            check = double_box_check(level, float(2**record.log2n))
-            status = "PASS" if check.agree else "FAIL"
-            failures += not check.agree
-            print(
-                f"double-box d={record.d} log2N={record.log2n}: {status} "
-                f"(direct={check.direct}, filtered={check.filtered})",
-                file=out,
-            )
-
+        for passed, label, detail in _checks(max_level, max_log2):
+            failures += not passed
+            print(f"{label}: {'PASS' if passed else 'FAIL'} ({detail})", file=out)
         print(f"RESULT: {'PASS' if failures == 0 else f'FAIL ({failures} checks)'}", file=out)
-        return 0 if failures == 0 else 1
+    return 0 if failures == 0 else 1
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

@@ -155,7 +155,7 @@ def enumerate_stream(
     propagate and abort the traversal.  The walker makes each point just
     before the consumer gets it and keeps none, so memory does not grow with
     the number of emissions.  It walks 1024 / d points at a time with the GIL
-    released, and Ctrl-C stops the stream between two such chunks.
+    released, and Ctrl-C stops the stream before the next point it delivers.
     """
     return _library().stream(*_prepare(level, box, ladder), LatticePoint, consumer)
 

@@ -483,6 +483,35 @@ class TestVerifyLines:
         assert deviations and max(deviations) < 1e-12
 
 
+class TestVerifyFailure:
+    def test_one_failed_check(self, capsys, monkeypatch):
+        # the two-scale check of one row disagrees: its line alone reads FAIL,
+        # the run goes on, and the result counts that one check
+        from chebfrolov import verify
+
+        real = verify.double_box_check
+
+        def double_box_check(level, scale):
+            check = real(level, scale)
+            if (level.d, scale) == (4, 8.0):
+                return check._replace(filtered=check.filtered + 1, agree=False)
+            return check
+
+        monkeypatch.setattr(verify, "double_box_check", double_box_check)
+        code, out, _ = run_cli(capsys, "verify", "--max-dim", "4", "--max-log2-scale", "6")
+        assert code == 1
+        lines = [
+            re.sub(r"int_dev=\S+, det_dev=\S+\)$", "int_dev=*, det_dev=*)", line)
+            for line in out.splitlines()
+        ]
+        n = next(r.count for r in chebfrolov.load_golden_table() if (r.d, r.log2n) == (4, 3))
+        expected = expected_verify_lines(4, 6)
+        row = expected.index(f"double-box d=4 log2N=3: PASS (direct={n}, filtered={n})")
+        expected[row] = f"double-box d=4 log2N=3: FAIL (direct={n}, filtered={n + 1})"
+        expected[-1] = "RESULT: FAIL (1 checks)"
+        assert lines == expected
+
+
 class TestTableCommand:
     def test_dump(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max-dim", "2", "--max-log2-scale", "3")

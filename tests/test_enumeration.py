@@ -737,7 +737,10 @@ class TestKernels:
         points = []
         timer = threading.Timer(0.1, _thread.interrupt_main)
         # nor may a gc callback run bytecode (hypothesis installs one): the
-        # signal would be raised there and lost as an unraisable exception
+        # walker checks for signals before each point, but a collection that
+        # its allocations start and that outlasts the 5 ms switch interval
+        # lets the timer's thread in at the callback's first bytecode, and
+        # the signal is raised there and lost as an unraisable exception
         collecting = gc.isenabled()
         gc.disable()
         try:
