@@ -17,41 +17,49 @@
  * At every block the image is (A + D Y, A - D Y), A and Y the images of its
  * halves and D the diagonal one level down, so a box [l, u] on the block
  * splits into boxes on the halves.  The walk sets one coordinate per depth,
- * in the order the leaf asks for:
+ * in one of two orders, its own argument:
  *
- *   fill   (K != NULL)  mean-first, A before Y: k_1..k_d in lexicographic
- *                       order.  A lies between the half-means of the
- *                       corners; once it is set, Y is clamped to
- *                       [max(l1 - A, A - u2), min(u1 - A, A - l2)] / D.
- *                       Writes up to `size` rows of K (int64) and X
- *                       (double), the images from the last butterfly
- *                       chain, and returns how many it wrote.
- *   count  (K == NULL)  difference-first, Y before A: k_d..k_1.  Y lies in
- *                       [(l1 - u2) / 2D, (u1 - l2) / 2D]; once it is set, A
- *                       is clamped to [max(l1 - D Y, l2 + D Y),
- *                       min(u1 - D Y, u2 + D Y)].  Adds up the lengths of
- *                       the innermost runs and returns the total.
+ *   mean-first        A before Y: k_1..k_d in lexicographic order.  A lies
+ *                     between the half-means of the corners; once it is
+ *                     set, Y is clamped to
+ *                     [max(l1 - A, A - u2), min(u1 - A, A - l2)] / D.
+ *   difference-first  Y before A: k_d..k_1.  Y lies in
+ *                     [(l1 - u2) / 2D, (u1 - l2) / 2D]; once it is set, A
+ *                     is clamped to
+ *                     [max(l1 - D Y, l2 + D Y), min(u1 - D Y, u2 + D Y)].
+ *
+ * and hands each innermost run to one of two leaves, also its own argument:
+ *
+ *   rows   (K != NULL)  writes up to `size` rows of K (int64) and X (double),
+ *                       k_1..k_d and the image from the last butterfly chain,
+ *                       in the order walked, and returns how many it wrote.
+ *   count  (K == NULL)  adds up the lengths of the runs and returns the total.
  *
  * Difference-first prunes far better (visits per point, a visit setting one
  * of the outer coordinates: 1.4 -> 0.6 at d = 8, N = 2^18; 23 -> 6.3 at
- * d = 16, N = 2^16; 218 -> 39 at d = 32, N = 2^6), but fills keep the
- * lexicographic order of their contract.  A count of a box symmetric about
- * 0 (lower == -upper) walks half that tree (visits per point 0.31, 3.2 and
+ * d = 16, N = 2^16; 218 -> 39 at d = 32, N = 2^6).  A count walks it; a fill
+ * walks mean-first, the lexicographic order of its contract.  A stream at
+ * d >= 8 walks its first chunk, SCRATCH / d rows, difference-first and sorts
+ * the rows by k (O(m log m) over row indices) before it hands them out; a
+ * box that holds more points walks again, mean-first, as a fill does.  At
+ * d <= 4 both orders visit about as many nodes, and the sort would only add
+ * to the stream's cost.  A count of a box symmetric about 0
+ * (lower == -upper) walks half that tree (visits per point 0.31, 3.2 and
  * 19.5 above): G(-k) is -Gk to the bit, so the box holds k iff it holds -k.
  * It walks the k whose first nonzero coordinate in walk order is positive
  * (halve), and a run counts twice, for its mirror too, unless its prefix is
  * all zero.
  *
  * A point is in the box iff its image x (the one apply_generator computes)
- * has lower <= x <= upper.  For each prefix the innermost coordinate (k_d in
- * a fill, k_1 in a count) ranges over an integer run: the integers within
- * slack = SLACK (1 + max|corner|) of its bounds, which carry rounding, and
- * so does every outer range.  An end of the run nearer than that to its
- * bound is dropped until its image is in the box.  The image is monotone in
- * the innermost coordinate (its column of the generator is all ones for
- * k_1, +- products of diagonals for k_d), and so is rounding, so the values
- * with images in the box are one interval: the trimmed run, which the leaf
- * takes.
+ * has lower <= x <= upper.  For each prefix the innermost coordinate (k_d
+ * mean-first, k_1 difference-first) ranges over an integer run: the
+ * integers within slack = SLACK (1 + max|corner|) of its bounds (COUNT_SLACK
+ * difference-first), which carry rounding, and so does every outer range.
+ * An end of the run nearer than that to its bound is dropped until its image
+ * is in the box.  The image is monotone in the innermost coordinate (its
+ * column of the generator is all ones for k_1, +- products of diagonals for
+ * k_d), and so is rounding, so the values with images in the box are one
+ * interval: the trimmed run, which the leaf takes.
  *
  * The slacks are measured margins, not proven bounds.  On about 800,000
  * face boxes [Gk, Gk], [Gk, Gk + 1] and [Gk - 1, Gk] over 8 seeds, d = 2..64,
@@ -63,7 +71,9 @@
  *   mean-first           1.0  2.9  3.0  3.3  2.5  2.7    SLACK 2^-50 = 8u
  *   difference-first     1.0  3.0  4.8  5.4  9.5  20.0   COUNT_SLACK 2^-47 = 64u
  *
- * A count slack of 2^-50 missed points at d = 32 and 64, 2^-49 at d = 64.
+ * Each order takes its own slack, whatever its leaf: a stream's first chunk
+ * takes the count's.  A difference-first slack of 2^-50 missed points at
+ * d = 32 and 64, 2^-49 at d = 64.
  * No larger d was measured, so lattice.MAX_LEVEL = 6 (d <= 64) rests on
  * this table, and every entry point refuses a higher level (LEVEL_LIMIT).
  * The tests hold both against a reference with 4 times the count slack.
@@ -74,10 +84,11 @@
  * coordinate).
  *
  * Images come from the merges prod = D*y; a + prod; a - prod in both
- * orders.  A fill's bounds make the operations of the reference recursion,
- * in the same order: the clamps take `x > y ? x : y` (or `<`) and then
- * divide by the ladder diagonal, and means are (u + v) / 2.0; a count's
- * bounds are its own.  Contracting any of them to fused multiply-adds would
+ * orders, so a row's image has the same bits in either.  The mean-first
+ * bounds make the operations of the reference recursion, in the same order:
+ * the clamps take `x > y ? x : y` (or `<`) and then divide by the ladder
+ * diagonal, and means are (u + v) / 2.0; the difference-first bounds are
+ * their own.  Contracting any of them to fused multiply-adds would
  * change the last bits, hence -ffp-contract=off (and never -ffast-math).
  * map_nodes relies on it too: its nodes must equal the separately rounded
  * operations of the node map, s * (x + v) then / u.
@@ -97,10 +108,10 @@
  *   then int64:        started, depth, k[0..d], end[0..d]
  *
  * Level-L slot s covers the flat indices [s 2^L, (s+1) 2^L).  `depth` i
- * walks flat index i - 1 in a fill and d - i in a count (0 once the walk is
- * done, d while a fill is inside a run), k[i] is its current value and
- * end[i] the last one, so a fill stopped by a full buffer resumes where it
- * stopped.
+ * walks flat index i - 1 mean-first and d - i difference-first (0 once the
+ * walk is done, d while rows fill inside a run), k[i] is its current value
+ * and end[i] the last one, so a walk stopped by a full buffer resumes where
+ * it stopped, in the same order; with `started` reset to 0 it begins again.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h> /* first: it sets _POSIX_C_SOURCE (newlocale, uselocale) */
@@ -130,6 +141,12 @@ static int64_t walk_state_len(int n)
 static double *walk_unit(double *s, int n)
 {
     return s + ((int64_t)3 * n + 3) * ((int64_t)1 << n);
+}
+
+/* The int64 slots of the state s of a level-n walk: started, depth, k, end. */
+static int64_t *walk_slots(double *s, int n)
+{
+    return (int64_t *)(walk_unit(s, n) + ((int64_t)1 << n));
 }
 
 /* Butterfly merges refreshing the partial images once the coordinate at
@@ -233,10 +250,15 @@ static void halve(int64_t i, int64_t kk, int64_t d, int64_t *zd, double *lo)
         *lo = 0.0;
 }
 
-static int64_t walk(double *s, int n, int64_t *K, double *X, int64_t size)
+/* The traversal in the order diff (1 difference-first, 0 mean-first) into
+ * the leaf K (see the header); walk() below runs it. */
+static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, int diff,
+                                                             int64_t *K, double *X, int64_t size)
 {
-    /* depth i walks flat index i - 1 in a fill, d - i in a count */
-    const int64_t d = (int64_t)1 << n, last = K ? d - 1 : 0, step = K ? 1 : -1;
+    /* depth i walks flat index i - 1 mean-first, d - i difference-first:
+     * flat index f is at depth base + step f */
+    const int64_t d = (int64_t)1 << n, last = diff ? 0 : d - 1, step = diff ? -1 : 1;
+    const int64_t base = diff ? d : 1;
     const double *unit = walk_unit(s, n), *diag = unit + 1;
     double *b[n + 1], *g[n + 1], *a[n + 1];
     const double *D[n + 1];
@@ -249,14 +271,14 @@ static int64_t walk(double *s, int n, int64_t *K, double *X, int64_t size)
     }
     for (int L = 0; L <= n; L++)
         a[L] = s + (2 * n + 2 + L) * d;
-    int64_t *started = (int64_t *)(diag + d - 1), *depth = started + 1;
+    int64_t *started = walk_slots(s, n), *depth = started + 1;
     int64_t *k = started + 2, *end = k + d + 1;
     /* a0 = a[0] and d0 = D[0][0] are read from their sources: gcc -O2 cannot
      * see that the loops above set a[0] and D[0] */
     double *a0 = s + (2 * n + 2) * d, *b0 = b[0], *g0 = g[0];
     double *b1 = b[n ? 1 : 0], *g1 = g[n ? 1 : 0];
     const double d0 = n ? diag[0] : 1.0;
-    const double slack = (K ? SLACK : COUNT_SLACK) * *unit;
+    const double slack = (diff ? COUNT_SLACK : SLACK) * *unit;
 
     int64_t i = 0, rows = 0, count = 0, zd = -1;
     double lo, hi;
@@ -265,7 +287,7 @@ static int64_t walk(double *s, int n, int64_t *K, double *X, int64_t size)
     } else {
         /* cascade the box down to scalar bounds for the first coordinate */
         *started = 1;
-        cascade(b, g, D, 0, n, !K);
+        cascade(b, g, D, 0, n, diff);
         lo = b0[d - 1 - last];
         hi = g0[d - 1 - last];
         if (!K) { /* a count of a box symmetric about 0 takes the half-walk */
@@ -302,7 +324,7 @@ static int64_t walk(double *s, int n, int64_t *K, double *X, int64_t size)
             int64_t *krow = K + rows * d;
             double *xrow = X + rows * d;
             for (int64_t f = 0; f < d; f++) {
-                krow[f] = k[f + 1];
+                krow[f] = k[base + step * f];
                 xrow[f] = a[n][f];
             }
             rows++;
@@ -315,12 +337,12 @@ static int64_t walk(double *s, int n, int64_t *K, double *X, int64_t size)
         }
         k[i] = kk;
         const double x = (double)kk;
-        const int64_t f = K ? i - 1 : d - i;
+        const int64_t f = diff ? d - i : i - 1;
         a0[f] = x;
         if (i & 1) {
             /* the new scalar is its own partial image; it clamps its
              * level-1 sibling, which bounds the next coordinate directly */
-            if (K) {
+            if (!diff) {
                 const double lo1 = b1[i - 1] - x, lo2 = x - g1[i];
                 const double hi1 = g1[i - 1] - x, hi2 = x - b1[i];
                 lo = (lo1 > lo2 ? lo1 : lo2) / d0;
@@ -341,7 +363,7 @@ static int64_t walk(double *s, int n, int64_t *K, double *X, int64_t size)
             const int64_t w = (int64_t)1 << r;
             const double *ar = a[r], *pb = b[r + 1], *pg = g[r + 1], *dr = D[r];
             double *cb = b[r], *cg = g[r];
-            if (K) { /* mean-first: A = [i - w, i) is set, Y = [i, i + w) */
+            if (!diff) { /* mean-first: A = [i - w, i) is set, Y = [i, i + w) */
                 for (int64_t t = 0; t < w; t++) {
                     const double y = ar[i - w + t];
                     const double lo1 = pb[i - w + t] - y, lo2 = y - pg[i + t];
@@ -373,6 +395,59 @@ static int64_t walk(double *s, int n, int64_t *K, double *X, int64_t size)
         return i;
     *depth = i;
     return K ? rows : count;
+}
+
+/* walk_in with its order a constant in each of two copies: one function
+ * taking the order at run time streamed up to 2 % slower mean-first, and up
+ * to 10 % slower a box just past one chunk. */
+static int64_t walk(double *s, int n, int diff, int64_t *K, double *X, int64_t size)
+{
+    return diff ? walk_in(s, n, 1, K, X, size) : walk_in(s, n, 0, K, X, size);
+}
+
+/* Does row p of K (rows of d) come before row q in lexicographic order? */
+static int row_before(const int64_t *K, int64_t d, int64_t p, int64_t q)
+{
+    const int64_t *kp = K + p * d, *kq = K + q * d;
+    int64_t f = 0;
+    while (f + 1 < d && kp[f] == kq[f])
+        f++;
+    return kp[f] < kq[f];
+}
+
+/* The first chunk of a stream: walks the new walk of s difference-first into
+ * up to `size` rows of K and X.  If that ends the walk, it writes the indices
+ * of the rows in the lexicographic order of k to order, by a merge sort
+ * through tmp (`size` slots each), and returns how many; else (the rows are
+ * full, or a range reaches past the limits) it resets the walk to begin
+ * again and returns -1. */
+static int64_t first_chunk(double *s, int n, int64_t *K, double *X, int64_t size,
+                           int64_t *order, int64_t *tmp)
+{
+    int64_t *started = walk_slots(s, n);
+    const int64_t d = (int64_t)1 << n, rows = walk(s, n, 1, K, X, size);
+    if (rows < 0 || started[1] != 0) {
+        started[0] = 0;
+        return -1;
+    }
+    int64_t *from = order, *to = tmp;
+    for (int64_t r = 0; r < rows; r++)
+        order[r] = r;
+    for (int64_t w = 1; w < rows; w *= 2) {
+        for (int64_t lo = 0; lo < rows; lo += 2 * w) {
+            const int64_t mid = lo + w < rows ? lo + w : rows;
+            const int64_t hi = mid + w < rows ? mid + w : rows;
+            for (int64_t p = lo, q = mid, t = lo; t < hi; t++)
+                to[t] = q < hi && (p == mid || row_before(K, d, from[q], from[p])) ? from[q++]
+                                                                                   : from[p++];
+        }
+        int64_t *swap = from;
+        from = to;
+        to = swap;
+    }
+    if (from != order)
+        memcpy(order, from, (size_t)rows * 8);
+    return rows;
 }
 
 /* The cubature node map of chebfrolov.cubature, in place on len values of X,
@@ -442,6 +517,10 @@ static int64_t format_rows(const double *X, int64_t len, int64_t d, int precisio
 
 /* Values in each buffer of the scratch pair behind `stream`. */
 #define SCRATCH 1024
+/* The lowest level whose streams walk their first chunk difference-first
+ * (d = 8), and so the most rows that chunk holds. */
+#define SORT_LEVEL 3
+#define SORT_ROWS (SCRATCH >> SORT_LEVEL)
 #define FILL_ROWS 256 /* rows the first fill's pair of a walk starts with */
 /* Levels the walker entry points take: lattice.MAX_LEVEL, d = 2^n <= 64. */
 #define LEVEL_LIMIT 6
@@ -498,18 +577,48 @@ static PyObject *walk_result(int64_t result)
     return NULL;
 }
 
-/* Begins the walk of the box lower, upper (two tuples of d floats) in the
- * zeroed state s: a box empty in some coordinate (lower > upper, or NaN) is
- * a walk already done, however far; another with a corner beyond
- * CORNER_LIMIT is refused; else s keeps 1 + max|corner|, the slacks' unit. */
-static int begin(double *s, PyObject *lower, PyObject *upper, int n)
+/* 0 if lower and upper are two tuples of d = 2^n values, else -1 with an
+ * exception set. */
+static int corners(PyObject *lower, PyObject *upper, Py_ssize_t n)
 {
     const Py_ssize_t d = (Py_ssize_t)1 << n;
-    if (!PyTuple_Check(lower) || !PyTuple_Check(upper) || PyTuple_GET_SIZE(lower) != d
-        || PyTuple_GET_SIZE(upper) != d) {
+    if (!PyTuple_Check(lower) || !PyTuple_Check(upper)) {
         PyErr_Format(PyExc_ValueError, "the corners must be two tuples of %zd floats", d);
         return -1;
     }
+    const Py_ssize_t m = PyTuple_GET_SIZE(lower) != d ? PyTuple_GET_SIZE(lower)
+                                                      : PyTuple_GET_SIZE(upper);
+    if (m == d)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "box dimension %zd != lattice dimension %zd", m, d);
+    return -1;
+}
+
+/* A view of the diagonals obj (see values) holding a ladder of depth >= n,
+ * the 2^n - 1 values of levels 0..n-1, or -1 with an exception set and no
+ * view held. */
+static int ladder(PyObject *obj, Py_buffer *view, Py_ssize_t n)
+{
+    if (values(obj, view, 0, 0, "the diagonals") < 0)
+        return -1;
+    const Py_ssize_t len = view->len / 8;
+    if (len >= ((Py_ssize_t)1 << n) - 1)
+        return 0;
+    int depth = 0; /* the levels it holds whole: 2^depth - 1 values */
+    while (((Py_ssize_t)2 << depth) - 1 <= len)
+        depth++;
+    PyErr_Format(PyExc_ValueError, "ladder depth %d < level %zd", depth, n);
+    PyBuffer_Release(view);
+    return -1;
+}
+
+/* Begins the walk of the box lower, upper (see corners) in the zeroed state
+ * s: a box empty in some coordinate (lower > upper, or NaN) is a walk
+ * already done, however far; another with a corner beyond CORNER_LIMIT is
+ * refused; else s keeps 1 + max|corner|, the slacks' unit. */
+static int begin(double *s, PyObject *lower, PyObject *upper, int n)
+{
+    const Py_ssize_t d = (Py_ssize_t)1 << n;
     for (Py_ssize_t f = 0; f < 2 * d; f++) {
         s[f] = PyFloat_AsDouble(PyTuple_GET_ITEM(f < d ? lower : upper, f % d));
         if (s[f] == -1.0 && PyErr_Occurred())
@@ -518,7 +627,7 @@ static int begin(double *s, PyObject *lower, PyObject *upper, int n)
     double m = 0.0, *unit = walk_unit(s, n);
     for (Py_ssize_t f = 0; f < d; f++) {
         if (!(s[f] <= s[d + f])) {
-            ((int64_t *)unit)[d] = 1; /* started, at depth 0: done */
+            *walk_slots(s, n) = 1; /* started, at depth 0: done */
             return 0;
         }
         m = fmax(m, fmax(fabs(s[f]), fabs(s[d + f])));
@@ -530,14 +639,16 @@ static int begin(double *s, PyObject *lower, PyObject *upper, int n)
 }
 
 /* A new walk of the box args[0], args[1] (see begin) at level *n = args[3],
- * with the 2^n - 1 diagonals of the buffer args[2] copied into its state, in
+ * with the 2^n - 1 diagonals of the ladder args[2] copied into its state, in
  * a block of walk_state_len(n) slots and `extra` unset ones after them, to
- * PyMem_Free; NULL with an exception set.  No view is held once it returns. */
+ * PyMem_Free; NULL with an exception set.  It checks the level, then the
+ * box's dimension, then the ladder's depth.  No view is held once it
+ * returns. */
 static double *walk_args(PyObject *const *args, Py_ssize_t *n, int64_t extra)
 {
     Py_buffer diag;
-    if ((*n = int_arg(args[3], "level", 0, LEVEL_LIMIT)) < 0
-        || values(args[2], &diag, 0, ((Py_ssize_t)1 << *n) - 1, "the diagonals") < 0)
+    if ((*n = int_arg(args[3], "level", 0, LEVEL_LIMIT)) < 0 || corners(args[0], args[1], *n) < 0
+        || ladder(args[2], &diag, *n) < 0)
         return NULL;
     const int64_t len = walk_state_len((int)*n);
     double *s = PyMem_Malloc((size_t)(len + extra) * 8);
@@ -588,7 +699,7 @@ static PyObject *py_count(PyObject *Py_UNUSED(module), PyObject *const *args, Py
         return NULL;
     int64_t result;
     Py_BEGIN_ALLOW_THREADS
-    result = walk(s, (int)n, NULL, NULL, 0);
+    result = walk(s, (int)n, 1, NULL, NULL, 0);
     Py_END_ALLOW_THREADS
     PyMem_Free(s);
     return walk_result(result);
@@ -621,7 +732,7 @@ static PyObject *py_fill(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
         int64_t *k = (int64_t *)PyByteArray_AS_STRING(K) + rows * d;
         double *x = (double *)PyByteArray_AS_STRING(X) + rows * d;
         Py_BEGIN_ALLOW_THREADS
-        result = walk(s, n, k, x, cap - rows);
+        result = walk(s, n, 0, k, x, cap - rows);
         Py_END_ALLOW_THREADS
         if (result < 0 || (rows += result) < cap || cap == size)
             break;
@@ -667,11 +778,14 @@ fail:
 
 /* stream(lower, upper, diag, n, type, consumer): calls consumer with each
  * point of the box, a `type` (k, x) instance of tuples of ints and floats,
- * and returns their number.  SCRATCH / d rows a walk pass through a pair
- * behind the state, off the C stack, which consumers that stream again would
- * overflow.  Signals are handled before each point and after each walk, so
- * Ctrl-C stops a stream; a Python gc callback that a point's allocations
- * start can still take a signal that arrives during that collection. */
+ * in the lexicographic order of k, and returns their number.  SCRATCH / d
+ * rows a walk pass through a pair behind the state, off the C stack, which
+ * consumers that stream again would overflow; two arrays of SORT_ROWS row
+ * indices follow it.  At level SORT_LEVEL and up, the first chunk is
+ * first_chunk's; a box it does not hold is walked mean-first from the start.
+ * Signals are handled before each point and after each walk, so Ctrl-C
+ * stops a stream; a Python gc callback that a point's allocations start can
+ * still take a signal that arrives during that collection. */
 static PyObject *py_stream(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     if (check_nargs("stream", nargs, 6) < 0)
@@ -679,18 +793,25 @@ static PyObject *py_stream(PyObject *Py_UNUSED(module), PyObject *const *args, P
     if (!PyType_Check(args[4]) || !PyType_IsSubtype((PyTypeObject *)args[4], &PyTuple_Type))
         return PyErr_Format(PyExc_TypeError, "stream() needs a tuple subclass for its points");
     Py_ssize_t n;
-    double *s = walk_args(args, &n, 2 * SCRATCH);
+    double *s = walk_args(args, &n, 2 * SCRATCH + 2 * SORT_ROWS);
     if (s == NULL)
         return NULL;
     const int64_t d = (int64_t)1 << n, chunk = SCRATCH / d;
     double *X = s + walk_state_len((int)n);
-    int64_t *K = (int64_t *)(X + SCRATCH), rows = chunk, total = 0;
+    int64_t *K = (int64_t *)(X + SCRATCH), *index = K + SCRATCH, rows = chunk, total = 0;
+    int first = n >= SORT_LEVEL;
     while (rows == chunk && !PyErr_Occurred()) {
+        const int64_t *order = NULL; /* the rows' order, if not the walk's */
         Py_BEGIN_ALLOW_THREADS
-        rows = walk(s, (int)n, K, X, chunk);
+        if (first && (rows = first_chunk(s, (int)n, K, X, chunk, index, index + SORT_ROWS)) >= 0)
+            order = index;
+        else
+            rows = walk(s, (int)n, 0, K, X, chunk);
         Py_END_ALLOW_THREADS
+        first = 0;
         for (int64_t r = 0; r < rows && !PyErr_Occurred() && PyErr_CheckSignals() == 0; r++) {
-            PyObject *point = lattice_point((PyTypeObject *)args[4], K + r * d, X + r * d, d);
+            const int64_t row = (order ? order[r] : r) * d;
+            PyObject *point = lattice_point((PyTypeObject *)args[4], K + row, X + row, d);
             Py_XDECREF(point ? PyObject_CallOneArg(args[5], point) : NULL);
             Py_XDECREF(point);
         }

@@ -8,6 +8,7 @@ import os
 import pickle
 import random
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -415,6 +416,29 @@ class TestStream:
         with pytest.raises(ValueError):
             enumerate_stream(level, Box.symmetric(1.0, 4), ladder, lambda p: None)
 
+    def test_argument_errors_name_the_box_then_the_ladder(self):
+        # the walker checks the box's dimension before the ladder's depth;
+        # enumerate_batches makes its walk, and so raises, at the call
+        level = Level(2)
+        ladder, short = build_diag_ladder(level), build_diag_ladder(Level(1))
+        seen = []
+        calls = [
+            count_points,
+            lambda *args: enumerate_stream(*args, seen.append),
+            enumerate_batches,
+        ]
+        cases = [
+            (Box.symmetric(1.0, 3), ladder, "box dimension 3 != lattice dimension 4"),
+            (Box.symmetric(1.0, 3), short, "box dimension 3 != lattice dimension 4"),
+            (Box.symmetric(1.0, 4), short, "ladder depth 1 < level 2"),
+        ]
+        for box, diagonals, message in cases:
+            for call in calls:
+                with pytest.raises(ValueError) as info:
+                    call(level, box, diagonals)
+                assert str(info.value) == message
+        assert seen == []
+
 
 def run_child(code):
     """Run ``code`` in a fresh interpreter that imports the package under test."""
@@ -608,7 +632,8 @@ class TestKernels:
         level = Level(2)
         d = level.d
         ladder = build_diag_ladder(level)
-        lower, upper, diag, n = enumeration._prepare(level, Box.symmetric(3.0, d), ladder)
+        box = Box.symmetric(3.0, d)
+        lower, upper, diag, n = box.lower, box.upper, ladder._flat, level.n
         wide = Box.symmetric(8.0, d)  # 1,459 points: a fill of them outgrows its first pair
         far, empty = Box.symmetric(2.0**50, d), Box((2.0**50,) * d, (0.0,) * d)
         X = array("d", [0.5]) * (4 * d)
@@ -756,12 +781,36 @@ class TestKernels:
                 gc.enable()
         assert len(points) < 88645
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_ctrl_c_in_the_consumer_stops_a_stream(self, n):
+        # no timer: the first point's consumer raises SIGINT itself.  At
+        # d = 16 the box fits the first chunk, which is walked difference-first
+        # and sorted; the d = 32 standard box of 88,645 points streams mean-first
+        level = Level(n)
+        ladder = build_diag_ladder(level)
+        box = Box.symmetric(2.5, level.d) if n == 4 else cubature_box(5, 2**12)
+        assert (1 < count_points(level, box, ladder) <= 1024 // level.d) == (n == 4)
+        points = []
+
+        def consumer(point):
+            points.append(point)
+            signal.raise_signal(signal.SIGINT)
+
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                enumerate_stream(level, box, ladder, consumer)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        assert len(points) == 1
+
     def test_entry_points_refuse_short_buffers_without_writing(self):
         walker = _library()
         level = Level(2)
         d = level.d
         ladder = build_diag_ladder(level)
-        lower, upper, diag, n = enumeration._prepare(level, Box.symmetric(3.0, d), ladder)
+        box = Box.symmetric(3.0, d)
+        lower, upper, diag, n = box.lower, box.upper, ladder._flat, level.n
         state = walker.state(lower, upper, diag, n)
         far = Box.symmetric(2.0**50, d)
         X = array("d", [7.0]) * (4 * d)
@@ -832,7 +881,7 @@ class TestKernels:
         level = Level(3)
         ladder = build_diag_ladder(level)
         box = standard_box(CubatureSpec(level, 2.0**10))
-        lower, upper, _, n = enumeration._prepare(level, box, ladder)
+        lower, upper, n = box.lower, box.upper, level.n
         diag = array("d", ladder._flat)
         state = walker.state(lower, upper, diag, n)
         first = walker.fill(state, 3)
@@ -916,7 +965,7 @@ class TestKernels:
             with pytest.raises(ValueError, match="level 1 must hold 2 entries"):
                 DiagLadder(levels)
 
-    def test_diagonal_buffer_is_cached_by_ladder(self):
+    def test_diagonal_buffer_is_cached_by_ladder(self, monkeypatch):
         # the ladder keeps its levels flat, level L at 2**L - 1, in one
         # read-only buffer that every entry point reads
         level = Level(4)
@@ -926,10 +975,27 @@ class TestKernels:
         assert flat.tolist() == [v for diag in ladder.levels for v in diag]
         with pytest.raises(TypeError):
             flat[0] = 1.0
+        walker, passed = _library(), []
+
+        class Spy:  # the walker module, noting the diagonals each walk is made with
+            def __getattr__(self, name):
+                def entry(lower, upper, diag, n, *rest):
+                    passed.append(diag)
+                    return getattr(walker, name)(lower, upper, diag, n, *rest)
+
+                return entry
+
+        low = Level(2)
+        counts = [count_points(low, Box.symmetric(3.0, 4), build_diag_ladder(low))]
+        monkeypatch.setattr(enumeration, "_library", Spy)
         box = Box.symmetric(3.0, level.d)
-        assert enumeration._prepare(level, box, ladder)[2] is flat
+        count_points(level, box, ladder)
+        enumerate_stream(level, box, ladder, lambda p: None)
+        enumerate_batches(level, box, ladder)  # the walk is made at the call
         # a lower level reads the same buffer, its first 2**n - 1 values
-        assert enumeration._prepare(Level(2), Box.symmetric(3.0, 4), ladder)[2] is flat
+        counts.append(count_points(low, Box.symmetric(3.0, 4), ladder))
+        assert len(passed) == 4 and all(diag is flat for diag in passed)
+        assert counts[0] == counts[1] > 1
         # not a field: equal ladders compare, hash, print and pickle by their levels
         same = DiagLadder([list(diag) for diag in ladder.levels])
         assert same == ladder and hash(same) == hash(ladder) and same._flat is not flat
@@ -1351,6 +1417,54 @@ def test_d64_face_boxes_count_like_the_stream():
             points = collect(level, box, ladder)
             assert count_points(level, box, ladder) == len(points)
             assert (k in {p.k for p in points}) == holds
+
+
+def chunk_boxes(level, ladder, rng):
+    """A cube about a lattice image, and boxes in it holding 0, 1, 3 and
+    chunk - 1, chunk and chunk + 1 points, chunk the rows of a stream's first
+    walk, each with its count."""
+    d, chunk = level.d, 1024 // level.d
+    centre = apply_generator(ladder, [rng.randint(-3, 3) for _ in range(d)])
+    r = 0.5
+    while True:
+        cube = Box(tuple(v - r for v in centre), tuple(v + r for v in centre))
+        if count_points(level, cube, ladder) >= chunk + 2:
+            break
+        r *= 1.25
+    # the m points of the cube with the least first coordinate: the images
+    # of distinct lattice points differ in every coordinate
+    firsts = sorted(p.x[0] for p in collect(level, cube, ladder))
+    cuts = []
+    for m in (0, 1, 3, chunk - 1, chunk, chunk + 1):
+        cut = firsts[0] - 1.0 if m == 0 else (firsts[m - 1] + firsts[m]) / 2
+        cuts.append((Box(cube.lower, (cut,) + cube.upper[1:]), m))
+    return cube, cuts
+
+
+@pytest.mark.parametrize("n", range(MAX_LEVEL + 1))
+def test_streams_that_fit_a_chunk_match_the_batches(n):
+    # from d = 8 a stream walks its first chunk difference-first and sorts it,
+    # and walks a box that does not fit again, mean-first: both give the
+    # batches' rows, in their order and to the bit
+    level = Level(n)
+    ladder = build_diag_ladder(level)
+    rng = random.Random(2400 + n)
+    cube, cuts = chunk_boxes(level, ladder, rng)
+    x = apply_generator(ladder, [rng.randint(-16, 16) for _ in range(level.d)])
+    faces = [(Box(x, x), None), (Box(x, tuple(v + 1.0 for v in x)), None)]
+    # one sweep of the oracle: a box in the cube keeps the cube's points it holds
+    swept = oracle_enumerate(level, cube) if n <= 3 else []
+    for box, holds in cuts + faces:
+        emitted = assert_batches_match_stream(level, box, ladder, 5)
+        assert count_points(level, box, ladder) == emitted
+        if holds is not None:
+            assert emitted == holds
+        if n <= 3:
+            expected = oracle_enumerate(level, box) if holds is None else [
+                p for p in swept if all(map(operator.le, box.lower, p.x))
+                and all(map(operator.le, p.x, box.upper))
+            ]
+            assert collect(level, box, ladder) == expected
 
 
 def assert_negation_maps(level, box, ladder):
