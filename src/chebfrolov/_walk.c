@@ -96,7 +96,8 @@
  * There is no static state.  Everything lives in a state of walk_state_len(n)
  * eight-byte slots, set by walk_args() from the box and the ladder when the
  * walk is made (the call's own for count and stream, the opaque capsule of
- * `state` for fill, so every fill of a walk reads the ladder it began with):
+ * `state` for fill, so every fill of a walk reads the ladder and the batch
+ * size it began with):
  *
  *   [0, d)             lower corner  = b, level n
  *   [d, 2d)            upper corner  = g, level n
@@ -511,7 +512,9 @@ static int64_t format_rows(const double *X, int64_t len, int64_t d, int precisio
  * METH_FASTCALL functions over the buffer protocol: X, v, u and the
  * diagonals are buffers of eight-byte values (bytearray or array.array, or
  * memoryviews of them), checked for length and alignment before anything
- * is written.  Walker states and fill rows are the module's own: a walk
+  * is written.  Integers are read as operator.index reads them, clipped to
+ * Py_ssize_t: a level past it is out of range, a size or a precision is
+ * clipped again.  Walker states and fill rows are the module's own: a walk
  * copies its diagonals into its state when it is made, so walk, which runs
  * with the GIL released, touches no Python object and no caller's buffer. */
 
@@ -521,7 +524,7 @@ static int64_t format_rows(const double *X, int64_t len, int64_t d, int precisio
  * (d = 8), and so the most rows that chunk holds. */
 #define SORT_LEVEL 3
 #define SORT_ROWS (SCRATCH >> SORT_LEVEL)
-#define FILL_ROWS 256 /* rows the first fill's pair of a walk starts with */
+#define FILL_ROWS 1024 /* rows a fill's pair starts with: enumerate_batches' default size */
 /* Levels the walker entry points take: lattice.MAX_LEVEL, d = 2^n <= 64. */
 #define LEVEL_LIMIT 6
 
@@ -533,10 +536,11 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     return -1;
 }
 
-/* An integer argument in [lo, hi], or -1 with an exception set. */
+/* An integer argument (clipped to Py_ssize_t) in [lo, hi], or -1 with an
+ * exception set. */
 static Py_ssize_t int_arg(PyObject *obj, const char *what, Py_ssize_t lo, Py_ssize_t hi)
 {
-    const Py_ssize_t v = PyLong_AsSsize_t(obj);
+    const Py_ssize_t v = PyNumber_AsSsize_t(obj, NULL);
     if (v == -1 && PyErr_Occurred())
         return -1;
     if (v < lo || v > hi) {
@@ -671,18 +675,21 @@ static void free_state(PyObject *state)
     PyMem_Free(PyCapsule_GetPointer(state, STATE));
 }
 
-/* state(lower, upper, diag, n): a new walk of the box at level n under the
- * diagonals diag, an opaque capsule holding its state, with n as its context;
- * one fill at a time resumes it.  One slot past the state keeps the rows the
- * last fill's pair reached. */
+/* state(lower, upper, diag, n, size): a new walk of the box at level n under
+ * the diagonals diag, an opaque capsule holding its state, with n as its
+ * context; one fill at a time resumes it, for up to size rows.  The size,
+ * checked after the box, is kept in the slot past the state, clipped to the
+ * rows a buffer can hold, PY_SSIZE_T_MAX / 8d. */
 static PyObject *py_state(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_ssize_t n;
     double *s;
-    if (check_nargs("state", nargs, 4) < 0 || (s = walk_args(args, &n, 1)) == NULL)
+    if (check_nargs("state", nargs, 5) < 0 || (s = walk_args(args, &n, 1)) == NULL)
         return NULL;
-    *(int64_t *)(s + walk_state_len((int)n)) = FILL_ROWS;
-    PyObject *state = PyCapsule_New(s, STATE, free_state);
+    const Py_ssize_t size = int_arg(args[4], "batch size", 1, PY_SSIZE_T_MAX);
+    const Py_ssize_t most = PY_SSIZE_T_MAX / ((Py_ssize_t)8 << n);
+    *(int64_t *)(s + walk_state_len((int)n)) = size < most ? size : most;
+    PyObject *state = size < 0 ? NULL : PyCapsule_New(s, STATE, free_state);
     if (state == NULL)
         PyMem_Free(s);
     else
@@ -705,26 +712,23 @@ static PyObject *py_count(PyObject *Py_UNUSED(module), PyObject *const *args, Py
     return walk_result(result);
 }
 
-/* fill(state, size): resumes the walk of a `state` for up to size rows and
+/* fill(state): resumes the walk of a `state` for up to its size rows and
  * returns them as a pair of bytearrays, K (int64) and X (float64), d values
- * a row, empty once the walk is done.  The pair starts with as many rows as
- * the previous fill's reached (FILL_ROWS for the first), at most size,
- * doubles while the walk fills it and is trimmed to the rows written, so a
- * huge size costs at most twice the most rows a fill of the walk wrote. */
+ * a row, empty once the walk is done.  The pair starts with FILL_ROWS rows,
+ * at most the size, doubles while the walk fills it and is trimmed to the
+ * rows written, so a huge size costs at most FILL_ROWS or twice the rows
+ * the fill wrote. */
 static PyObject *py_fill(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_nargs("fill", nargs, 2) < 0)
+    if (check_nargs("fill", nargs, 1) < 0)
         return NULL;
     if (!PyCapsule_IsValid(args[0], STATE))
         return PyErr_Format(PyExc_TypeError, "fill() needs a walker state made by state()");
     double *s = PyCapsule_GetPointer(args[0], STATE);
     const int n = (int)(intptr_t)PyCapsule_GetContext(args[0]);
     const Py_ssize_t d = (Py_ssize_t)1 << n, row = 8 * d;
-    int64_t *reach = (int64_t *)(s + walk_state_len(n));
-    Py_ssize_t size, rows = 0;
-    if ((size = int_arg(args[1], "size", 1, PY_SSIZE_T_MAX / row)) < 0)
-        return NULL;
-    Py_ssize_t cap = size < *reach ? size : (Py_ssize_t)*reach;
+    const Py_ssize_t size = *(int64_t *)(s + walk_state_len(n));
+    Py_ssize_t cap = size < FILL_ROWS ? size : FILL_ROWS, rows = 0;
     PyObject *K = PyByteArray_FromStringAndSize(NULL, cap * row), *pair = NULL;
     PyObject *X = K ? PyByteArray_FromStringAndSize(NULL, cap * row) : NULL;
     int64_t result = 0;
@@ -740,7 +744,6 @@ static PyObject *py_fill(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
         if (PyByteArray_Resize(K, cap * row) < 0 || PyByteArray_Resize(X, cap * row) < 0)
             break;
     }
-    *reach = cap;
     if (result < 0)
         walk_result(result);
     else if (!PyErr_Occurred() && PyByteArray_Resize(K, rows * row) == 0
@@ -858,15 +861,19 @@ static PyObject *py_map_nodes(PyObject *Py_UNUSED(module), PyObject *const *args
 
 /* format_rows(X, d, precision): format_rows of the float64 buffer X, rows
  * of d, as a bytearray of the text, sized for precision + 8 bytes a value
- * (see format_rows) and trimmed to the bytes written. */
+ * (see format_rows) and trimmed to the bytes written.  Any precision >= 1
+ * is taken; one past 767 writes the text of 767. */
 static PyObject *py_format_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
                                 Py_ssize_t nargs)
 {
     Py_ssize_t d, precision;
     if (check_nargs("format_rows", nargs, 3) < 0
         || (d = int_arg(args[1], "dimension", 1, PY_SSIZE_T_MAX)) < 0
-        || (precision = int_arg(args[2], "precision", 1, 4096)) < 0)
+        || (precision = int_arg(args[2], "precision", 1, PY_SSIZE_T_MAX)) < 0)
         return NULL;
+    /* no double's text changes past 767 digits: none has more significant
+     * digits, %g drops trailing zeros, and no decimal exponent reaches 767 */
+    precision = precision < 767 ? precision : 767;
     Py_buffer X;
     if (values(args[0], &X, 0, 0, "X") < 0)
         return NULL;
@@ -887,8 +894,9 @@ static PyObject *py_format_rows(PyObject *Py_UNUSED(module), PyObject *const *ar
 }
 
 /* apply_generator(diag, coords, n): the generator image of the 2^n reals
- * coords (each taken as float() takes it) under the flat diagonals diag,
- * made by walk's merges in the order in which a fill sets the coordinates.
+ * coords (each taken as float() takes it) under the flat diagonals diag
+ * (see ladder), made by walk's merges in the order in which a fill sets the
+ * coordinates.
  * The levels alternate between two vectors on the stack: a merge reads
  * level j - 1 of its block only, which no merge has overwritten yet. */
 static PyObject *py_apply_generator(PyObject *Py_UNUSED(module), PyObject *const *args,
@@ -897,8 +905,7 @@ static PyObject *py_apply_generator(PyObject *Py_UNUSED(module), PyObject *const
     Py_ssize_t n;
     Py_buffer diag;
     if (check_nargs("apply_generator", nargs, 3) < 0
-        || (n = int_arg(args[2], "level", 0, LEVEL_LIMIT)) < 0
-        || values(args[0], &diag, 0, ((Py_ssize_t)1 << n) - 1, "the diagonals") < 0)
+        || (n = int_arg(args[2], "level", 0, LEVEL_LIMIT)) < 0 || ladder(args[0], &diag, n) < 0)
         return NULL;
     const Py_ssize_t d = (Py_ssize_t)1 << n;
     double v[2][1 << LEVEL_LIMIT], *a[LEVEL_LIMIT + 1];
@@ -943,9 +950,9 @@ done:
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef entries[] = {
-    ENTRY(state, "state(lower, upper, diag, n): a new walk of the box, to fill"),
+    ENTRY(state, "state(lower, upper, diag, n, size): a new walk of the box, to fill"),
     ENTRY(count, "count(lower, upper, diag, n): the number of points in the box"),
-    ENTRY(fill, "fill(state, size): the next rows (K, X) of the walk, up to size"),
+    ENTRY(fill, "fill(state): the next rows (K, X) of the walk, up to its size"),
     ENTRY(stream, "stream(lower, upper, diag, n, type, consumer): each point to consumer"),
     ENTRY(map_nodes, "map_nodes(X, d, s, v, u, bound): cubature nodes in place"),
     ENTRY(format_rows, "format_rows(X, d, precision): the CSV text of the rows"),

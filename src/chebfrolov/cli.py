@@ -10,10 +10,14 @@ verify            unimodularity, golden-count and two-scale checks
 table             dump the embedded golden count rows
 
 Output is deterministic for a fixed configuration (timing fields aside).
-Exit codes: 0 success, 1 check failure, 2 usage error.  ``--dim`` and the
-``--max-dim`` of verify and table take a power of two up to 64, the fixed
-limit of :class:`~chebfrolov.lattice.Level`; verify and table refuse limits
-that select no golden row.
+Exit codes: 0 success, 1 check failure, 2 usage error.  The parser refuses
+what it can state itself, with its own message: a missing ``--dim``, or not
+exactly one of ``--scale``, ``--log2-scale`` and (count and points)
+``--box``.  The rest needs the values: ``--box`` must hold 2d numbers,
+``--log2-scale`` must fit a double, ``--out`` must be writable, and
+``--dim`` and the ``--max-dim`` of verify and table take a power of two up
+to 64, the fixed limit of :class:`~chebfrolov.lattice.Level`; verify and
+table refuse limits that select no golden row.
 
 No command loads numpy.  ``points`` writes the CSV text of each fill of
 the walker, made in the walker library (``format_rows`` of ``_walk.c``,
@@ -54,13 +58,6 @@ INTEGRANDS: dict[str, Callable[[tuple[float, ...]], float]] = {
 }
 
 
-#: Significant digits past which ``--precision`` prints the same text: no
-#: double has more than 767 significant decimal digits, ``g`` drops trailing
-#: zeros, and no double's decimal exponent reaches 767, so the choice
-#: between fixed and exponent notation does not change either.
-_MAX_DIGITS = 767
-
-
 class UsageError(Exception):
     """Invalid configuration detected after argparse."""
 
@@ -70,8 +67,6 @@ def _json_line(k: list[int], x: list[float]) -> str:
 
 
 def _resolve_scale(args: argparse.Namespace) -> float | None:
-    if args.scale is not None and args.log2_scale is not None:
-        raise UsageError("give either --scale or --log2-scale, not both")
     if args.log2_scale is not None:
         try:
             return math.ldexp(1.0, args.log2_scale)
@@ -81,12 +76,9 @@ def _resolve_scale(args: argparse.Namespace) -> float | None:
 
 
 def _resolve_box(args: argparse.Namespace, level: Level, scale: float | None) -> Box:
-    corners = getattr(args, "box", None)
-    if (scale is None) == (corners is None):
-        raise UsageError("give exactly one of a scale (--scale/--log2-scale) or --box")
     if scale is not None:
         return standard_box(CubatureSpec(level, scale))
-    d = level.d
+    d, corners = level.d, args.box
     if len(corners) != 2 * d:
         raise UsageError(
             f"--box needs {2 * d} values for dimension {d} "
@@ -144,7 +136,7 @@ def _cmd_points(args: argparse.Namespace) -> int:
         if args.format == "csv":
             if args.header:
                 print(",".join(f"x{j + 1}" for j in range(d)), file=out)
-            _write_csv(out, fills, d, min(args.precision, _MAX_DIGITS))
+            _write_csv(out, fills, d, args.precision)
         else:
             for K, X in fills:
                 ks, xs = K.tolist(), X.tolist()
@@ -171,8 +163,6 @@ def _write_csv(out: TextIO, fills: Iterator, d: int, precision: int) -> None:
 def _cmd_integrate(args: argparse.Namespace) -> int:
     level = Level.from_dimension(args.dim)
     scale = _resolve_scale(args)
-    if scale is None:
-        raise UsageError("integrate needs --scale or --log2-scale")
     seed = getattr(args, "seed", None)  # integrate-random only
     shift = None if seed is None else sample_shift(seed, level.d)
     spec = CubatureSpec(level, scale)
@@ -268,9 +258,13 @@ def _add_dim_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, required=True, help="dimension d (a power of two <= 64)")
 
 
-def _add_scale_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, help="scale N > 0")
-    parser.add_argument("--log2-scale", type=int, help="integer m for N = 2**m")
+def _add_scale_args(parser: argparse.ArgumentParser, box: bool = False) -> None:
+    """``--scale``, ``--log2-scale`` and, with ``box``, ``--box``: exactly one of them."""
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--scale", type=float, help="scale N > 0")
+    group.add_argument("--log2-scale", type=int, help="integer m for N = 2**m")
+    if box:
+        group.add_argument("--box", type=float, nargs="+", help="2d floats: lower then upper corner")
 
 
 def _add_common_output(parser: argparse.ArgumentParser) -> None:
@@ -309,15 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count lattice points in a box")
     _add_dim_arg(p_count)
-    _add_scale_args(p_count)
-    p_count.add_argument("--box", type=float, nargs="+", help="2d floats: lower then upper corner")
+    _add_scale_args(p_count, box=True)
     _add_common_output(p_count)
     p_count.set_defaults(func=_cmd_count)
 
     p_points = sub.add_parser("points", help="stream lattice points, one per line")
     _add_dim_arg(p_points)
-    _add_scale_args(p_points)
-    p_points.add_argument("--box", type=float, nargs="+", help="2d floats: lower then upper corner")
+    _add_scale_args(p_points, box=True)
     p_points.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p_points.add_argument("--precision", type=_positive_int, default=17,
                           help="significant digits for CSV output (17 round-trips doubles)")

@@ -17,16 +17,18 @@ once, when it is made, and keeps them flat, level L from offset 2**L - 1.
 that buffer and n straight to the module, one call each, and it checks
 them in this order: the level, the box's dimension (``box dimension 3 !=
 lattice dimension 4``), then the ladder's depth (``ladder depth 1 < level
-2``).  The module releases the GIL around every call of the C walk (a
-whole count, one fill, or one chunk of a stream), so other threads run
-meanwhile.  For each prefix the innermost coordinate ranges over an
-integer run [lo, hi], which goes to one of two leaves:
+2``), and ``_fill``'s batch size last.  The module releases the GIL around
+every call of the C walk (a whole count, one fill, or one chunk of a
+stream), so other threads run meanwhile.  For each prefix the innermost
+coordinate ranges over an integer run [lo, hi], which goes to one of two
+leaves:
 
 - A fill writes rows of k and x, each image finished by the last butterfly
   chain, and stops when its rows are full; the next resumes from the
-  walk's state, which the module owns, with the ladder the walk was made
-  with: ``fill`` takes no diagonals.  Each fill returns its rows in a
-  new int64 and float64 pair; ``_fill`` yields them and
+  walk's state, which the module owns, with the ladder and the batch size
+  the walk was made with: ``fill`` takes only the walk.  Each fill returns
+  its rows in a new int64 and float64 pair, an empty one once the walk is
+  done; ``_fill`` yields them and
   ``enumerate_batches`` wraps each as ``(K, X)`` numpy arrays, without a
   copy.
   ``enumerate_stream`` is one call of the module's ``stream``, which fills
@@ -83,7 +85,6 @@ without it.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import sys
 from functools import lru_cache
@@ -139,14 +140,13 @@ def apply_generator(ladder: DiagLadder, coords: Sequence[float]) -> tuple[float,
     ``p = D[i] * y; a + p; a - p``.  These are the walker's operations, so
     for integer coords the result matches emitted point images bit-for-bit;
     the oracle calls the same merges on each candidate.  The diagonals are
-    the ladder's flat buffer, the one the walker copies.
+    the ladder's flat buffer, the one the walker copies; the module checks
+    its depth, with the words of :func:`count_points`.
     """
     d = len(coords)
     n = d.bit_length() - 1
     if d <= 0 or (1 << n) != d:
         raise ValueError(f"vector length must be a power of two, got {d}")
-    if ladder.depth < n:
-        raise ValueError(f"ladder depth {ladder.depth} < required {n}")
     return _library().apply_generator(ladder._flat, coords, n)
 
 
@@ -188,8 +188,9 @@ def enumerate_batches(
     O(min(size, points) * d); each batch's arrays are writable views of a
     buffer pair of its own, which nothing else holds.  A size beyond the
     rows a buffer can hold, ``sys.maxsize // (8 * d)``, means that many.
-    Arguments and the box are checked by this call, before the first batch
-    is asked for.
+    The walk is made by this call, so a bad box, and then a bad size
+    (``TypeError`` if it is no integer, ``ValueError`` below 1), raise here,
+    before the first batch is asked for.
     """
     import numpy as np
 
@@ -226,31 +227,25 @@ _CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _fill(level, box, ladder, size=_STREAM_ROWS):
-    """Check the arguments of a walk and make it; return the generator of its fills.
+    """Make the walk of the box; return the generator of its fills.
 
     Each fill ``(K, X)`` is a pair of memoryviews, int64 and float64, of up
     to ``size`` rows of d values in the lexicographic k order, in buffers of
-    its own that the walker sized.  The walk is made here, so a box the
-    walker refuses raises at this call.
+    its own that the walker sized.  The walker checks the box, then the
+    size, and keeps the size with the walk, so a bad argument raises at this
+    call.
     """
-    state = _library().state(box.lower, box.upper, ladder._flat, level.n)
-    size = operator.index(size)
-    if size < 1:
-        raise ValueError(f"batch size must be >= 1, got {size}")
-    size = min(size, sys.maxsize // (8 * level.d))
-    return _fills(state, size, size * level.d)
+    return _fills(_library().state(box.lower, box.upper, ladder._flat, level.n, size))
 
 
-def _fills(state, size, full):
-    """The generator behind :func:`_fill`: a fill of fewer than ``full`` values is the last."""
+def _fills(state):
+    """The generator behind :func:`_fill`: fills until the walk returns an empty one."""
     fill = _library().fill
     while True:
-        K, X = fill(state, size)
-        K, X = memoryview(K).cast("q"), memoryview(X).cast("d")
-        if K:
-            yield K, X
-        if len(K) < full:
+        K, X = fill(state)
+        if not K:
             return
+        yield memoryview(K).cast("q"), memoryview(X).cast("d")
 
 
 @lru_cache(maxsize=None)

@@ -78,7 +78,7 @@ def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:
             "bounding-box sweep cost grows too fast"
         )
     if box.dimension != level.d:
-        raise ValueError(f"box dimension {box.dimension} != {level.d}")
+        raise ValueError(f"box dimension {box.dimension} != lattice dimension {level.d}")
     d = level.d
     ladder = build_diag_ladder(level)
     identity = [[float(i == j) for j in range(d)] for i in range(d)]

@@ -101,7 +101,7 @@ def recursive_enumerate(level: Level, box: Box) -> list[LatticePoint]:
     same list as streaming into a list, bit-for-bit, at any level.
     """
     if box.dimension != level.d:
-        raise ValueError(f"box dimension {box.dimension} != {level.d}")
+        raise ValueError(f"box dimension {box.dimension} != lattice dimension {level.d}")
     ladder = build_diag_ladder(level)
     slack = _SLACK * (1.0 + max(map(abs, box.lower + box.upper)))
     points = (

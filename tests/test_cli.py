@@ -28,6 +28,7 @@ from chebfrolov import (
     standard_box,
 )
 from chebfrolov.cli import _write_csv, main
+from chebfrolov.enumeration import _library
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +162,17 @@ class TestFormatRows:
             assert write_csv(rows, precision, io.TextIOWrapper(io.BytesIO())) == expected
             # a text stream without a binary layer gets the same text
             assert write_csv(rows, precision, io.StringIO()) == expected
+
+    @pytest.mark.parametrize("precision", [768, 4097, 2**63 - 1, 10**30])
+    def test_precisions_past_767_write_its_text(self, precision):
+        # the walker clips the precision at 767, past which no double's text
+        # changes; a precision past Py_ssize_t is clipped to it first
+        X = array("d", SPECIAL_DOUBLES)
+        format_rows = _library().format_rows
+        assert format_rows(X, 2, precision) == format_rows(X, 2, 767)
+        assert write_csv([SPECIAL_DOUBLES], precision, io.StringIO()) == csv_text(
+            [SPECIAL_DOUBLES], 767
+        )
 
     def test_ties_round_to_even(self):
         assert write_csv([[0.5, 2.5, 3.5, -2.5]], 1, io.StringIO()) == "0.5,2,4,-2\n"
@@ -370,7 +382,7 @@ class TestPointsBytes:
         box = standard_box(CubatureSpec(level, 64.0))
         target = tmp_path / "pts.csv"
         target.write_text("keep\n")
-        for precision in (767, 5000, 2**31, 2**64):
+        for precision in (767, 5000, 2**31, 2**64, 10**30):
             argv = ["points", "--dim", "4", "--log2-scale", "6", "--precision", str(precision),
                     "--out", str(target)]
             code, out, err = run_cli(capsys, *argv)
@@ -526,10 +538,11 @@ class TestUsageErrors:
         assert "power of two" in err
 
     def test_scale_and_box_are_exclusive(self, capsys):
-        code, _, err = run_cli(
-            capsys, "count", "--dim", "2", "--log2-scale", "2", "--box", "0", "0", "1", "1"
-        )
-        assert code == 2
+        # rejected by the parser: exactly one of --scale, --log2-scale and --box
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--dim", "2", "--log2-scale", "2", "--box", "0", "0", "1", "1"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_nan_box_rejected(self, capsys):
         code, _, err = run_cli(capsys, "count", "--dim", "1", "--box", "nan", "1")
@@ -630,9 +643,13 @@ class TestUsageErrors:
         ids=["count", "count-too-far", "points", "points-too-far", "integrate", "verify", "table"],
     )
     def test_usage_error_leaves_out_file(self, capsys, tmp_path, argv):
+        # integrate without a scale is the parser's refusal, a SystemExit
         target = tmp_path / "keep.txt"
         target.write_bytes(b"earlier output\n")
-        code, _, _ = run_cli(capsys, *argv, "--out", str(target))
+        try:
+            code = run_cli(capsys, *argv, "--out", str(target))[0]
+        except SystemExit as exc:
+            code = exc.code
         assert code == 2
         assert target.read_bytes() == b"earlier output\n"
 
@@ -669,6 +686,31 @@ class TestUsageErrors:
         assert out == ""
         assert ("power of two" if max_dim != "128" else "64") in err
         assert run_cli(capsys, "verify", "--max-dim", max_dim)[2] == err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--dim", "2", "--scale", "4", "--log2-scale", "2"),
+            ("integrate", "--dim", "2"),
+        ],
+        ids=["scale-and-log2-scale", "integrate"],
+    )
+    def test_parser_states_the_scale_choice(self, tmp_path, argv):
+        # not exactly one of --scale, --log2-scale and --box: the parser's
+        # usage message, with no traceback, and --out is never opened
+        target = tmp_path / "keep.txt"
+        target.write_bytes(b"earlier output\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "chebfrolov.cli", *argv, "--out", str(target)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": package_path()},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "usage: chebfrolov" in proc.stderr and "--log2-scale" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert target.read_bytes() == b"earlier output\n"
 
     def test_precision_below_one(self, capsys):
         # rejected by the parser, before any point is formatted

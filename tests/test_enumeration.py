@@ -155,7 +155,7 @@ def reference_apply_generator(ladder, coords):
     if d <= 0 or (1 << n) != d:
         raise ValueError(f"vector length must be a power of two, got {d}")
     if ladder.depth < n:
-        raise ValueError(f"ladder depth {ladder.depth} < required {n}")
+        raise ValueError(f"ladder depth {ladder.depth} < level {n}")
     x = list(map(float, coords))
     w = 1
     for diag in ladder.levels[:n]:
@@ -236,6 +236,16 @@ class TestApplyGenerator:
         for levels in (shorter, longer):
             with pytest.raises(ValueError, match="must hold"):
                 DiagLadder(levels)
+
+    def test_short_ladder_raises_the_message_of_count_points(self):
+        # one check of the depth, in the walker, for every entry point
+        short = build_diag_ladder(Level(1))
+        level = Level(2)
+        with pytest.raises(ValueError) as counted:
+            count_points(level, Box.symmetric(1.0, 4), short)
+        with pytest.raises(ValueError) as applied:
+            apply_generator(short, [1.0] * 4)
+        assert str(applied.value) == str(counted.value) == "ladder depth 1 < level 2"
 
     @pytest.mark.parametrize("n", range(7))
     def test_matches_dense_matrix(self, n):
@@ -625,6 +635,36 @@ class TestKernels:
         assert Path(built).parent == cache and Path(built).name.startswith(f"_walk-{tag}-")
         assert sorted(p.name for p in cache.glob("_walk-*")) == sorted([Path(built).name, other.name])
 
+    def test_unwritable_cache_builds_privately_and_removes_the_build(self, tmp_path):
+        # a __pycache__ that is a file cannot hold the build, even for root:
+        # the module is built in a temporary directory, which goes once it is loaded
+        package = Path(chebfrolov.__file__).resolve().parent
+        copy = tmp_path / "chebfrolov"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        (copy / "__pycache__").write_bytes(b"not a directory\n")
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        code = (
+            "import os, chebfrolov as cf, chebfrolov.enumeration as e\n"
+            "level = cf.Level(1)\n"
+            "path = e._library().__file__\n"
+            "print(cf.count_points(level, cf.Box.symmetric(2.0, 2), cf.build_diag_ladder(level)),"
+            " path, os.path.exists(path), os.path.exists(os.path.dirname(path)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(tmp_path), TMPDIR=str(temp)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        count, built, *exists = proc.stdout.split()
+        level = Level(1)
+        assert int(count) == count_points(level, Box.symmetric(2.0, 2), build_diag_ladder(level))
+        assert Path(built).parent.parent == temp and Path(built).name.startswith("_walk-")
+        assert exists == ["False", "False"] and list(temp.iterdir()) == []
+        assert (copy / "__pycache__").read_bytes() == b"not a directory\n"
+
     def test_entry_points_leak_nothing(self):
         # the entry points count references by hand: run each on its normal
         # and its error paths, and count the interpreter's allocated blocks
@@ -648,13 +688,15 @@ class TestKernels:
             lambda: walker.count(lower[:1], upper, diag, n),
             lambda: walker.count(("x",) * d, upper, diag, n),
             lambda: walker.count(lower, upper, diag[:1], n),
-            lambda: walker.state(lower, ("x",) * d, diag, n),
-            lambda: walker.state(far.lower, far.upper, diag, n),
-            lambda: walker.state(lower, upper, diag[:1], n),
-            lambda: walker.fill(bytearray(8 * 200), 4),
-            lambda: walker.fill(datetime.datetime_CAPI, 4),
-            lambda: walker.fill(walker.state(lower, upper, diag, n), 0),
-            lambda: walker.fill(walker.state(lower, upper, diag, n), diag, 4),
+            lambda: walker.state(lower, ("x",) * d, diag, n, 4),
+            lambda: walker.state(far.lower, far.upper, diag, n, 4),
+            lambda: walker.state(lower, upper, diag[:1], n, 4),
+            lambda: walker.state(lower, upper, diag, n, 0),
+            lambda: walker.state(lower, upper, diag, n, -(2**100)),
+            lambda: walker.state(lower, upper, diag, n, 2.5),
+            lambda: walker.fill(bytearray(8 * 200)),
+            lambda: walker.fill(datetime.datetime_CAPI),
+            lambda: walker.fill(walker.state(lower, upper, diag, n, 4), 4),
             lambda: walker.stream(far.lower, far.upper, diag, n, LatticePoint, consumer),
             lambda: walker.stream(lower, upper, diag, n, int, consumer),
             lambda: walker.stream(lower, upper, diag[:1], n, LatticePoint, consumer),
@@ -671,11 +713,11 @@ class TestKernels:
 
         def calls():
             walker.count(lower, upper, diag, n)
-            walk = walker.state(wide.lower, wide.upper, diag, n)
-            walker.fill(walk, 4)
-            walker.fill(walk, 10**6)  # the rest: doubled from 256 rows, then trimmed
-            walker.fill(walk, 4)  # done: an empty pair
-            walker.fill(walker.state(empty.lower, empty.upper, diag, n), 4)
+            walker.fill(walker.state(wide.lower, wide.upper, diag, n, 4))
+            walk = walker.state(wide.lower, wide.upper, diag, n, 10**6)
+            walker.fill(walk)  # every row: doubled from 1024 rows, then trimmed
+            walker.fill(walk)  # done: an empty pair
+            walker.fill(walker.state(empty.lower, empty.upper, diag, n, 4))
             walker.stream(lower, upper, diag, n, LatticePoint, seen.append)
             seen.clear()
             walker.map_nodes(X, d, 0.5, v, u, 1e9)
@@ -811,7 +853,7 @@ class TestKernels:
         ladder = build_diag_ladder(level)
         box = Box.symmetric(3.0, d)
         lower, upper, diag, n = box.lower, box.upper, ladder._flat, level.n
-        state = walker.state(lower, upper, diag, n)
+        state = walker.state(lower, upper, diag, n, 4)
         far = Box.symmetric(2.0**50, d)
         X = array("d", [7.0]) * (4 * d)
         v, u = array("d", [0.25] * d), array("d", [1.0] * d)
@@ -821,9 +863,9 @@ class TestKernels:
         # views one value short of what each call asks for: a write would show in the buffer
         X_, v_, u_ = map(memoryview, buffers)
         refusals = [
-            lambda: walker.state(lower, upper, diag[:2], n),
-            lambda: walker.fill(state, 0),
-            lambda: walker.state(far.lower, far.upper, diag, n),
+            lambda: walker.state(lower, upper, diag[:2], n, 4),
+            lambda: walker.state(lower, upper, diag, n, 0),
+            lambda: walker.state(far.lower, far.upper, diag, n, 4),
             lambda: walker.stream(lower, upper, diag[:2], n, LatticePoint, seen.append),
             lambda: walker.map_nodes(X, d, 0.5, v_[:-1], u, 1.0),
             lambda: walker.map_nodes(X, d, 0.5, v, u_[:-1], 1.0),
@@ -840,11 +882,13 @@ class TestKernels:
         # a state is the walker's own: a buffer or another module's capsule is none
         for foreign in (bytearray(8 * 200), datetime.datetime_CAPI):
             with pytest.raises(TypeError, match="walker state"):
-                walker.fill(foreign, 4)
+                walker.fill(foreign)
+        with pytest.raises(TypeError, match="1 arguments"):
+            walker.fill(state, 4)  # a walk keeps its size
         assert [bytes(b) for b in buffers] == before and seen == []
         # the refused fills did not move the walk: it starts at its first row
-        rows = walker.fill(state, 4)
-        assert rows == walker.fill(walker.state(lower, upper, diag, n), 4)
+        rows = walker.fill(state)
+        assert rows == walker.fill(walker.state(lower, upper, diag, n, 4))
         first = next(enumerate_batches(level, Box.symmetric(3.0, d), ladder, 4))
         assert bytes(rows[0]) == first[0].tobytes() and bytes(rows[1]) == first[1].tobytes()
         # the same calls with the full buffers write them
@@ -855,7 +899,8 @@ class TestKernels:
     def test_entry_points_refuse_levels_past_max_level(self):
         # the slacks are measured up to MAX_LEVEL only: one level higher, each
         # entry point that takes a level refuses it before it reads the
-        # diagonals (None, no buffer, would raise TypeError) or streams a point
+        # diagonals (None, no buffer, would raise TypeError) or streams a
+        # point; a level past Py_ssize_t is clipped to it, a ValueError too
         walker = _library()
         n = MAX_LEVEL + 1
         d = 1 << n
@@ -863,15 +908,17 @@ class TestKernels:
         lower, upper = (-1.0,) * d, (1.0,) * d  # holds the origin
         seen = []
         calls = [
-            lambda diag: walker.state(lower, upper, diag, n),
-            lambda diag: walker.count(lower, upper, diag, n),
-            lambda diag: walker.stream(lower, upper, diag, n, LatticePoint, seen.append),
-            lambda diag: walker.apply_generator(diag, [1.0] * d, n),
+            lambda diag, n: walker.state(lower, upper, diag, n, 4),
+            lambda diag, n: walker.count(lower, upper, diag, n),
+            lambda diag, n: walker.stream(lower, upper, diag, n, LatticePoint, seen.append),
+            lambda diag, n: walker.apply_generator(diag, [1.0] * d, n),
         ]
-        for call in calls:
-            for buffer in (diag, None):
-                with pytest.raises(ValueError, match=rf"level {n} is outside \[0, {MAX_LEVEL}\]"):
-                    call(buffer)
+        for level in (n, 2**100):
+            message = rf"level {min(level, sys.maxsize)} is outside \[0, {MAX_LEVEL}\]"
+            for call in calls:
+                for buffer in (diag, None):
+                    with pytest.raises(ValueError, match=message):
+                        call(buffer, level)
         assert seen == []
 
     def test_fills_resume_with_the_ladder_the_walk_was_made_with(self):
@@ -883,17 +930,17 @@ class TestKernels:
         box = standard_box(CubatureSpec(level, 2.0**10))
         lower, upper, n = box.lower, box.upper, level.n
         diag = array("d", ladder._flat)
-        state = walker.state(lower, upper, diag, n)
-        first = walker.fill(state, 3)
+        state = walker.state(lower, upper, diag, n, 3)
+        first = walker.fill(state)
         for i in range(len(diag)):
             diag[i] *= 1.25
-        rest = walker.fill(state, 10**6)
+        rest = list(iter(lambda: walker.fill(state), (bytearray(), bytearray())))
         [(K, X)] = enumerate_batches(level, box, ladder, 10**6)
-        assert len(K) == 1067
-        assert bytes(first[0] + rest[0]) == K.tobytes()
-        assert bytes(first[1] + rest[1]) == X.tobytes()
-        with pytest.raises(TypeError, match="2 arguments"):
-            walker.fill(state, diag, 4)
+        assert len(K) == 1067 and len(rest) == 1067 // 3
+        assert bytes(first[0]) + b"".join(k for k, _ in rest) == K.tobytes()
+        assert bytes(first[1]) + b"".join(x for _, x in rest) == X.tobytes()
+        with pytest.raises(TypeError, match="1 arguments"):
+            walker.fill(state, diag)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_interleaved_walks_stay_independent(self, n):
@@ -1329,6 +1376,19 @@ class TestBatches:
         for size in (2.5, "4"):
             with pytest.raises(TypeError):
                 enumerate_batches(level, Box.symmetric(1.0, 2), ladder, size)
+        # the walker checks the size once, when the walk is made, and after
+        # the box; a size past Py_ssize_t is clipped to it, and refused
+        box, wrong = Box.symmetric(1.0, 2), Box.symmetric(1.0, 4)
+        for size in (0, -1, -(2**100)):
+            with pytest.raises(ValueError, match=rf"^batch size {max(size, -sys.maxsize - 1)} is"):
+                enumerate_batches(level, box, ladder, size)
+            with pytest.raises(ValueError, match="^box dimension 4 != lattice dimension 2$"):
+                enumerate_batches(level, wrong, ladder, size)
+        with pytest.raises(ValueError, match="^box dimension 4 != lattice dimension 2$"):
+            enumerate_batches(level, wrong, ladder, 2.5)
+        # any integer operator.index takes is a size
+        [(K, _)] = enumerate_batches(level, box, ladder, np.int64(1000))
+        assert len(K) == count_points(level, box, ladder)
 
 
 corner = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)

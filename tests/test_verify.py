@@ -72,6 +72,19 @@ class TestOracle:
     def test_empty_box(self):
         assert oracle_enumerate(Level(1), Box((1.0, 1.0), (-1.0, -1.0))) == []
 
+    def test_wrong_box_dimension_has_the_walkers_words(self):
+        # every route refuses a wrong box with count_points' message
+        level, box = Level(2), Box.symmetric(1.0, 3)
+        routes = [
+            oracle_enumerate,
+            recursive_enumerate,
+            lambda level, box: count_points(level, box, build_diag_ladder(level)),
+        ]
+        for route in routes:
+            with pytest.raises(ValueError) as info:
+                route(level, box)
+            assert str(info.value) == "box dimension 3 != lattice dimension 4"
+
     def test_refuses_large_level(self):
         with pytest.raises(ValueError, match="oracle refuses level 4 > 3"):
             oracle_enumerate(Level(4), Box.symmetric(1.0, 16))
