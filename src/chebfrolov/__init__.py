@@ -20,7 +20,6 @@ from .cubature import (
     IntegrationResult,
     RandomShift,
     integrate,
-    map_to_unit,
     randomized_box,
     sample_shift,
     standard_box,
@@ -67,7 +66,6 @@ __all__ = [
     "enumerate_stream",
     "integrate",
     "load_golden_table",
-    "map_to_unit",
     "oracle_enumerate",
     "randomized_box",
     "sample_shift",

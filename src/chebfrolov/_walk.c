@@ -454,10 +454,10 @@ static int64_t first_chunk(double *s, int n, int64_t *K, double *X, int64_t size
 /* The cubature node map of chebfrolov.cubature, in place on len values of X,
  * rows of d (len a multiple of d): x -> s * (x + v) / u, v and u holding d
  * values each, each a separately rounded IEEE operation in that order.  The
- * deterministic rule is the identity shift u = 1, v = 0 (-0.0 for any x:
- * x + -0.0 and x / 1.0 are x).  Returns the index of the first node with
- * !(|node| <= bound), NaN included, or -1; the values past it are left
- * unmapped. */
+ * deterministic rule is the identity shift u = 1, v = 0: x + 0.0 and x / 1.0
+ * are x for every image, which is never -0.0.  Returns the index of the
+ * first node with !(|node| <= bound), NaN included, or -1; the values past
+ * it are left unmapped. */
 static int64_t map_nodes(double *X, int64_t len, int64_t d, double s, const double *v,
                   const double *u, double bound)
 {
@@ -524,7 +524,7 @@ static int64_t format_rows(const double *X, int64_t len, int64_t d, int precisio
  * (d = 8), and so the most rows that chunk holds. */
 #define SORT_LEVEL 3
 #define SORT_ROWS (SCRATCH >> SORT_LEVEL)
-#define FILL_ROWS 1024 /* rows a fill's pair starts with: enumerate_batches' default size */
+#define FILL_ROWS 1024 /* rows a fill's pair starts with: enumeration._FILL_ROWS */
 /* Levels the walker entry points take: lattice.MAX_LEVEL, d = 2^n <= 64. */
 #define LEVEL_LIMIT 6
 

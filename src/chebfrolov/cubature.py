@@ -21,9 +21,9 @@ nodes are those of the identity shift, bit for bit (``-base - 0.0`` is
 ``-base``, ``w / 1.0`` is ``w``, and ``x + 0.0`` and ``x / 1.0`` are ``x``
 for every image, which is never -0.0).
 
-The node map runs in the compiled walker library (``map_nodes`` of
-``_walk.c``, the one formula) on each fill of the walker, so
-:func:`integrate` and :func:`map_to_unit` load no numpy.
+:func:`integrate` is the package's one node path: it maps each fill of the
+walker in the compiled walker library (``map_nodes`` of ``_walk.c``, the one
+formula), so it loads no numpy.
 """
 
 from __future__ import annotations
@@ -117,10 +117,14 @@ def sample_shift(seed: int, d: int) -> RandomShift:
 
     Uses the stdlib Mersenne Twister (``random.Random``), whose streams are
     stable across CPython releases; u and v come from two substreams derived
-    from the master seed so they are mutually independent.
+    from the master seed so they are mutually independent.  The seed is an
+    integer >= 0, or ``ValueError``: ``random.Random`` seeds from |seed|, so
+    seed -k would repeat the shift of seed k.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
     master = random.Random(seed)
     rng_u = random.Random(master.getrandbits(64))
     rng_v = random.Random(master.getrandbits(64))
@@ -154,61 +158,6 @@ def randomized_box(
     return Box(lower, upper), shift_vector
 
 
-def map_to_unit(
-    x: Sequence[float],
-    spec: CubatureSpec,
-    shift: RandomShift | None = None,
-    shift_vector: Sequence[float] | None = None,
-) -> tuple[float, ...]:
-    """Map an enumerated lattice point to its cubature node in [-1/2, 1/2]^d.
-
-    node = shrink * (x + shift_vector) / u componentwise.  Without a shift
-    this is the identity shift u = 1 with shift vector -0.0, so node =
-    shrink * x, the deterministic rule, for every x (-0.0 included).  x must
-    have the lattice dimension.  Raises :class:`ConsistencyError` if the
-    result leaves the cube by more than ``NODE_TOLERANCE`` (which would
-    indicate an enumeration/mapping mismatch).
-    """
-    if (shift is None) != (shift_vector is None):
-        raise ValueError("give a shift and its shift_vector together, or neither")
-    node = array("d", x)
-    if len(node) != spec.level.d:
-        raise ValueError(f"point dimension {len(node)} != lattice dimension {spec.level.d}")
-    if shift is None:
-        shift, shift_vector = RandomShift.identity(len(node)), (-0.0,) * len(node)
-    _node_map(spec, shift, shift_vector)(node)
-    return tuple(node)
-
-
-def _node_map(spec, shift, shift_vector):
-    """The node map of :func:`map_to_unit` on whole buffers, as one function.
-
-    The function maps a filled float64 buffer of rows of d images in place,
-    in the compiled walker library (``map_nodes`` of ``_walk.c``, the same
-    IEEE operations in the same order), and raises
-    :class:`ConsistencyError` naming the first mapped coordinate outside
-    the cube by more than ``NODE_TOLERANCE``, read when the map is made.
-    """
-    d = spec.level.d
-    if not len(shift.u) == len(shift_vector) == d:
-        raise ValueError(
-            f"shift dimension {len(shift.u)} or shift vector length {len(shift_vector)}"
-            f" != lattice dimension {d}"
-        )
-    v, u = array("d", shift_vector), array("d", shift.u)
-    s = spec.shrink
-    bound = 0.5 + NODE_TOLERANCE
-    map_nodes = _library().map_nodes
-
-    def apply(X):
-        bad = map_nodes(X, d, s, v, u, bound)
-        if bad >= 0:
-            c = X[bad]
-            raise ConsistencyError(f"node coordinate {c!r} outside [-1/2, 1/2] beyond tolerance")
-
-    return apply
-
-
 class IntegrationResult(NamedTuple):
     value: float
     node_count: int
@@ -229,23 +178,33 @@ def integrate(
     1/N exactly.
 
     Nodes come from the walker's fills, as in :func:`enumerate_stream`: each
-    fill is mapped into the unit cube and checked in the walker library, by
-    the map of :func:`map_to_unit`, then fed to ``f`` one node tuple at a
-    time in lexicographic order, so only one fill is held.  The sum is a
-    plain sequential ``+=``: ``sum()`` compensates on Python 3.12+, which
-    would change the value, and the plain sum's rounding stays orders of
-    magnitude below the rule's own error.  No numpy is loaded.
+    fill is mapped in place to nodes shrink * (x + G v) / u in the walker
+    library, separately rounded in that order, and checked there.  A node
+    coordinate outside [-1/2, 1/2] by more than ``NODE_TOLERANCE`` (which
+    would indicate an enumeration/mapping mismatch) raises
+    :class:`ConsistencyError`, which names the first one.  The nodes are then
+    fed to ``f`` one tuple at a time in lexicographic order, so only one fill
+    is held, and an integrand that collects its arguments gets every node.
+    The sum is a plain sequential ``+=``: ``sum()`` compensates on Python
+    3.12+, which would change the value, and the plain sum's rounding stays
+    orders of magnitude below the rule's own error.  No numpy is loaded.
     """
     d = spec.level.d
     if shift is None:
         shift = RandomShift.identity(d)
     box, shift_vector = randomized_box(spec, shift, ladder)
     node_weight = spec.weight / math.prod(shift.u)
-    node_map = _node_map(spec, shift, shift_vector)
+    v, u = array("d", shift_vector), array("d", shift.u)
+    s, bound = spec.shrink, 0.5 + NODE_TOLERANCE
+    map_nodes = _library().map_nodes
     total = 0.0
     count = 0
     for _, X in _fill(spec.level, box, ladder):
-        node_map(X)
+        bad = map_nodes(X, d, s, v, u, bound)
+        if bad >= 0:
+            raise ConsistencyError(
+                f"node coordinate {X[bad]!r} outside [-1/2, 1/2] beyond tolerance"
+            )
         count += len(X) // d
         for fx in map(f, zip(*[iter(X.tolist())] * d)):
             total += fx

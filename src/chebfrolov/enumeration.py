@@ -4,72 +4,46 @@ A box constraint in dimension 2**(L+1) splits into two constraints in
 dimension 2**L, one per half-block of the image (A + D*Y, A - D*Y).  One
 traversal runs that reduction in constant memory: nested integer loops over
 the coordinates of k, with partial generator images maintained by FFT-style
-butterfly merges keyed by the 2-adic valuation of the coordinate index.  It
-is written in C (``_walk.c``, table-driven: d, the ladder and the box are
-arguments), a CPython extension module that ``cc`` compiles with the
-interpreter's headers on first use, cached on disk and loaded as
+butterfly merges.  It is written in C (``_walk.c``, table-driven: d, the
+ladder and the box are arguments; its header describes the walk's orders,
+slacks and search tree), a CPython extension module that ``cc`` compiles
+with the interpreter's headers on first use, cached on disk and loaded as
 ``chebfrolov._walk``, not through ctypes; importing the package compiles
-and loads nothing.  Its entry points take the box corners as tuples and
-every buffer through the buffer protocol and check each buffer's length.
-The ladder is one of those buffers: :class:`DiagLadder` checks its levels
-once, when it is made, and keeps them flat, level L from offset 2**L - 1.
-``count_points``, ``enumerate_stream`` and ``_fill`` pass the corners,
-that buffer and n straight to the module, one call each, and it checks
-them in this order: the level, the box's dimension (``box dimension 3 !=
-lattice dimension 4``), then the ladder's depth (``ladder depth 1 < level
-2``), and ``_fill``'s batch size last.  The module releases the GIL around
-every call of the C walk (a whole count, one fill, or one chunk of a
-stream), so other threads run meanwhile.  For each prefix the innermost
-coordinate ranges over an integer run [lo, hi], which goes to one of two
-leaves:
-
-- A fill writes rows of k and x, each image finished by the last butterfly
-  chain, and stops when its rows are full; the next resumes from the
-  walk's state, which the module owns, with the ladder and the batch size
-  the walk was made with: ``fill`` takes only the walk.  Each fill returns
-  its rows in a new int64 and float64 pair, an empty one once the walk is
-  done; ``_fill`` yields them and
-  ``enumerate_batches`` wraps each as ``(K, X)`` numpy arrays, without a
-  copy.
-  ``enumerate_stream`` is one call of the module's ``stream``, which fills
-  a scratch pair of its own and hands each row to the consumer as a
-  :class:`LatticePoint`, without numpy.  A fill sets k_1..k_d in
-  lexicographic order, mean-first: the first half-block image lies between
-  the half-means of the corners, and once it is fixed the second is clamped
-  to residual bounds with the level diagonal divided out.  From d = 8 a
-  stream walks its first chunk of 1024 / d rows as a count does,
-  difference-first with the count's slack, and sorts the rows by k before
-  it hands them out; only a box that holds more points is walked again,
-  mean-first, as a fill.  The images have the same bits in either order.
-- ``count_points`` adds the run lengths.  A count sets k_d..k_1,
-  difference-first: the second half-block image Y lies in
-  ``[(l1 - u2) / 2D, (u1 - l2) / 2D]``, and once it is fixed the first is
-  clamped to ``[max(l1 - D*Y, l2 + D*Y), min(u1 - D*Y, u2 + D*Y)]``.  This
-  prunes far better (39 instead of 218 visits per point at d = 32, N = 2**6).
-  A box symmetric about 0 (``lower == -upper``, as every standard box) holds
-  k iff it holds -k, since G(-k) is -Gk to the bit.  Its count walks only
-  the k whose first nonzero coordinate in that order is positive and counts
-  each of their runs twice, unless the run's prefix is all zero: half the
-  search tree (19.5 visits per point there).
+and loads nothing.
 
 The box is closed: a point is in it iff its :func:`apply_generator` image x
-has ``lower <= x <= upper``.  Every range reaches a fixed slack past its
-rounded bounds, and a run's ends within the slack are kept only if their
-images are in the box (see the header of ``_walk.c``).
+has ``lower <= x <= upper``.  :func:`count_points`,
+:func:`enumerate_stream` and :func:`enumerate_batches` keep the same
+points; the stream and the batches emit them in lexicographic order of k,
+with images bit-identical to :func:`apply_generator`.
+:func:`apply_generator` runs the walk's own merges on one vector in the
+same module, and so does the oracle of :mod:`~chebfrolov.verify` on each of
+its candidates: the package has one image arithmetic.
 
-All three entry points compute images with identical floating-point
-operations, so they keep the same points, and the images the stream and
-the batches emit agree bit-for-bit with :func:`apply_generator`, in the
-same lexicographic order of k.  :func:`apply_generator` runs the walk's
-own merges on one vector in the same module, and so does the oracle of
-:mod:`~chebfrolov.verify` on each of its candidates: the package has one
-image arithmetic.  The bounds that prune the search differ: a count's
-are its own, and so is its slack.
-A box with a corner beyond +-2**48, where the slack would reach a quarter
-in a fill and 2 in a count, is refused with ``ValueError`` when its walk
-is made, at the call, unless it is empty (lower > upper in some
+Each entry point is one call into the module with the box corners, the
+ladder and n.  The ladder is the flat buffer of :class:`DiagLadder`, which
+checks its levels once, when it is made, level L from offset 2**L - 1.  The
+module refuses, with ``ValueError`` and in this order: a level above
+``lattice.MAX_LEVEL``, a box of another dimension (``box dimension 3 !=
+lattice dimension 4``), a ladder too shallow for the level (``ladder depth
+1 < level 2``), and, for the batches, a batch size below 1 (``TypeError``
+if it is no integer).  A box with a corner beyond +-2**48 is refused with
+``ValueError`` at the call, unless it is empty (lower > upper in some
 coordinate); so is one that needs a coordinate beyond +-2**62, once the
 walk reaches it.
+
+The module releases the GIL around every call of the C walk (a whole
+count, one fill, or one chunk of a stream), so other threads run
+meanwhile.  A count runs to its end before Ctrl-C takes effect; a stream
+walks 1024 / d points at a time and stops before the next point it would
+deliver.  A fill writes up to its batch size of rows of k and x and stops;
+the next resumes from the walk's state, which the module owns with the
+ladder and the batch size the walk was made with.  Each fill returns its
+rows in a new int64 and float64 pair, an empty one once the walk is done;
+``_fill`` yields them, and ``enumerate_batches`` wraps each as ``(K, X)``
+numpy arrays, without a copy.  ``enumerate_stream`` is one call of the
+module's ``stream``, which hands each row to the consumer as a
+:class:`LatticePoint`, without numpy.
 
 The same module holds ``map_nodes``, the node map of :func:`integrate`,
 and ``format_rows``, the CSV text of the CLI's ``points``, which
@@ -164,19 +138,21 @@ def enumerate_stream(
     before the consumer gets it and keeps none, so memory does not grow with
     the number of emissions.  It walks 1024 / d points at a time with the GIL
     released, and Ctrl-C stops the stream before the next point it delivers.
-    From d = 8 the first walk is difference-first, which visits 3 to 6 times
-    fewer nodes per point at d = 16 and 32, and its points are sorted by k;
-    a box holding more than 1024 / d points is walked again, mean-first, in
-    k order.
     """
     return _library().stream(box.lower, box.upper, ladder._flat, level.n, LatticePoint, consumer)
+
+
+#: Rows per fill by default, of ``enumerate_batches`` and of ``_fill``
+#: (``integrate``, the CLI's ``points`` and the double-box check): the rows
+#: the walker's buffer pair starts with (``FILL_ROWS`` of ``_walk.c``).
+_FILL_ROWS = 1024
 
 
 def enumerate_batches(
     level: Level,
     box: Box,
     ladder: DiagLadder,
-    size: int = 1024,
+    size: int = _FILL_ROWS,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the lattice points in the box as ``(K, X)`` array batches.
 
@@ -206,18 +182,11 @@ def count_points(level: Level, box: Box, ladder: DiagLadder) -> int:
     """Number of lattice points in the box, without storing or emitting them.
 
     Matches ``enumerate_stream`` with a counting consumer exactly; each
-    innermost run of k_1 (a count sets k_d first) is counted by its length,
-    which is what makes large scales cheap.  A box symmetric about 0, such as
-    :func:`standard_box`, is counted over half the search tree: the walker
-    sees ``lower == -upper`` itself and counts each run past a nonzero prefix
-    twice, once for its mirror image under k -> -k.
+    innermost run of integers is counted by its length, which is what makes
+    large scales cheap.
     """
     return _library().count(box.lower, box.upper, ladder._flat, level.n)
 
-
-#: Rows per fill of ``_fill`` by default (``integrate``, the CLI's ``points``
-#: and the double-box check); 128 to 1024 rows cost the same per point.
-_STREAM_ROWS = 256
 
 #: How the walker is built, before the include flags of the interpreter's
 #: headers (see :func:`_build_command`): no option changes it.
@@ -226,7 +195,7 @@ _STREAM_ROWS = 256
 _CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-def _fill(level, box, ladder, size=_STREAM_ROWS):
+def _fill(level, box, ladder, size=_FILL_ROWS):
     """Make the walk of the box; return the generator of its fills.
 
     Each fill ``(K, X)`` is a pair of memoryviews, int64 and float64, of up

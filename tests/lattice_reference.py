@@ -1,5 +1,6 @@
 """The Chebyshev polynomial, the Vandermonde matrix of its permuted roots,
-the dense generator and the recursive reference enumerator.
+the dense generator, the recursive reference enumerator and the random
+boxes the tests draw.
 
 The package never builds any of them: the lattice is built from the ladder
 alone, and one compiled walker enumerates it.  The tests check the roots,
@@ -47,6 +48,12 @@ def build_generator_matrix(level: Level, ladder: DiagLadder) -> np.ndarray:
         scaled = diag[:, None] * a
         a = np.block([[a, scaled], [a, -scaled]])
     return a
+
+
+def random_box(rng, d: int, span: float = 5.0) -> Box:
+    """A box of dimension d whose corners are sorted pairs of ``rng.uniform(-span, span)``."""
+    corners = [sorted((rng.uniform(-span, span), rng.uniform(-span, span))) for _ in range(d)]
+    return Box(tuple(c[0] for c in corners), tuple(c[1] for c in corners))
 
 
 def _interval_mean(level: int, values: Sequence[float]) -> tuple[float, ...]:

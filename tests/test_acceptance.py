@@ -29,7 +29,12 @@ from chebfrolov import (
 )
 from chebfrolov.lattice import chebyshev_root, root_permutation
 from chebfrolov.verify import double_box_check, unimodular_check
-from lattice_reference import build_generator_matrix, recursive_enumerate, rescaled_chebyshev
+from lattice_reference import (
+    build_generator_matrix,
+    random_box,
+    recursive_enumerate,
+    rescaled_chebyshev,
+)
 
 #: (dimension, max log2N) ranges exercised at desk scale.
 MEDIUM_RANGES = {2: 20, 4: 20, 8: 14, 16: 24, 32: 16}
@@ -63,11 +68,6 @@ def observed_count(d, m):
 def report(name, ok):
     print(f"{'PASS' if ok else 'FAIL'}: {name}")
     assert ok, name
-
-
-def random_box(rng, d):
-    corners = [sorted((rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))) for _ in range(d)]
-    return Box(tuple(c[0] for c in corners), tuple(c[1] for c in corners))
 
 
 def test_golden_counts_small_scales():

@@ -637,20 +637,25 @@ class TestUsageErrors:
             ("points", "--dim", "2", "--box", "0", "1"),
             ("points", "--dim", "2", "--log2-scale", "1022"),
             ("integrate", "--dim", "2"),
+            ("integrate-random", "--dim", "2", "--log2-scale", "6", "--seed", "-3"),
             ("verify", "--max-dim", "3"),
             ("table", "--max-dim", "1"),
         ],
-        ids=["count", "count-too-far", "points", "points-too-far", "integrate", "verify", "table"],
+        ids=["count", "count-too-far", "points", "points-too-far", "integrate", "negative-seed",
+             "verify", "table"],
     )
     def test_usage_error_leaves_out_file(self, capsys, tmp_path, argv):
-        # integrate without a scale is the parser's refusal, a SystemExit
+        # integrate without a scale is the parser's refusal, a SystemExit; a
+        # negative seed would repeat the shift of its absolute value
         target = tmp_path / "keep.txt"
         target.write_bytes(b"earlier output\n")
         try:
-            code = run_cli(capsys, *argv, "--out", str(target))[0]
+            code, _, err = run_cli(capsys, *argv, "--out", str(target))
         except SystemExit as exc:
-            code = exc.code
+            code, err = exc.code, capsys.readouterr().err
         assert code == 2
+        if "--seed" in argv:
+            assert err == "error: seed must be an integer >= 0, got -3\n"
         assert target.read_bytes() == b"earlier output\n"
 
     @pytest.mark.parametrize(
@@ -764,11 +769,9 @@ n = count_points(level, box, ladder)
 assert enumerate_stream(level, box, ladder, lambda p: None) == n
 apply_generator(ladder, [1.0] * 8)
 shift = sample_shift(1, 8)
-_, shift_vector = randomized_box(spec, shift, ladder)
+randomized_box(spec, shift, ladder)
 assert integrate(spec, lambda x: 1.0, ladder).node_count == n
 assert integrate(spec, lambda x: 1.0, ladder, shift).node_count
-map_to_unit([0.0] * 8, spec)
-map_to_unit([-v for v in shift_vector], spec, shift, shift_vector)
 assert unimodular_check(Level(3)).passed
 assert double_box_check(Level(2), 16.0).agree
 assert len(oracle_enumerate(Level(1), Box.symmetric(2.0, 2))) == 7
@@ -787,7 +790,7 @@ print(n)
 
 
 def test_numpy_loaded_only_where_arrays_are_built(tmp_path):
-    # importing, counting, streaming, integration (both rules), map_to_unit,
+    # importing, counting, streaming, integration (both rules),
     # the oracle, the unimodular and double-box checks and every CLI command
     # run without numpy; only the batches load it
     target = tmp_path / "pts.csv"

@@ -18,12 +18,12 @@ from chebfrolov import (
 from chebfrolov import verify
 from chebfrolov.verify import double_box_check, reproduce_table, unimodular_check
 from chebfrolov.verify import _eliminate
-from lattice_reference import build_generator_matrix, build_vandermonde, recursive_enumerate
-
-
-def random_box(rng, d, span=5.0):
-    corners = [sorted((rng.uniform(-span, span), rng.uniform(-span, span))) for _ in range(d)]
-    return Box(tuple(c[0] for c in corners), tuple(c[1] for c in corners))
+from lattice_reference import (
+    build_generator_matrix,
+    build_vandermonde,
+    random_box,
+    recursive_enumerate,
+)
 
 
 class TestGoldenTable:
