@@ -1,7 +1,8 @@
 import _thread
 import datetime
 import gc
-import importlib
+import importlib.machinery
+import importlib.util
 import math
 import operator
 import os
@@ -981,6 +982,56 @@ class TestKernels:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_build_command_carries_no_isa_flag(self):
+        # the build cache is keyed by os.uname().machine, not by the CPU: a
+        # build for this CPU's ISA (-march=native, -msse4.1, ...) left in a
+        # shared __pycache__ could die with SIGILL on an older CPU of the same
+        # machine type.  ISA-specific code enters only through walk's
+        # target_clones, which picks its clone by CPUID when the module loads
+        assert not [flag for flag in enumeration._CC if flag.startswith("-m")]
+
+    def test_cloned_walk_matches_the_plain_build(self, tmp_path):
+        # on x86-64 with glibc, walk has an SSE4.1 clone (roundsd rounds the
+        # bounds) beside its default code, and a CPU with SSE4.1 runs the
+        # clone; the source without the attribute builds the default code
+        # alone, and both builds give the same counts and rows, to the bit
+        text = Path(chebfrolov.__file__).with_name("_walk.c").read_text()
+        clones = 'target_clones("sse4.1", "default")'
+        assert text.count(clones) == 1
+        source = tmp_path / "_walk.c"
+        source.write_text(text.replace(clones, ""))
+        target = tmp_path / f"_walk{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        subprocess.run(enumeration._build_command(source, target), check=True, timeout=60)
+        loader = importlib.machinery.ExtensionFileLoader("plain._walk", str(target))
+        spec = importlib.util.spec_from_file_location(loader.name, target, loader=loader)
+        plain = importlib.util.module_from_spec(spec)
+        loader.exec_module(plain)
+
+        def results(walker, lower, upper, flat, n):
+            fills = []
+            for size in (7, enumeration._FILL_ROWS):
+                state = walker.state(lower, upper, flat, n, size)
+                fills.append(list(iter(lambda: tuple(map(bytes, walker.fill(state))), (b"", b""))))
+            points = []
+            walker.stream(lower, upper, flat, n, LatticePoint, points.append)
+            rows = [(p.k, array("d", p.x).tobytes()) for p in points]
+            return walker.count(lower, upper, flat, n), fills, rows
+
+        for n in range(1, MAX_LEVEL + 1):
+            level = Level(n)
+            ladder = build_diag_ladder(level)
+            rng = random.Random(2700 + n)
+            boxes = [Box.symmetric(r, level.d) for r in (2.0, 3.0)]  # half walks
+            boxes += [Box(b.lower, b.upper[:-1] + (math.nextafter(b.upper[-1], math.inf),)) for b in boxes]
+            for scale in (5, 10**6):
+                x = apply_generator(ladder, [rng.randint(-scale, scale) for _ in range(level.d)])
+                boxes += [Box(x, x), Box(x, tuple(v + 1.0 for v in x))]
+                boxes.append(Box(tuple(v - 2.5 for v in x), tuple(v + 2.5 for v in x)))
+            boxes += [random_box(rng, level.d, 8.0) for _ in range(3)]
+            for box in boxes:
+                expected = results(plain, box.lower, box.upper, ladder._flat, n)
+                assert results(_library(), box.lower, box.upper, ladder._flat, n) == expected
 
     def test_other_ladder_values(self):
         level = Level(3)

@@ -7,7 +7,9 @@ A defaults to ``HEAD`` and B to the working tree.  Each build's
 ``src/chebfrolov/_walk.c`` is written to a temporary directory, compiled
 with ``enumeration._build_command`` and loaded as the extension module
 ``a._walk`` or ``b._walk``; the init function is named after the last
-component of the module name, so both load beside each other.
+component of the module name, so both load beside each other.  The
+harness prints each compile's seconds and module size: a first run pays
+for the build, so a change may buy its speed with a slower one.
 
 The harness pins itself to one core (default 0), checks that both builds
 return equal results on every case of a fixed grid, then runs the grid R
@@ -60,8 +62,8 @@ SAMPLE_S = 5e-3
 
 
 def build(label: str, revision: str, workdir: Path):
-    """Compile ``_walk.c`` of a revision (``-``: the working tree) and load it
-    as ``<label>._walk``."""
+    """Compile ``_walk.c`` of a revision (``-``: the working tree), print the
+    compile's seconds and the module's size, and load it as ``<label>._walk``."""
     directory = workdir / label
     directory.mkdir()
     source = directory / "_walk.c"
@@ -71,9 +73,12 @@ def build(label: str, revision: str, workdir: Path):
         show = ["git", "-C", str(ROOT), "show", f"{revision}:{SOURCE}"]
         source.write_bytes(subprocess.run(show, check=True, capture_output=True).stdout)
     target = directory / f"_walk{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    start = time.perf_counter()
     proc = subprocess.run(enumeration._build_command(source, target), capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"compiling {revision} failed:\n{proc.stderr}")
+    print(f"{label.upper()}: compiled in {time.perf_counter() - start:.2f} s,"
+          f" {target.stat().st_size / 1024:.1f} KB")
     loader = importlib.machinery.ExtensionFileLoader(f"{label}._walk", str(target))
     spec = importlib.util.spec_from_file_location(loader.name, target, loader=loader)
     module = importlib.util.module_from_spec(spec)
@@ -180,14 +185,14 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {args.core})
+    print(f"A = {args.a}, B = {'the working tree' if args.b == '-' else args.b}; "
+          f"{args.rounds} alternating rounds on core {args.core}; times per call")
     with tempfile.TemporaryDirectory(prefix="chebfrolov-ab-") as tmp:
         a, b = build("a", args.a, Path(tmp)), build("b", args.b, Path(tmp))
     grid = cases(a)
     for name, call in grid:
         if call(a) != call(b):
             sys.exit(f"the builds differ on {name}")
-    print(f"A = {args.a}, B = {'the working tree' if args.b == '-' else args.b}; "
-          f"{args.rounds} alternating rounds on core {args.core}; times per call")
     print(f"{'case':<40} {'A best':>10} {'B best':>10} {'A median':>10} {'B median':>10}"
           f" {'B/A best':>9} {'B/A med':>8}")
     for name, call in grid:
