@@ -12,7 +12,10 @@
  * functions: walk, the traversal; map_nodes, which maps filled images to
  * cubature nodes in place by one formula, s (x + v) / u, the deterministic
  * rule being the identity shift; and format_rows, which writes filled images
- * as CSV text (see their comments below).  The CPython entry points at the
+ * as CSV text, each value's digits made from exact integers (exact_g) at
+ * precision <= 19 and by snprintf, in the C locale, only for zeros,
+ * subnormals, precisions past 19 and values whose products do not fit in
+ * 128 bits (see their comments below).  The CPython entry points at the
  * end, the module's only interface, wrap them: count and stream walk a whole
  * box, state and fill a resumable walk, and apply_generator runs walk's
  * merge on one vector.
@@ -491,14 +494,84 @@ static int64_t map_nodes(double *X, int64_t len, int64_t d, double s, const doub
     return -1;
 }
 
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* The text %.*g gives x at precision p <= 19, made from exact integers and
+ * written to out: at most 25 bytes, as |x| < 2^127 has a decimal exponent
+ * of two digits.  Returns its length, or 0 where snprintf must write x:
+ * p > 19, zeros, subnormals, infinities, NaN, and |x| outside [2^-75,
+ * 2^127), where the products below may not fit in 128 bits.  x = m 2^q,
+ * m < 2^53; with e an estimate of its decimal exponent and s = p - 1 - e,
+ * the p digits are n = m 2^q 10^s rounded half to even: a shift by -q when
+ * s >= 0, else one division.  The estimate floor((q + 52) log10 2) is
+ * exact for every normal q and at most x's own exponent, so n >= 10^(p-1);
+ * a carry to 10^p steps e once.  The digits are laid out by %g's rule:
+ * fixed notation when -4 <= e < p, else an exponent of at least two
+ * digits, and no trailing zeros.  ten holds 10^0 .. 10^38 (Loitsch, PLDI
+ * 2010, and Adams, OOPSLA 2019, cover every exponent with larger tables). */
+static int exact_g(double x, int p, const u128 *ten, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const int be = (int)(bits >> 52 & 0x7ff), q = be - 1075, r = q < 0 ? -q : 0;
+    if (be == 0 || p > 19 || q > 74 || q < -127) /* be 0x7ff has q 972 */
+        return 0;
+    const u128 m = (u128)((bits & 0xfffffffffffffULL) | 1ULL << 52) << (q + r);
+    u128 n;
+    int e = (q + 52) * 78913 >> 18;
+    for (;; e++) {
+        const int s = p - 1 - e;
+        u128 num = m;
+        if (s > 38 || (s >= 0 && __builtin_mul_overflow(m, ten[s], &num)))
+            return 0;
+        /* s < 0 only where x >= 9.5 (r <= 49): -s <= 38, and <= 15 where r > 0 */
+        const u128 den = (s < 0 ? ten[-s] : 1) << r;
+        n = s < 0 ? num / den : num >> r;
+        const u128 rem = num - n * den;
+        n += rem > den - rem || (rem == den - rem && (n & 1));
+        if (n < ten[p])
+            break;
+    }
+    /* the digits after `lead` zeros (0.000ddd), the point after `point` */
+    const int sci = e < -4 || e >= p, lead = sci || e >= 0 ? 0 : -e;
+    const int point = sci ? 1 : e + 1 + lead;
+    char *o = out + (bits >> 63), dig[23];
+    *out = '-';
+    memset(dig, '0', sizeof dig);
+    uint64_t v = (uint64_t)n;
+    for (int k = lead + p - 1; k >= lead; k--, v /= 10)
+        dig[k] = (char)('0' + v % 10);
+    int len = lead + p;
+    while (dig[len - 1] == '0')
+        len--;
+    memcpy(o, dig, (size_t)point);
+    o += point;
+    if (len > point) {
+        *o++ = '.';
+        memcpy(o, dig + point, (size_t)(len - point));
+        o += len - point;
+    }
+    if (sci) /* out has room for the NUL, which the separator replaces */
+        o += snprintf(o, 5, "e%+03d", e);
+    return (int)(o - out);
+}
+#else
+#define exact_g(x, p, ten, out) 0 /* no 128-bit integers: snprintf writes every value */
+#endif
+
 /* The CSV text of len values of X, rows of d (len a multiple of d): each
  * value as printf's %.*g with `precision` significant digits, ',' between
  * the values of a row and '\n' after it, written to out, which holds cap
  * bytes.  Returns the number of bytes written, or -1 if they do not fit (or
- * the C locale cannot be had); no NUL ends the text.  printf takes its
- * decimal point from LC_NUMERIC, so the call pins the C locale for its own
- * thread and restores the thread's locale before it returns: the bytes are
- * those of Python's format(x, ".{precision}g"), whatever locale is set.
+ * the C locale cannot be had); no NUL ends the text.  Normal values at
+ * precision <= 19 are written from exact integers (exact_g, while out has
+ * room for its 25 bytes and a separator); snprintf writes the rest: zeros,
+ * subnormals, precisions past 19, values whose products do not fit in 128
+ * bits, infinities and NaN.  printf takes its decimal point from
+ * LC_NUMERIC, so for those the call pins the C locale for its own thread
+ * and restores the thread's locale before it returns: the bytes are those
+ * of Python's format(x, ".{precision}g"), whatever locale is set.
  * A value takes at most precision + 7 bytes ("-0.000" and the digits, or
  * "-d." and "e-324"), its separator one more. */
 static int64_t format_rows(const double *X, int64_t len, int64_t d, int precision, char *out,
@@ -508,10 +581,17 @@ static int64_t format_rows(const double *X, int64_t len, int64_t d, int precisio
     if (c == (locale_t)0)
         return -1;
     const locale_t caller = uselocale(c);
+#ifdef __SIZEOF_INT128__
+    u128 ten[39] = {1};
+    for (int k = 1; k < 39; k++)
+        ten[k] = ten[k - 1] * 10;
+#endif
     int64_t pos = 0;
     for (int64_t i = 0; i < len && pos >= 0; i += d) {
         for (int64_t f = 0; f < d; f++) {
-            const int w = snprintf(out + pos, (size_t)(cap - pos), "%.*g", precision, X[i + f]);
+            int w = cap - pos > 25 ? exact_g(X[i + f], precision, ten, out + pos) : 0;
+            if (w == 0)
+                w = snprintf(out + pos, (size_t)(cap - pos), "%.*g", precision, X[i + f]);
             if (w < 0 || w >= cap - pos) { /* the NUL must fit: the separator replaces it */
                 pos = -1;
                 break;

@@ -20,10 +20,12 @@ to 64, the fixed limit of :class:`~chebfrolov.lattice.Level`; verify and
 table refuse limits that select no golden row.
 
 No command loads numpy.  ``points`` writes the CSV text of each fill of
-the walker, made in the walker library (``format_rows`` of ``_walk.c``,
-printf's ``%.*g`` in the C locale, the bytes of Python's
-``format(x, ".{p}g")``);
-JSONL lines are made in Python.
+the walker, made in the walker library (``format_rows`` of ``_walk.c``):
+the bytes of Python's ``format(x, ".{p}g")``, whose digits are made from
+exact integers up to 19 digits.  printf's ``%.*g``, in the C locale so that
+``LC_NUMERIC`` changes no byte, writes only the rest: zeros, subnormals,
+precisions past 19, and values whose products do not fit in 128 bits
+(``|x|`` outside [2^-75, 2^127)).  JSONL lines are made in Python.
 ``integrate`` maps each fill to cubature nodes in the walker library;
 ``verify`` filters fills and solves its small linear systems in Python.
 Only ``verify`` imports :mod:`chebfrolov.verify`.

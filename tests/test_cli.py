@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,55 @@ class TestFormatRows:
 
     def test_ties_round_to_even(self):
         assert write_csv([[0.5, 2.5, 3.5, -2.5]], 1, io.StringIO()) == "0.5,2,4,-2\n"
+
+    def test_standard_box_images(self):
+        # the walker writes up to 19 digits from exact integers: every image
+        # of a d=8 standard box at each of those precisions
+        level = Level(3)
+        box, rows = standard_box(CubatureSpec(level, 2.0**10)), []
+        enumerate_stream(level, box, build_diag_ladder(level), lambda point: rows.append(point.x))
+        assert len(rows) > 500
+        for precision in range(1, 20):
+            assert write_csv(rows, precision, io.StringIO()) == csv_text(rows, precision)
+
+    @pytest.mark.parametrize("precision", range(1, 20))
+    def test_exact_decimal_ties(self, precision):
+        # c / 2^k, c odd, is c 5^k / 10^k: its last decimal digit is a 5, so
+        # where c 5^k has precision + 1 digits the value is a tie at precision
+        ties = []
+        for k in range(40):
+            low = -(-(10**precision) // 5**k)
+            for c in range(low | 1, min(low + 40, 2**53), 2):
+                digits = str(c * 5**k)
+                if len(digits) == precision + 1 and digits[-1] == "5":
+                    ties += [[c / 2**k], [-c / 2**k]]
+        assert len(ties) >= 8
+        assert write_csv(ties, precision, io.StringIO()) == csv_text(ties, precision)
+
+    def test_rounding_carries_across_a_power_of_ten(self):
+        assert write_csv([[9.5, 9.99995e-5]], 1, io.StringIO()) == "1e+01,0.0001\n"
+        below, above = 9.99995e-5, 9.999950000000001e-05
+        assert write_csv([[below, above]], 5, io.StringIO()) == "9.9999e-05,0.0001\n"
+        # the least value that rounds up to 10^(e+1) at each precision, and its
+        # neighbours: the carry lands on both sides of the notation switches
+        for precision in range(1, 20):
+            rows = []
+            least = Fraction(10 ** (precision + 1) - 5, 10 ** (precision + 1))
+            for e in range(-8, 23):
+                mid = float(least * Fraction(10) ** (e + 1))
+                rows.append([mid, math.nextafter(mid, 0.0), math.nextafter(mid, math.inf), -mid])
+            assert write_csv(rows, precision, io.StringIO()) == csv_text(rows, precision)
+
+    @pytest.mark.parametrize("precision", [1, 5, 17, 19, 20, 767])
+    def test_past_the_exact_digits(self, precision):
+        # the walker's printf writes zeros, subnormals, products past 128 bits
+        # (|x| outside [2^-75, 2^127), 1e+-300, 2^1023) and every value past
+        # 19 digits; the rest are made from exact integers
+        values = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                  2.0**-75, math.nextafter(2.0**-75, 0.0), 2.0**127, math.nextafter(2.0**127, 0.0),
+                  1e300, -1e300, 1e-300, -1e-300, 2.0**1023, 0.1, -1.5]
+        rows = [[x] for x in values]
+        assert write_csv(rows, precision, io.StringIO()) == csv_text(rows, precision)
 
     def test_independent_of_lc_numeric(self, tmp_path):
         # printf takes its decimal point from LC_NUMERIC; format_rows pins the

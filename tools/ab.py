@@ -9,14 +9,18 @@ with ``enumeration._build_command`` and loaded as the extension module
 ``a._walk`` or ``b._walk``; the init function is named after the last
 component of the module name, so both load beside each other.  The
 harness prints each compile's seconds and module size: a first run pays
-for the build, so a change may buy its speed with a slower one.
+for the build, so a change may buy its speed with a slower one.  Where
+``nm`` is installed it also prints the offsets of ``walk``'s symbols in
+each module (``nm -n``): an edit elsewhere in the file can move them, and
+that alone can move the speed of counts and fills by a few percent.
 
 The harness pins itself to one core (default 0), checks that both builds
-return equal results on every case of a fixed grid, then runs the grid R
-times (default 21), alternating A and B, and prints for each case the best
-and median time per call of each build and the ratios B / A.  Separate
-processes cannot resolve effects of a few percent: the speed of a host
-swings more than that between processes.
+return the same bytes on every case of a fixed grid (floats compared by
+their bits, so a zero whose sign differs is a difference), then runs the
+grid R times (default 21), alternating A and B, and prints for each case
+the best and median time per call of each build and the ratios B / A.
+Separate processes cannot resolve effects of a few percent: the speed of
+a host swings more than that between processes.
 
 The grid:
 
@@ -27,8 +31,10 @@ The grid:
 - ``stream``: boxes of a few points at d = 2, 8, 16 and 32, of about 100
   points at d = 2 and 4, and boxes just past one stream chunk (1024 / d
   points) at d = 8, 16 and 32;
-- ``apply_generator`` at d = 8 and 64, ``map_nodes`` and ``format_rows``
-  on the rows of a d = 8 standard box.
+- ``apply_generator`` at d = 8 and 64, ``map_nodes`` on the rows of a
+  d = 8 standard box, and ``format_rows`` on them at 17 and 5 digits, the
+  precisions of the ``points`` digests, and at 17 digits scaled by 2^1000,
+  where every value falls back to ``snprintf``.
 
 Both builds are called with the entry points of the working tree's
 ``enumeration`` module, so both revisions must take its signatures.
@@ -41,6 +47,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -77,13 +84,44 @@ def build(label: str, revision: str, workdir: Path):
     proc = subprocess.run(enumeration._build_command(source, target), capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"compiling {revision} failed:\n{proc.stderr}")
-    print(f"{label.upper()}: compiled in {time.perf_counter() - start:.2f} s,"
-          f" {target.stat().st_size / 1024:.1f} KB")
+    seconds, size = time.perf_counter() - start, target.stat().st_size / 1024
+    print(f"{label.upper()}: compiled in {seconds:.2f} s, {size:.1f} KB{walk_offsets(target)}")
     loader = importlib.machinery.ExtensionFileLoader(f"{label}._walk", str(target))
     spec = importlib.util.spec_from_file_location(loader.name, target, loader=loader)
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
     return module
+
+
+def walk_offsets(module: Path) -> str:
+    """``, walk.sse4_1 at 0x4a50, ...``: the offsets ``nm -n`` gives ``walk``'s
+    symbols in the module, or nothing without ``nm``."""
+    if shutil.which("nm") is None:
+        return ""
+    table = subprocess.run(["nm", "-n", str(module)], capture_output=True, text=True).stdout
+    offsets = []
+    for line in table.splitlines():
+        fields = line.split()
+        if len(fields) == 3 and fields[1] in "tT" and fields[2].split(".")[0] == "walk":
+            offsets.append(f", {fields[2]} at 0x{int(fields[0], 16):x}")
+    return "".join(offsets)
+
+
+def same(x, y) -> bool:
+    """Whether two results of a case hold the same bytes: floats, alone or in
+    lists, tuples and ``LatticePoint``s, compare by their bits, as ``0.0 ==
+    -0.0`` would hide a flipped sign of zero."""
+    return _bits(x) == _bits(y)
+
+
+def _bits(value):
+    if isinstance(value, float):
+        return array("d", [value]).tobytes()
+    if isinstance(value, LatticePoint):
+        return value.k, array("d", value.x).tobytes()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
 
 
 def standard(d: int, log2n: float):
@@ -164,7 +202,12 @@ def cases(walk):
     # the identity map, s = 1, v = 0, u = 1, in place: every call maps the images
     Y, v, u = array("d", X), array("d", [0.0] * 8), array("d", [1.0] * 8)
     add(f"map_nodes d=8 ({rows} rows)", lambda w: w.map_nodes(Y, 8, 1.0, v, u, math.inf))
-    add(f"format_rows d=8 ({rows} rows, 17 digits)", lambda w: w.format_rows(X, 8, 17))
+    for digits in (17, 5):
+        add(f"format_rows d=8 ({rows} rows, {digits} digits)",
+            lambda w, p=digits: w.format_rows(X, 8, p))
+    # past the exact digits' 2^127: snprintf writes every value
+    far = array("d", [x * 2.0**1000 for x in array("d", X)])
+    add(f"format_rows d=8 ({rows} rows, x 2^1000)", lambda w: w.format_rows(far, 8, 17))
     return grid
 
 
@@ -191,7 +234,7 @@ def main(argv: list[str]) -> int:
         a, b = build("a", args.a, Path(tmp)), build("b", args.b, Path(tmp))
     grid = cases(a)
     for name, call in grid:
-        if call(a) != call(b):
+        if not same(call(a), call(b)):
             sys.exit(f"the builds differ on {name}")
     print(f"{'case':<40} {'A best':>10} {'B best':>10} {'A median':>10} {'B median':>10}"
           f" {'B/A best':>9} {'B/A med':>8}")
