@@ -7,10 +7,11 @@ randomized equal-weight cubature over the centered unit cube.  A brute-force
 oracle and golden count tables back everything up.
 
 The package names the enumerators, the cubature rule and the types they
-take, plus :func:`load_golden_table`, :func:`det_magnitude` and
-:func:`oracle_enumerate`, which is imported from :mod:`chebfrolov.verify`
-on first access (PEP 562).  The other checks, the golden records and the
-roots are imported from their own modules.
+take, plus :func:`det_magnitude`, and :func:`load_golden_table` and
+:func:`oracle_enumerate`, imported from :mod:`chebfrolov.verify` on first
+access (PEP 562): ``import chebfrolov`` loads neither the table nor the
+checks.  The other checks, the records and the roots are imported from
+their own modules.
 """
 
 from .cubature import (
@@ -32,18 +33,17 @@ from .enumeration import (
     enumerate_batches,
     enumerate_stream,
 )
-from .golden import load_golden_table
 from .lattice import DiagLadder, Level, build_diag_ladder, det_magnitude
 
 
 def __getattr__(name: str) -> object:
-    """``oracle_enumerate``, imported from :mod:`chebfrolov.verify` on first access."""
-    if name != "oracle_enumerate":
+    """``load_golden_table`` and ``oracle_enumerate``, imported from ``verify`` on first access."""
+    if name not in ("load_golden_table", "oracle_enumerate"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .verify import oracle_enumerate
+    from . import verify
 
-    globals()[name] = oracle_enumerate
-    return oracle_enumerate
+    value = globals()[name] = getattr(verify, name)
+    return value
 
 
 __version__ = "0.1.0"

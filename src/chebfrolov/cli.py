@@ -28,7 +28,8 @@ precisions past 19, and values whose products do not fit in 128 bits
 (``|x|`` outside [2^-75, 2^127)).  JSONL lines are made in Python.
 ``integrate`` maps each fill to cubature nodes in the walker library;
 ``verify`` filters fills and solves its small linear systems in Python.
-Only ``verify`` imports :mod:`chebfrolov.verify`.
+Only ``verify`` and ``table`` import :mod:`chebfrolov.verify`, the home of
+the golden table and of :func:`~chebfrolov.verify.golden_rows`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .cubature import (
     standard_box,
 )
 from .enumeration import Box, _fill, _library, count_points
-from .golden import load_golden_table
 from .lattice import Level, build_diag_ladder
 
 #: Built-in integrands selectable from the command line.  "cospi" has exact
@@ -191,14 +191,16 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
 def _golden_limits(args: argparse.Namespace) -> tuple[Level, int]:
     """``--max-dim`` as a level and ``--max-log2-scale``, refused unless they
     select a golden row."""
+    from .verify import golden_rows, load_golden_table
+
     max_level = Level.from_dimension(args.max_dim)
     max_log2 = args.max_log2_scale
-    table = load_golden_table()
-    min_d, min_log2 = min(r.d for r in table), min(r.log2n for r in table)
-    if max_level.d < min_d or max_log2 < min_log2:
+    if not golden_rows(max_level, max_log2):
+        table = load_golden_table()
         raise UsageError(
             f"--max-dim {max_level.d} --max-log2-scale {max_log2} selects no golden row:"
-            f" the table holds d >= {min_d} and log2N >= {min_log2}"
+            f" the table holds d >= {min(r.d for r in table)}"
+            f" and log2N >= {min(r.log2n for r in table)}"
         )
     return max_level, max_log2
 
@@ -206,23 +208,22 @@ def _golden_limits(args: argparse.Namespace) -> tuple[Level, int]:
 def _checks(max_level: Level, max_log2: int) -> Iterator[tuple[bool, str, str]]:
     """``verify``'s checks in order, each as (passed, label, detail): the
     unimodular check of each level up to ``UNIMODULAR_MAX_LEVEL``, the golden
-    rows within the limits, and the two-scale check of those rows with d <= 8
-    and log2N <= 10."""
-    from .verify import UNIMODULAR_MAX_LEVEL, double_box_check, reproduce_table, unimodular_check
+    rows within the limits, each as it is counted, and the two-scale check of
+    the rows within the limits clipped to d <= 8 and log2N <= 10."""
+    from .verify import (UNIMODULAR_MAX_LEVEL, double_box_check, golden_rows,
+                         reproduce_table, unimodular_check)
 
     for n in range(min(max_level.n, UNIMODULAR_MAX_LEVEL) + 1):
         check = unimodular_check(Level(n))
         detail = f"int_dev={check.max_integer_deviation:.2e}, det_dev={check.det_deviation:.2e}"
         yield check.passed, f"unimodular n={n}", detail
-    golden = reproduce_table(max_level, max_log2)
-    for record, observed, match in golden:
+    for record, observed, match in reproduce_table(max_level, max_log2):
         label = f"golden d={record.d} log2N={record.log2n}"
         yield match, label, f"expected={record.count}, observed={observed}"
-    for record, _, _ in golden:
-        if record.d <= 8 and record.log2n <= 10:
-            check = double_box_check(Level.from_dimension(record.d), float(2**record.log2n))
-            label = f"double-box d={record.d} log2N={record.log2n}"
-            yield check.agree, label, f"direct={check.direct}, filtered={check.filtered}"
+    for record in golden_rows(Level(min(max_level.n, 3)), min(max_log2, 10)):
+        check = double_box_check(Level.from_dimension(record.d), float(2**record.log2n))
+        label = f"double-box d={record.d} log2N={record.log2n}"
+        yield check.agree, label, f"direct={check.direct}, filtered={check.filtered}"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -237,12 +238,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .verify import golden_rows
+
     max_level, max_log2 = _golden_limits(args)
     with _output(args) as out:
         print("d,log2N,count", file=out)
-        for record in load_golden_table():
-            if record.d <= max_level.d and record.log2n <= max_log2:
-                print(f"{record.d},{record.log2n},{record.count}", file=out)
+        for record in golden_rows(max_level, max_log2):
+            print(f"{record.d},{record.log2n},{record.count}", file=out)
     return 0
 
 

@@ -118,13 +118,15 @@ def sample_shift(seed: int, d: int) -> RandomShift:
     Uses the stdlib Mersenne Twister (``random.Random``), whose streams are
     stable across CPython releases; u and v come from two substreams derived
     from the master seed so they are mutually independent.  The seed is an
-    integer >= 0, or ``ValueError``: ``random.Random`` seeds from |seed|, so
-    seed -k would repeat the shift of seed k.
+    integer >= 0, numpy's included, or ``ValueError``: ``random.Random``
+    seeds from |seed|, so seed -k would repeat the shift of seed k, and a
+    float seed would give a shift that no integer seed gives.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    if seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+    if not hasattr(seed, "__index__") or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = int(seed)  # random.Random takes no numpy integer
     master = random.Random(seed)
     rng_u = random.Random(master.getrandbits(64))
     rng_v = random.Random(master.getrandbits(64))

@@ -3,15 +3,16 @@
 Three routes confirm the enumeration: a brute-force oracle that inverts the
 generator and tests every integer vector in a bounding box, a two-scale
 consistency check that enumerates the double-scale box and filters, and
-regression against an embedded table of known-good node counts for the
-standard cubature boxes (:mod:`chebfrolov.golden`).  The tests hold a
-fourth, the recursive reference that applies the half-mean and clamp split
-of the box in Python (``tests/lattice_reference.py``).  Of this module the
-package exports only :func:`oracle_enumerate`, on first access; the checks
-are imported from here.
+regression against the golden table, the known-good node counts of the
+standard cubature boxes (``data/golden_counts.csv``), whose rows within a
+pair of limits :func:`golden_rows` selects.  The tests hold a fourth, the
+recursive reference that applies the half-mean and clamp split of the box
+in Python (``tests/lattice_reference.py``).  Of this module the package
+exports only :func:`load_golden_table` and :func:`oracle_enumerate`, on
+first access; the checks and the records are imported from here.
 
 The oracle and the filter keep a point iff its :func:`apply_generator`
-image x has ``lower <= x <= upper``, as the enumerators do.
+image x has ``lower <= x <= upper`` (:func:`_in_box`), as the enumerators do.
 
 Nothing here loads numpy.  The generator's rows are the images of the unit
 vectors, and the oracle and the unimodular check both solve their d <= 8
@@ -24,11 +25,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 from .cubature import CubatureSpec, standard_box
 from .enumeration import Box, LatticePoint, _fill, _library, apply_generator, count_points
-from .golden import CountRecord, load_golden_table
 from .lattice import DiagLadder, Level, build_diag_ladder, chebyshev_root
 
 #: The brute-force oracle refuses levels above this (bounding-box cost).
@@ -40,6 +41,12 @@ _ORACLE_MAX_CANDIDATES = 1 << 24
 #: :func:`unimodular_check` refuses levels above this, and the CLI's
 #: ``verify`` checks every level up to it.
 UNIMODULAR_MAX_LEVEL = 3
+
+
+class CountRecord(NamedTuple):
+    d: int
+    log2n: int
+    count: int
 
 
 class TableCheck(NamedTuple):
@@ -98,9 +105,14 @@ def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:
     accepted: list[LatticePoint] = []
     for k in itertools.product(*ranges):
         x = image(flat, k, n)
-        if all(map(operator.le, lower, x)) and all(map(operator.le, x, upper)):
+        if _in_box(box, x):
             accepted.append(LatticePoint(k, x))
     return accepted
+
+
+def _in_box(box: Box, x) -> bool:
+    """Whether x lies in the closed box: ``lower <= x <= upper`` coordinatewise."""
+    return all(map(operator.le, box.lower, x)) and all(map(operator.le, x, box.upper))
 
 
 def _generator_rows(ladder: DiagLadder, d: int) -> list[tuple[float, ...]]:
@@ -121,11 +133,9 @@ def double_box_check(level: Level, scale: float) -> DoubleBoxCheck:
     big = standard_box(CubatureSpec(level, 2.0 * scale))
     direct = count_points(level, small, ladder)
     d = level.d
-    lower, upper = small.lower, small.upper
     filtered = 0
     for _, X in _fill(level, big, ladder):
-        for x in zip(*[iter(X.tolist())] * d):
-            filtered += all(map(operator.le, lower, x)) and all(map(operator.le, x, upper))
+        filtered += sum(_in_box(small, x) for x in zip(*[iter(X.tolist())] * d))
     return DoubleBoxCheck(direct, filtered, direct == filtered)
 
 
@@ -191,14 +201,29 @@ def _eliminate(a, b):
     return x, det
 
 
-def reproduce_table(max_level: Level, max_log2n: int) -> list[TableCheck]:
-    """Re-count every golden row with d <= 2**max_level.n and log2N <= max_log2n."""
-    checks: list[TableCheck] = []
-    for record in load_golden_table():
-        if record.d > max_level.d or record.log2n > max_log2n:
-            continue
+@lru_cache(maxsize=1)
+def load_golden_table() -> tuple[CountRecord, ...]:
+    """Known-good node counts for the standard boxes, one row per (d, log2N)."""
+    import csv
+    import io
+    from importlib import resources
+
+    text = resources.files("chebfrolov").joinpath("data/golden_counts.csv").read_text()
+    return tuple(
+        CountRecord(int(row["d"]), int(row["log2N"]), int(row["count"]))
+        for row in csv.DictReader(io.StringIO(text))
+    )
+
+
+def golden_rows(max_level: Level, max_log2n: int) -> list[CountRecord]:
+    """The golden rows with d <= 2**max_level.n and log2N <= max_log2n, in table order."""
+    return [r for r in load_golden_table() if r.d <= max_level.d and r.log2n <= max_log2n]
+
+
+def reproduce_table(max_level: Level, max_log2n: int) -> Iterator[TableCheck]:
+    """Re-count each row of :func:`golden_rows`, yielding its check as it is counted."""
+    for record in golden_rows(max_level, max_log2n):
         lvl = Level.from_dimension(record.d)
         box = standard_box(CubatureSpec(lvl, float(2**record.log2n)))
         observed = count_points(lvl, box, build_diag_ladder(lvl))
-        checks.append(TableCheck(record, observed, observed == record.count))
-    return checks
+        yield TableCheck(record, observed, observed == record.count)

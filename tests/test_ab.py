@@ -1,6 +1,7 @@
 """``tools/ab.py``, the per-call A/B harness of the walker, runs on this tree."""
 
 import importlib.util
+from array import array
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,35 @@ _SPEC.loader.exec_module(ab)
 def test_every_case_runs_and_agrees_with_itself():
     walk = _library()
     grid = ab.cases(walk)
-    assert len({name for name, _ in grid}) == len(grid)
-    for name, call in grid:
-        assert ab.same(call(walk), call(walk)), name
+    assert len({name for name, _, _ in grid}) == len(grid)
+    for _, call, _ in grid:
+        call(walk)
+    assert ab.differing(grid, walk, walk) == []
+
+
+class _NegatedNodes:
+    """The walker module, but its ``map_nodes`` negates every node it writes."""
+
+    def __init__(self, walk):
+        self._walk = walk
+
+    def __getattr__(self, name):
+        return getattr(self._walk, name)
+
+    def map_nodes(self, Y, *args):
+        index = self._walk.map_nodes(Y, *args)
+        Y[:] = array("d", [-y for y in Y])
+        return index
+
+
+def test_agreement_check_sees_wrong_nodes():
+    # map_nodes writes in place and returns only an index, so the nodes
+    # themselves must be compared
+    walk = _library()
+    grid = ab.cases(walk)
+    assert ab.differing(grid, walk, _NegatedNodes(walk)) == [
+        name for name, _, _ in grid if name.startswith("map_nodes")
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import contextlib
+import importlib.machinery
+import importlib.util
 import io
 import json
 import math
@@ -28,6 +30,7 @@ from chebfrolov import (
     enumerate_stream,
     standard_box,
 )
+from chebfrolov import enumeration
 from chebfrolov.cli import _write_csv, main
 from chebfrolov.enumeration import _library
 
@@ -139,6 +142,17 @@ SPECIAL_DOUBLES = [
 ]
 
 
+#: Values the walker's printf writes: zeros, subnormals, products past 128
+#: bits (|x| outside [2^-75, 2^127), 1e+-300, 2^1023), and at precisions
+#: past 19 every value; the rest are made from exact integers.
+FALLBACK_DOUBLES = [
+    0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    2.0**-75, math.nextafter(2.0**-75, 0.0), 2.0**127, math.nextafter(2.0**127, 0.0),
+    1e300, -1e300, 1e-300, -1e-300, 2.0**1023, 0.1, -1.5,
+]
+FALLBACK_PRECISIONS = [1, 5, 17, 19, 20, 767]
+
+
 class TestFormatRows:
     """``format_rows`` of the walker library writes Python's ``.{p}g`` text, byte for byte."""
 
@@ -216,16 +230,39 @@ class TestFormatRows:
                 rows.append([mid, math.nextafter(mid, 0.0), math.nextafter(mid, math.inf), -mid])
             assert write_csv(rows, precision, io.StringIO()) == csv_text(rows, precision)
 
-    @pytest.mark.parametrize("precision", [1, 5, 17, 19, 20, 767])
+    @pytest.mark.parametrize("precision", FALLBACK_PRECISIONS)
     def test_past_the_exact_digits(self, precision):
-        # the walker's printf writes zeros, subnormals, products past 128 bits
-        # (|x| outside [2^-75, 2^127), 1e+-300, 2^1023) and every value past
-        # 19 digits; the rest are made from exact integers
-        values = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
-                  2.0**-75, math.nextafter(2.0**-75, 0.0), 2.0**127, math.nextafter(2.0**127, 0.0),
-                  1e300, -1e300, 1e-300, -1e-300, 2.0**1023, 0.1, -1.5]
-        rows = [[x] for x in values]
+        rows = [[x] for x in FALLBACK_DOUBLES]
         assert write_csv(rows, precision, io.StringIO()) == csv_text(rows, precision)
+
+    def test_build_without_int128_writes_the_same_bytes(self, tmp_path):
+        # a compiler without unsigned __int128 builds no exact digits, and
+        # printf writes every value: that branch compiles without a warning
+        # and writes the package build's bytes
+        source = Path(enumeration.__file__).with_name("_walk.c")
+        target = tmp_path / f"_walk{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        flags = ["-U__SIZEOF_INT128__", "-Wall", "-Wextra", "-Werror"]
+        command = enumeration._build_command(source, target)
+        command[1:1] = flags
+        proc = subprocess.run(command, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        macros = subprocess.run([command[0], *flags, "-dM", "-E", "-x", "c", os.devnull],
+                                capture_output=True, text=True, check=True).stdout
+        assert "__SIZEOF_INT128__" not in macros
+        loader = importlib.machinery.ExtensionFileLoader("noint128._walk", str(target))
+        noint128 = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+        loader.exec_module(noint128)
+        package = _library()
+        level = Level(3)
+        box = standard_box(CubatureSpec(level, 2.0**12))
+        images = [X for _, X in enumeration._fill(level, box, build_diag_ladder(level))]
+        assert sum(map(len, images)) > 30_000
+        for precision in [*range(1, 21), 767]:
+            for X in images:
+                assert noint128.format_rows(X, 8, precision) == package.format_rows(X, 8, precision)
+        X = array("d", FALLBACK_DOUBLES + SPECIAL_DOUBLES)
+        for precision in FALLBACK_PRECISIONS:
+            assert noint128.format_rows(X, 1, precision) == package.format_rows(X, 1, precision)
 
     def test_independent_of_lc_numeric(self, tmp_path):
         # printf takes its decimal point from LC_NUMERIC; format_rows pins the

@@ -1,4 +1,5 @@
 import math
+import re
 import statistics
 from array import array
 
@@ -159,6 +160,18 @@ class TestSampleShift:
         for seed in (-1, -3, -(2**100)):
             with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
                 sample_shift(seed, 2)
+
+    def test_refuses_non_integer_seeds(self):
+        # a float seed would give a shift that no integer seed gives
+        for seed in (1.5, 2.0, -0.5, np.float64(3.0), "3", None):
+            with pytest.raises(ValueError, match=re.escape(f"must be an integer >= 0, got {seed!r}")):
+                sample_shift(seed, 2)
+
+    def test_takes_numpy_integer_seeds(self):
+        for seed in (np.int64(7), np.uint8(7), np.int32(7)):
+            shift = sample_shift(seed, 4)
+            assert shift == sample_shift(7, 4)
+            assert type(shift.seed) is int and shift.seed == 7
 
     def test_ranges(self):
         for seed in range(50):

@@ -491,7 +491,7 @@ PACKAGE_NAMES = [
 
 #: Names that live only in their submodules, not in the package.
 SUBMODULE_NAMES = {
-    "CountRecord": "chebfrolov.golden",
+    "CountRecord": "chebfrolov.verify",
     "TableCheck": "chebfrolov.verify",
     "DoubleBoxCheck": "chebfrolov.verify",
     "UnimodularCheck": "chebfrolov.verify",

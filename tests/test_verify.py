@@ -212,21 +212,21 @@ class TestUnimodular:
 
 class TestReproduceTable:
     def test_small_dimensions_match(self):
-        checks = reproduce_table(Level(2), 10)
+        checks = list(reproduce_table(Level(2), 10))
         assert len(checks) == 20  # d in {2, 4}, m = 1..10
         assert all(c.match for c in checks)
         d2 = [c.observed for c in checks if c.record.d == 2]
         assert d2 == [3, 5, 7, 15, 31, 65, 131, 257, 513, 1027]
 
     def test_counts_come_from_enumeration(self):
-        checks = reproduce_table(Level(3), 5)
+        checks = list(reproduce_table(Level(3), 5))
         for check in checks:
             level = Level.from_dimension(check.record.d)
             box = standard_box(CubatureSpec(level, float(2**check.record.log2n)))
             assert check.observed == count_points(level, box, build_diag_ladder(level))
 
     def test_covers_sixteen_dimensions(self):
-        checks = reproduce_table(Level(4), 1)
+        checks = list(reproduce_table(Level(4), 1))
         by_dim = {c.record.d: c for c in checks}
         assert set(by_dim) == {2, 4, 8, 16}
         assert by_dim[16].observed == 77

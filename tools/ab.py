@@ -16,9 +16,11 @@ that alone can move the speed of counts and fills by a few percent.
 
 The harness pins itself to one core (default 0), checks that both builds
 return the same bytes on every case of a fixed grid (floats compared by
-their bits, so a zero whose sign differs is a difference), then runs the
-grid R times (default 21), alternating A and B, and prints for each case
-the best and median time per call of each build and the ratios B / A.
+their bits, so a zero whose sign differs is a difference; ``map_nodes``,
+which writes its nodes in place, maps a copy of the rows per build, outside
+the timed call), then runs the grid R times (default 21), alternating A
+and B, and prints for each case the best and median time per call of each
+build and the ratios B / A.
 Separate processes cannot resolve effects of a few percent: the speed of
 a host swings more than that between processes.
 
@@ -148,12 +150,13 @@ def box_holding(walk, d: int, low: int, high: int):
 
 
 def cases(walk):
-    """The grid: (name, call) pairs, each call taking a walker module and
-    returning a value that both builds must agree on."""
+    """The grid: (name, call, check) triples.  Each call takes a walker
+    module and is timed; its check, the call itself unless given, takes a
+    module and returns a value that both builds must agree on."""
     grid = []
 
-    def add(name, call):
-        grid.append((name, call))
+    def add(name, call, check=None):
+        grid.append((name, call, check or call))
 
     for d, log2n in ((8, 18), (16, 14), (32, 6)):
         level, ladder, box = standard(d, log2n)
@@ -199,9 +202,15 @@ def cases(walk):
     X = b"".join(x for _, x in fills(walk, box.lower, box.upper, ladder._flat, level.n))
     rows = len(X) // 64
 
-    # the identity map, s = 1, v = 0, u = 1, in place: every call maps the images
+    # the identity map, s = 1, v = 0, u = 1, in place: every call maps the
+    # images; the check maps a copy of them, so the nodes are compared too
     Y, v, u = array("d", X), array("d", [0.0] * 8), array("d", [1.0] * 8)
-    add(f"map_nodes d=8 ({rows} rows)", lambda w: w.map_nodes(Y, 8, 1.0, v, u, math.inf))
+
+    def mapped(w):
+        Z = array("d", X)
+        return w.map_nodes(Z, 8, 1.0, v, u, math.inf), Z.tobytes()
+
+    add(f"map_nodes d=8 ({rows} rows)", lambda w: w.map_nodes(Y, 8, 1.0, v, u, math.inf), mapped)
     for digits in (17, 5):
         add(f"format_rows d=8 ({rows} rows, {digits} digits)",
             lambda w, p=digits: w.format_rows(X, 8, p))
@@ -209,6 +218,11 @@ def cases(walk):
     far = array("d", [x * 2.0**1000 for x in array("d", X)])
     add(f"format_rows d=8 ({rows} rows, x 2^1000)", lambda w: w.format_rows(far, 8, 17))
     return grid
+
+
+def differing(grid, a, b) -> list[str]:
+    """The names of the cases whose checks return different bytes for builds a and b."""
+    return [name for name, _, check in grid if not same(check(a), check(b))]
 
 
 def sample(call, walk, reps: int) -> float:
@@ -233,12 +247,11 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="chebfrolov-ab-") as tmp:
         a, b = build("a", args.a, Path(tmp)), build("b", args.b, Path(tmp))
     grid = cases(a)
-    for name, call in grid:
-        if not same(call(a), call(b)):
-            sys.exit(f"the builds differ on {name}")
+    if names := differing(grid, a, b):
+        sys.exit(f"the builds differ on {', '.join(names)}")
     print(f"{'case':<40} {'A best':>10} {'B best':>10} {'A median':>10} {'B median':>10}"
           f" {'B/A best':>9} {'B/A med':>8}")
-    for name, call in grid:
+    for name, call, _ in grid:
         reps = max(1, math.ceil(SAMPLE_S / sample(call, a, 1)))
         times = {a: [], b: []}
         for r in range(args.rounds):
