@@ -51,10 +51,25 @@
  * d <= 4 both orders visit about as many nodes, and the sort would only add
  * to the stream's cost.  A count of a box symmetric about 0
  * (lower == -upper) walks half that tree (visits per point 0.31, 3.2 and
- * 19.5 above): G(-k) is -Gk to the bit, so the box holds k iff it holds -k.
- * It walks the k whose first nonzero coordinate in walk order is positive
- * (halve), and a run counts twice, for its mirror too, unless its prefix is
- * all zero.
+ * 19.5 above): G(-k) is -Gk to the bit, as IEEE rounding is symmetric, so
+ * the box holds k iff it holds -k.  It walks the k whose first nonzero
+ * coordinate in walk order is positive (halve), and a run counts twice, for
+ * its mirror too, unless its prefix is all zero.
+ *
+ * If the halves of each corner are equal too (l_t == l_{t+d/2}, n >= 2, as
+ * in every standard box), a count walks a quarter of the tree (visits per
+ * point 0.16, 1.7 and 12.7 above).  With k = (kA, kY), its two half-blocks,
+ * G(kA, -kY) is Gk with its halves swapped, to the bit, for any positive
+ * ladder: the top merge gives (a + p, a - p), p = D y, and -kY has the
+ * image -y, so D (-y) = -p exactly and a + (-p) is a - p.  Such a box is
+ * invariant under negation and under the swap, so it holds k iff it holds
+ * each image of k under the group {id, -I, kY -> -kY, kA -> -kA}.  The walk
+ * halves kY (depths 1..d/2) as above, then, for each kY, halves kA (depths
+ * d/2 + 1..d - 1) with a second tracker, reset at depth d/2: a run counts
+ * twice for a nonzero kY and twice again for a nonzero A prefix.  For each
+ * kY the walker's A box is itself symmetric about 0 to the bit,
+ * fl(-c - p) = -fl(c + p), so the A subtree it walks mirrors the one it
+ * leaves out.
  *
  * A point is in the box iff its image x (the one apply_generator computes)
  * has lower <= x <= upper.  For each prefix the innermost coordinate (k_d
@@ -254,7 +269,12 @@ static int64_t trim(double *const *a, const double *const *D, int n, int64_t p,
 
 /* The half-walk of a count (zd >= 0, see the header) once depth i is set to
  * kk: keeps zd the deepest depth with k[1..zd] all 0, and starts the range
- * that depth i + 1 < d opens just past them at 0, through its bound *lo. */
+ * that depth i + 1 < d opens just past them at 0, through its bound *lo.
+ * This halves by -I: G(-k) = -Gk, as each rounding is symmetric.  The
+ * quarter walk calls it again with za, the A depths' tracker, which halves
+ * kA for each kY: G(kA, -kY) is Gk with its halves swapped, as a + (-p) is
+ * a - p, so -I and that flip together map (kA, kY) to (-kA, kY).  Its call
+ * at depth d/2, with kk = 0, resets za to d/2: no A coordinate is set. */
 static void halve(int64_t i, int64_t kk, int64_t d, int64_t *zd, double *lo)
 {
     if (*zd >= 0 && i <= *zd + 1)
@@ -264,9 +284,11 @@ static void halve(int64_t i, int64_t kk, int64_t d, int64_t *zd, double *lo)
 }
 
 /* The traversal in the order diff (1 difference-first, 0 mean-first) into
- * the leaf K (see the header); walk() below runs it. */
+ * the leaf K (see the header), a count taking the quarter walk if `quarter`;
+ * walk() below runs it. */
 static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, int diff,
-                                                             int64_t *K, double *X, int64_t size)
+                                                             int quarter, int64_t *K, double *X,
+                                                             int64_t size)
 {
     /* depth i walks flat index i - 1 mean-first, d - i difference-first:
      * flat index f is at depth base + step f */
@@ -293,7 +315,7 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
     const double d0 = n ? diag[0] : 1.0;
     const double slack = (diff ? COUNT_SLACK : SLACK) * *unit;
 
-    int64_t i = 0, rows = 0, count = 0, zd = -1;
+    int64_t i = 0, rows = 0, count = 0, zd = -1, za = -1;
     double lo, hi;
     if (*started) {
         i = *depth;
@@ -305,6 +327,7 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
         hi = g0[d - 1 - last];
         if (!K) { /* a count of a box symmetric about 0 takes the half-walk */
             zd = 0;
+            za = quarter ? d / 2 : -1;
             for (int64_t f = 0; f < d && zd == 0; f++)
                 zd = s[f] == -s[d + f] ? 0 : -1;
             halve(0, 0, d, &zd, &lo);
@@ -317,9 +340,12 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
     while (i > 0) {
         if (i == d) { /* inside the innermost run */
             if (!K) { /* the count leaf takes the whole run, twice past a nonzero prefix */
+                /* (the quarter walk: twice for a nonzero kY, twice for a nonzero A prefix) */
                 uint64_t len = (uint64_t)end[i] - (uint64_t)k[i];
-                if (__builtin_add_overflow(count, len, &count)
-                    || (zd >= 0 && zd < d - 1 && __builtin_add_overflow(count, len, &count)))
+                if ((quarter && za < d - 1 && __builtin_mul_overflow(len, 2, &len))
+                    || __builtin_add_overflow(count, len, &count)
+                    || (zd >= 0 && zd < (quarter ? d / 2 : d - 1)
+                        && __builtin_add_overflow(count, len, &count)))
                     return WALK_OVERFLOW;
                 i--;
                 continue;
@@ -367,6 +393,8 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
                 lo = lo1 > lo2 ? lo1 : lo2;
                 hi = hi1 < hi2 ? hi1 : hi2;
                 halve(i, kk, d, &zd, &lo);
+                if (quarter && i > d / 2)
+                    halve(i, kk, d, &za, &lo);
             }
         } else {
             /* i = 2^r p: refresh the images, clamp the level-r sibling
@@ -395,6 +423,8 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
                 }
                 cascade(b, g, D, f - w, r, 1);
                 halve(i, kk, d, &zd, b0 + f - 1);
+                if (quarter && i >= d / 2)
+                    halve(i, i > d / 2 ? kk : 0, d, &za, b0 + f - 1);
             }
             lo = b0[f + step];
             hi = g0[f + step];
@@ -412,19 +442,28 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
 
 /* walk_in with its order a constant in each of two copies: one function
  * taking the order at run time streamed up to 2 % slower mean-first, and up
- * to 10 % slower a box just past one chunk.  On x86-64 with glibc, walk is
- * cloned for SSE4.1, whose roundsd rounds each node's two bounds in one
- * instruction (counts 13-19 % faster); an ifunc resolver picks the clone by
- * CPUID when the module loads, so one build runs on any x86-64 CPU, and
- * both clones give the same bits (see the header).  Aligned to 64 bytes,
- * the clones read alike wherever they land, but fills at d = 8 and 16 read
- * 3-4 % slower than at the compiler's own 16-byte placement. */
+ * to 10 % slower a box just past one chunk.  A count of a box that allows
+ * the quarter walk takes a third copy, with the quarter a constant: tested
+ * at run time in the hot loop, it slowed the half and full walks by 3-9 %.
+ * On x86-64 with glibc, walk is cloned for SSE4.1, whose roundsd rounds each
+ * node's two bounds in one instruction (counts 13-19 % faster); an ifunc
+ * resolver picks the clone by CPUID when the module loads, so one build runs
+ * on any x86-64 CPU, and both clones give the same bits (see the header).
+ * Aligned to 64 bytes, the clones read alike wherever they land, but fills
+ * at d = 8 and 16 read 3-4 % slower than at the compiler's own 16-byte
+ * placement. */
 #if defined(__x86_64__) && defined(__GLIBC__)
 __attribute__((target_clones("sse4.1", "default")))
 #endif
 static int64_t walk(double *s, int n, int diff, int64_t *K, double *X, int64_t size)
 {
-    return diff ? walk_in(s, n, 1, K, X, size) : walk_in(s, n, 0, K, X, size);
+    if (!diff)
+        return walk_in(s, n, 0, 0, K, X, size);
+    const int64_t d = (int64_t)1 << n;
+    int64_t f = 0; /* a count of a box symmetric about 0 with equal halves */
+    while (!K && n >= 2 && f < d && s[f] == -s[d + f] && s[f] == s[f ^ (d / 2)])
+        f++;
+    return f < d ? walk_in(s, n, 1, 0, K, X, size) : walk_in(s, n, 1, 1, NULL, NULL, 0);
 }
 
 /* Does row p of K (rows of d) come before row q in lexicographic order? */

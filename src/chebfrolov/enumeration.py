@@ -183,7 +183,8 @@ def count_points(level: Level, box: Box, ladder: DiagLadder) -> int:
 
     Matches ``enumerate_stream`` with a counting consumer exactly; each
     innermost run of integers is counted by its length, which is what makes
-    large scales cheap.
+    large scales cheap.  A box symmetric about 0 walks half the search tree,
+    a quarter if the halves of each corner are equal too.
     """
     return _library().count(box.lower, box.upper, ladder._flat, level.n)
 

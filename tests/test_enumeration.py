@@ -401,6 +401,22 @@ class TestStream:
                 ks = {p.k for p in collect(level, box, ladder)}
                 assert ks == {tuple(-c for c in k) for k in ks}
 
+    def test_half_swap_symmetry(self):
+        # G(kA, -kY) is Gk with its halves swapped, to the bit, on any
+        # positive ladder: the quarter walk of a count rests on it
+        rng = random.Random(81)
+        for n in range(1, MAX_LEVEL + 1):
+            level = Level(n)
+            ladder = build_diag_ladder(level)
+            other = DiagLadder([[1.25 * v for v in diag] for diag in ladder.levels])
+            h = level.d // 2
+            for diagonals in (ladder, other):
+                for scale in (10, 10**6):
+                    k = [rng.randint(-scale, scale) for _ in range(level.d)]
+                    x = apply_generator(diagonals, k)
+                    flipped = apply_generator(diagonals, k[:h] + [-v for v in k[h:]])
+                    assert array("d", flipped).tobytes() == array("d", x[h:] + x[:h]).tobytes()
+
     def test_monotone_in_box_inclusion(self):
         rng = random.Random(80)
         for n in range(4):
@@ -1022,8 +1038,10 @@ class TestKernels:
             level = Level(n)
             ladder = build_diag_ladder(level)
             rng = random.Random(2700 + n)
-            boxes = [Box.symmetric(r, level.d) for r in (2.0, 3.0)]  # half walks
+            boxes = [Box.symmetric(r, level.d) for r in (2.0, 3.0)]  # quarter walks (n >= 2)
             boxes += [Box(b.lower, b.upper[:-1] + (math.nextafter(b.upper[-1], math.inf),)) for b in boxes]
+            # symmetric about 0 with unequal halves: a half walk
+            boxes.append(Box((-2.0,) * (level.d - 1) + (-2.5,), (2.0,) * (level.d - 1) + (2.5,)))
             for scale in (5, 10**6):
                 x = apply_generator(ladder, [rng.randint(-scale, scale) for _ in range(level.d)])
                 boxes += [Box(x, x), Box(x, tuple(v + 1.0 for v in x))]
@@ -1656,6 +1674,55 @@ def test_symmetric_boxes_count_like_the_stream(case):
     # coordinate in its order (k_d, k_{d-1}, ...) is positive and counts their
     # runs twice; the stream walks the whole tree, and so does the count of a
     # box symmetric in all coordinates but one
+    level, box = case
+    ladder = build_diag_ladder(level)
+    points = collect(level, box, ladder)
+    assert count_points(level, box, ladder) == len(points)
+    if level.n <= 3:
+        assert points == oracle_enumerate(level, box)
+
+
+@st.composite
+def swap_symmetric_box(draw):
+    """A box [-h, h] with equal halves, h_t = h_{t+d/2} = max(|x_t|,
+    |x_{t+d/2}|) of an image x = Gk, so points lie on its faces; or each
+    pair moved one ulp either way, some pairs 0 (corners -0.0 and 0.0), or
+    random within the faces.  Past d = 4, k has one or two entries +-1.  One
+    box in about four has one corner moved one ulp, so its halves differ and
+    the count takes the half walk (or the full walk)."""
+    level = Level(draw(st.integers(min_value=1, max_value=6)))
+    d, h = level.d, level.d // 2
+    if level.n <= 2:
+        k = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    else:
+        k = [0] * d
+        for j in draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=2, unique=True)):
+            k[j] = draw(st.sampled_from([-1, 1]))
+    x = apply_generator(build_diag_ladder(level), k)
+    face = [max(abs(x[t]), abs(x[t ^ h])) for t in range(h)]
+    kind = draw(st.sampled_from(["face", "ulp", "random", "zero"]))
+    flags = draw(st.lists(st.booleans(), min_size=h, max_size=h))
+    if kind == "ulp":
+        half = [math.nextafter(v, math.inf if up else -math.inf) for v, up in zip(face, flags)]
+    elif kind == "random":
+        half = [f * v for v, f in zip(face, draw(st.lists(st.floats(0.0, 1.0), min_size=h, max_size=h)))]
+    elif kind == "zero":
+        half = [0.0 if zero else v for v, zero in zip(face, flags)]
+    else:
+        half = face
+    half = [abs(v) for v in half] * 2
+    lower, upper = [-v for v in half], half
+    if draw(st.integers(0, 3)) == 0:
+        corner, t = draw(st.sampled_from([lower, upper])), draw(st.integers(0, d - 1))
+        corner[t] = math.nextafter(corner[t], draw(st.sampled_from([-math.inf, math.inf])))
+    return level, Box(lower, upper)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(swap_symmetric_box())
+def test_swap_symmetric_boxes_count_like_the_stream(case):
+    # a count of a box symmetric about 0 whose corners have equal halves
+    # walks a quarter of the tree: kY halved by -I, then kA for each kY
     level, box = case
     ladder = build_diag_ladder(level)
     points = collect(level, box, ladder)

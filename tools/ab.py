@@ -26,8 +26,11 @@ a host swings more than that between processes.
 
 The grid:
 
-- ``count``: the standard box (half walk) and the same box with its last
-  upper corner one ulp higher (full walk), at d = 8, 16 and 32;
+- ``count``: each of the three routes of a count, at d = 8, 16 and 32: the
+  standard box (quarter walk); the same box with both corners of its last
+  coordinate one ulp wider, symmetric about 0 but with unequal halves (half
+  walk); and the standard box with its last upper corner one ulp higher
+  (full walk);
 - ``fill``: every fill of a standard box at the default fill size, at
   d = 2, 8, 16 and 32;
 - ``stream``: boxes of a few points at d = 2, 8, 16 and 32, of about 100
@@ -160,10 +163,13 @@ def cases(walk):
 
     for d, log2n in ((8, 18), (16, 14), (32, 6)):
         level, ladder, box = standard(d, log2n)
+        widened = box.lower[:-1] + (math.nextafter(box.lower[-1], -math.inf),)
         raised = box.upper[:-1] + (math.nextafter(box.upper[-1], math.inf),)
-        for label, upper in (("half", box.upper), ("full", raised)):
+        routes = (("quarter", box.lower, box.upper), ("half", widened, raised),
+                  ("full", box.lower, raised))
+        for label, lower, upper in routes:
             add(f"count {label} d={d} N=2^{log2n}",
-                lambda w, b=box, u=upper, f=ladder._flat, n=level.n: w.count(b.lower, u, f, n))
+                lambda w, lo=lower, u=upper, f=ladder._flat, n=level.n: w.count(lo, u, f, n))
 
     def fills(w, lower, upper, flat, n):
         state = w.state(lower, upper, flat, n, enumeration._FILL_ROWS)
