@@ -284,11 +284,11 @@ static void halve(int64_t i, int64_t kk, int64_t d, int64_t *zd, double *lo)
 }
 
 /* The traversal in the order diff (1 difference-first, 0 mean-first) into
- * the leaf K (see the header), a count taking the quarter walk if `quarter`;
- * walk() below runs it. */
+ * the leaf K (see the header), a count taking the half walk if `half` and
+ * the quarter walk if `quarter` too; walk() below decides and runs it. */
 static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, int diff,
-                                                             int quarter, int64_t *K, double *X,
-                                                             int64_t size)
+                                                             int half, int quarter, int64_t *K,
+                                                             double *X, int64_t size)
 {
     /* depth i walks flat index i - 1 mean-first, d - i difference-first:
      * flat index f is at depth base + step f */
@@ -325,11 +325,9 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
         cascade(b, g, D, 0, n, diff);
         lo = b0[d - 1 - last];
         hi = g0[d - 1 - last];
-        if (!K) { /* a count of a box symmetric about 0 takes the half-walk */
+        if (half) {
             zd = 0;
             za = quarter ? d / 2 : -1;
-            for (int64_t f = 0; f < d && zd == 0; f++)
-                zd = s[f] == -s[d + f] ? 0 : -1;
             halve(0, 0, d, &zd, &lo);
         }
         i = descend(0, ceil(lo - slack), floor(hi + slack), k, end);
@@ -458,12 +456,17 @@ __attribute__((target_clones("sse4.1", "default")))
 static int64_t walk(double *s, int n, int diff, int64_t *K, double *X, int64_t size)
 {
     if (!diff)
-        return walk_in(s, n, 0, 0, K, X, size);
+        return walk_in(s, n, 0, 0, 0, K, X, size);
+    /* a count of a box symmetric about 0 takes the half walk, the quarter
+     * walk if its corners have equal halves too */
     const int64_t d = (int64_t)1 << n;
-    int64_t f = 0; /* a count of a box symmetric about 0 with equal halves */
-    while (!K && n >= 2 && f < d && s[f] == -s[d + f] && s[f] == s[f ^ (d / 2)])
-        f++;
-    return f < d ? walk_in(s, n, 1, 0, K, X, size) : walk_in(s, n, 1, 1, NULL, NULL, 0);
+    int half = !K, equal = n >= 2;
+    for (int64_t f = 0; f < d && half; f++) {
+        half = s[f] == -s[d + f];
+        equal = equal && s[f] == s[f ^ (d / 2)];
+    }
+    return half && equal ? walk_in(s, n, 1, 1, 1, NULL, NULL, 0)
+                         : walk_in(s, n, 1, half, 0, K, X, size);
 }
 
 /* Does row p of K (rows of d) come before row q in lexicographic order? */

@@ -3,6 +3,7 @@ import datetime
 import gc
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import operator
 import os
@@ -411,8 +412,12 @@ class TestStream:
             other = DiagLadder([[1.25 * v for v in diag] for diag in ladder.levels])
             h = level.d // 2
             for diagonals in (ladder, other):
-                for scale in (10, 10**6):
+                for scale, j in itertools.product((10, 10**6), range(24)):
                     k = [rng.randint(-scale, scale) for _ in range(level.d)]
+                    if j == 0:  # kY = 0
+                        k[h:] = [0] * h
+                    elif j == 1:  # kA = 0
+                        k[:h] = [0] * h
                     x = apply_generator(diagonals, k)
                     flipped = apply_generator(diagonals, k[:h] + [-v for v in k[h:]])
                     assert array("d", flipped).tobytes() == array("d", x[h:] + x[:h]).tobytes()
