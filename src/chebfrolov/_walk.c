@@ -49,27 +49,28 @@
  * the rows by k (O(m log m) over row indices) before it hands them out; a
  * box that holds more points walks again, mean-first, as a fill does.  At
  * d <= 4 both orders visit about as many nodes, and the sort would only add
- * to the stream's cost.  A count of a box symmetric about 0
- * (lower == -upper) walks half that tree (visits per point 0.31, 3.2 and
- * 19.5 above): G(-k) is -Gk to the bit, as IEEE rounding is symmetric, so
- * the box holds k iff it holds -k.  It walks the k whose first nonzero
- * coordinate in walk order is positive (halve), and a run counts twice, for
- * its mirror too, unless its prefix is all zero.
+ * to the stream's cost.
  *
- * If the halves of each corner are equal too (l_t == l_{t+d/2}, n >= 2, as
- * in every standard box), a count walks a quarter of the tree (visits per
- * point 0.16, 1.7 and 12.7 above).  With k = (kA, kY), its two half-blocks,
+ * A count of a box symmetric about 0 (lower == -upper) takes the symmetric
+ * walk.  G(-k) is -Gk to the bit, as IEEE rounding is symmetric, so the box
+ * holds k iff it holds -k.  With k = (kA, kY), its two half-blocks,
  * G(kA, -kY) is Gk with its halves swapped, to the bit, for any positive
  * ladder: the top merge gives (a + p, a - p), p = D y, and -kY has the
- * image -y, so D (-y) = -p exactly and a + (-p) is a - p.  Such a box is
- * invariant under negation and under the swap, so it holds k iff it holds
- * each image of k under the group {id, -I, kY -> -kY, kA -> -kA}.  The walk
- * halves kY (depths 1..d/2) as above, then, for each kY, halves kA (depths
- * d/2 + 1..d - 1) with a second tracker, reset at depth d/2: a run counts
- * twice for a nonzero kY and twice again for a nonzero A prefix.  For each
- * kY the walker's A box is itself symmetric about 0 to the bit,
+ * image -y, so D (-y) = -p exactly and a + (-p) is a - p.  So if the halves
+ * of each corner are equal too (l_t == l_{t+d/2}, as in every standard box),
+ * the box holds k iff it holds each image of k under the group
+ * {id, -I, kY -> -kY, kA -> -kA}.  The walk keeps two zero-prefix trackers
+ * (halve) and starts the range opened just past a zero prefix at 0: zd from
+ * depth 1, and za from its split depth h, afresh for each prefix down to h.
+ * A run counts twice if k[1..h] is nonzero (its image under -I, or under
+ * the kY flip) and twice again if the depths past h before the run are
+ * nonzero (under -I with the kY flip, (kA, kY) -> (-kA, kY)).  For each kY
+ * the walker's A box is itself symmetric about 0 to the bit,
  * fl(-c - p) = -fl(c + p), so the A subtree it walks mirrors the one it
- * leaves out.
+ * leaves out.  A box with equal halves splits at h = d/2 (the quarter walk:
+ * visits per point 0.16, 1.7 and 12.7 above), any other at h = d - 1,
+ * where za has no depth to halve: the half walk by -I alone (0.31, 3.2 and
+ * 19.5).  At d <= 2 the two splits are one depth.
  *
  * A point is in the box iff its image x (the one apply_generator computes)
  * has lower <= x <= upper.  For each prefix the innermost coordinate (k_d
@@ -100,8 +101,8 @@
  * The tests hold both against a reference with 4 times the count slack.
  * Far from the origin a slack widens ranges by whole integers and the
  * search tree opens (a d = 16 box of side 3 near k = 1e14 did not end), so
- * corners beyond CORNER_LIMIT = 2^48, where the count slack reaches 2, are
- * refused in both orders unless the box is empty (lower > upper in some
+ * corners at or beyond CORNER_LIMIT = 2^48, where the count slack reaches 2,
+ * are refused in both orders unless the box is empty (lower > upper in some
  * coordinate).
  *
  * Images come from the merges prod = D*y; a + prod; a - prod in both
@@ -267,28 +268,28 @@ static int64_t trim(double *const *a, const double *const *D, int n, int64_t p,
     return z < f ? d - 1 : d;
 }
 
-/* The half-walk of a count (zd >= 0, see the header) once depth i is set to
- * kk: keeps zd the deepest depth with k[1..zd] all 0, and starts the range
- * that depth i + 1 < d opens just past them at 0, through its bound *lo.
- * This halves by -I: G(-k) = -Gk, as each rounding is symmetric.  The
- * quarter walk calls it again with za, the A depths' tracker, which halves
- * kA for each kY: G(kA, -kY) is Gk with its halves swapped, as a + (-p) is
- * a - p, so -I and that flip together map (kA, kY) to (-kA, kY).  Its call
- * at depth d/2, with kk = 0, resets za to d/2: no A coordinate is set. */
-static void halve(int64_t i, int64_t kk, int64_t d, int64_t *zd, double *lo)
+/* A zero-prefix tracker z of the symmetric walk (see the header) once depth
+ * i is set to kk: keeps *z the deepest depth whose prefix since the tracker
+ * started is all 0, and starts the range that depth i + 1 < d opens just
+ * past it at 0, through its bound *lo.  zd starts at depth 0 and halves by
+ * -I.  za halves by -I with the kY flip; its call at the split depth h,
+ * with kk = 0, restarts it at h for each prefix down to h.  A tracker at -1
+ * stays there, as depth i >= 1: the plain walk's. */
+static void halve(int64_t i, int64_t kk, int64_t d, int64_t *z, double *lo)
 {
-    if (*zd >= 0 && i <= *zd + 1)
-        *zd = i - (kk != 0);
-    if (i == *zd && i + 1 < d && *lo < 0.0)
+    if (i <= *z + 1)
+        *z = i - (kk != 0);
+    if (i == *z && i + 1 < d && *lo < 0.0)
         *lo = 0.0;
 }
 
 /* The traversal in the order diff (1 difference-first, 0 mean-first) into
- * the leaf K (see the header), a count taking the half walk if `half` and
- * the quarter walk if `quarter` too; walk() below decides and runs it. */
+ * the leaf K (see the header), a count taking the symmetric walk split at
+ * depth `split` if split >= 0 (-1: the plain walk); walk() below decides
+ * and runs it. */
 static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, int diff,
-                                                             int half, int quarter, int64_t *K,
-                                                             double *X, int64_t size)
+                                                             int64_t split, int64_t *K, double *X,
+                                                             int64_t size)
 {
     /* depth i walks flat index i - 1 mean-first, d - i difference-first:
      * flat index f is at depth base + step f */
@@ -315,7 +316,7 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
     const double d0 = n ? diag[0] : 1.0;
     const double slack = (diff ? COUNT_SLACK : SLACK) * *unit;
 
-    int64_t i = 0, rows = 0, count = 0, zd = -1, za = -1;
+    int64_t i = 0, rows = 0, count = 0, zd = -1, za = split;
     double lo, hi;
     if (*started) {
         i = *depth;
@@ -325,11 +326,8 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
         cascade(b, g, D, 0, n, diff);
         lo = b0[d - 1 - last];
         hi = g0[d - 1 - last];
-        if (half) {
-            zd = 0;
-            za = quarter ? d / 2 : -1;
+        if (split >= 0)
             halve(0, 0, d, &zd, &lo);
-        }
         i = descend(0, ceil(lo - slack), floor(hi + slack), k, end);
         if (i == d)
             i = trim(a, D, n, last, s, lo, hi, slack, k, end);
@@ -337,13 +335,11 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
 
     while (i > 0) {
         if (i == d) { /* inside the innermost run */
-            if (!K) { /* the count leaf takes the whole run, twice past a nonzero prefix */
-                /* (the quarter walk: twice for a nonzero kY, twice for a nonzero A prefix) */
+            if (!K) { /* the count leaf takes the whole run, twice per nonzero prefix */
                 uint64_t len = (uint64_t)end[i] - (uint64_t)k[i];
-                if ((quarter && za < d - 1 && __builtin_mul_overflow(len, 2, &len))
+                if ((split >= 0 && za < d - 1 && __builtin_mul_overflow(len, 2, &len))
                     || __builtin_add_overflow(count, len, &count)
-                    || (zd >= 0 && zd < (quarter ? d / 2 : d - 1)
-                        && __builtin_add_overflow(count, len, &count)))
+                    || (zd < split && __builtin_add_overflow(count, len, &count)))
                     return WALK_OVERFLOW;
                 i--;
                 continue;
@@ -391,8 +387,8 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
                 lo = lo1 > lo2 ? lo1 : lo2;
                 hi = hi1 < hi2 ? hi1 : hi2;
                 halve(i, kk, d, &zd, &lo);
-                if (quarter && i > d / 2)
-                    halve(i, kk, d, &za, &lo);
+                if (i >= split)
+                    halve(i, i > split ? kk : 0, d, &za, &lo);
             }
         } else {
             /* i = 2^r p: refresh the images, clamp the level-r sibling
@@ -421,8 +417,8 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
                 }
                 cascade(b, g, D, f - w, r, 1);
                 halve(i, kk, d, &zd, b0 + f - 1);
-                if (quarter && i >= d / 2)
-                    halve(i, i > d / 2 ? kk : 0, d, &za, b0 + f - 1);
+                if (i >= split)
+                    halve(i, i > split ? kk : 0, d, &za, b0 + f - 1);
             }
             lo = b0[f + step];
             hi = g0[f + step];
@@ -440,9 +436,10 @@ static inline __attribute__((always_inline)) int64_t walk_in(double *s, int n, i
 
 /* walk_in with its order a constant in each of two copies: one function
  * taking the order at run time streamed up to 2 % slower mean-first, and up
- * to 10 % slower a box just past one chunk.  A count of a box that allows
- * the quarter walk takes a third copy, with the quarter a constant: tested
- * at run time in the hot loop, it slowed the half and full walks by 3-9 %.
+ * to 10 % slower a box just past one chunk.  A count of a box symmetric
+ * about 0 takes a third copy, the symmetric walk, so the plain copy keeps
+ * its trackers at -1 as constants: a symmetry tested at run time in the hot
+ * loop slowed the other routes by 3-9 %.
  * On x86-64 with glibc, walk is cloned for SSE4.1, whose roundsd rounds each
  * node's two bounds in one instruction (counts 13-19 % faster); an ifunc
  * resolver picks the clone by CPUID when the module loads, so one build runs
@@ -456,17 +453,15 @@ __attribute__((target_clones("sse4.1", "default")))
 static int64_t walk(double *s, int n, int diff, int64_t *K, double *X, int64_t size)
 {
     if (!diff)
-        return walk_in(s, n, 0, 0, 0, K, X, size);
-    /* a count of a box symmetric about 0 takes the half walk, the quarter
-     * walk if its corners have equal halves too */
+        return walk_in(s, n, 0, -1, K, X, size);
+    /* a count of a box symmetric about 0 takes the symmetric walk, split at
+     * d/2 if its corners have equal halves too, else at d - 1 */
     const int64_t d = (int64_t)1 << n;
-    int half = !K, equal = n >= 2;
-    for (int64_t f = 0; f < d && half; f++) {
-        half = s[f] == -s[d + f];
-        equal = equal && s[f] == s[f ^ (d / 2)];
-    }
-    return half && equal ? walk_in(s, n, 1, 1, 1, NULL, NULL, 0)
-                         : walk_in(s, n, 1, half, 0, K, X, size);
+    int64_t split = K ? -1 : d / 2;
+    for (int64_t f = 0; f < d && split >= 0; f++)
+        split = s[f] != -s[d + f] ? -1 : s[f] != s[f ^ (d / 2)] ? d - 1 : split;
+    return split >= 0 ? walk_in(s, n, 1, split, NULL, NULL, 0)
+                      : walk_in(s, n, 1, -1, K, X, size);
 }
 
 /* Does row p of K (rows of d) come before row q in lexicographic order? */
@@ -708,6 +703,18 @@ static int values(PyObject *obj, Py_buffer *view, int writable, Py_ssize_t need,
     return -1;
 }
 
+/* values() of a buffer X of rows of d values, writable if asked. */
+static int rows_of(PyObject *obj, Py_buffer *view, int writable, Py_ssize_t d)
+{
+    if (values(obj, view, writable, 0, "X") < 0)
+        return -1;
+    if ((view->len / 8) % d == 0)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "X holds %zd values, not rows of %zd", view->len / 8, d);
+    PyBuffer_Release(view);
+    return -1;
+}
+
 /* A walk result: the int, or ValueError for the negative codes. */
 static PyObject *walk_result(int64_t result)
 {
@@ -716,7 +723,7 @@ static PyObject *walk_result(int64_t result)
     PyErr_SetString(PyExc_ValueError,
                     result == WALK_RANGE
                         ? "the box is too large or too far from the origin: it has a corner"
-                          " beyond +-2**48 or needs lattice coordinates beyond +-2**62"
+                          " at or beyond +-2**48 or needs lattice coordinates beyond +-2**62"
                         : "the point count exceeds 2**63 - 1");
     return NULL;
 }
@@ -758,8 +765,8 @@ static int ladder(PyObject *obj, Py_buffer *view, Py_ssize_t n)
 
 /* Begins the walk of the box lower, upper (see corners) in the zeroed state
  * s: a box empty in some coordinate (lower > upper, or NaN) is a walk
- * already done, however far; another with a corner beyond CORNER_LIMIT is
- * refused; else s keeps 1 + max|corner|, the slacks' unit. */
+ * already done, however far; another with a corner at or beyond
+ * CORNER_LIMIT is refused; else s keeps 1 + max|corner|, the slacks' unit. */
 static int begin(double *s, PyObject *lower, PyObject *upper, int n)
 {
     const Py_ssize_t d = (Py_ssize_t)1 << n;
@@ -983,12 +990,10 @@ static PyObject *py_map_nodes(PyObject *Py_UNUSED(module), PyObject *const *args
     if (bound == -1.0 && PyErr_Occurred())
         return NULL;
     Py_buffer X, v, u;
-    if (values(args[0], &X, 1, 0, "X") < 0)
+    if (rows_of(args[0], &X, 1, d) < 0)
         return NULL;
     int64_t result = -1;
-    if ((X.len / 8) % d != 0) {
-        PyErr_Format(PyExc_ValueError, "X holds %zd values, not rows of %zd", X.len / 8, d);
-    } else if (values(args[3], &v, 0, d, "v") == 0) {
+    if (values(args[3], &v, 0, d, "v") == 0) {
         if (values(args[4], &u, 0, d, "u") == 0) {
             result = map_nodes(X.buf, X.len / 8, d, s, v.buf, u.buf, bound);
             PyBuffer_Release(&u);
@@ -1015,13 +1020,11 @@ static PyObject *py_format_rows(PyObject *Py_UNUSED(module), PyObject *const *ar
      * digits, %g drops trailing zeros, and no decimal exponent reaches 767 */
     precision = precision < 767 ? precision : 767;
     Py_buffer X;
-    if (values(args[0], &X, 0, 0, "X") < 0)
+    if (rows_of(args[0], &X, 0, d) < 0)
         return NULL;
     const Py_ssize_t len = X.len / 8, cap = len * (precision + 8);
-    PyObject *text = NULL;
-    if (len % d != 0) {
-        PyErr_Format(PyExc_ValueError, "X holds %zd values, not rows of %zd", len, d);
-    } else if ((text = PyByteArray_FromStringAndSize(NULL, cap)) != NULL) {
+    PyObject *text = PyByteArray_FromStringAndSize(NULL, cap);
+    if (text != NULL) {
         const int64_t size = format_rows(X.buf, len, d, (int)precision,
                                          PyByteArray_AS_STRING(text), cap);
         if (size < 0)

@@ -27,8 +27,8 @@ module refuses, with ``ValueError`` and in this order: a level above
 ``lattice.MAX_LEVEL``, a box of another dimension (``box dimension 3 !=
 lattice dimension 4``), a ladder too shallow for the level (``ladder depth
 1 < level 2``), and, for the batches, a batch size below 1 (``TypeError``
-if it is no integer).  A box with a corner beyond +-2**48 is refused with
-``ValueError`` at the call, unless it is empty (lower > upper in some
+if it is no integer).  A box with a corner at or beyond +-2**48 is refused
+with ``ValueError`` at the call, unless it is empty (lower > upper in some
 coordinate); so is one that needs a coordinate beyond +-2**62, once the
 walk reaches it.
 

@@ -86,10 +86,7 @@ def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:
         )
     if box.dimension != level.d:
         raise ValueError(f"box dimension {box.dimension} != lattice dimension {level.d}")
-    d = level.d
-    ladder = build_diag_ladder(level)
-    identity = [[float(i == j) for j in range(d)] for i in range(d)]
-    inv, _ = _eliminate(_generator_rows(ladder, d), identity)
+    ladder, inv = _oracle_level(level.n)
     lower, upper = box.lower, box.upper
     ranges = []
     for row in inv:
@@ -108,6 +105,17 @@ def oracle_enumerate(level: Level, box: Box) -> list[LatticePoint]:
         if _in_box(box, x):
             accepted.append(LatticePoint(k, x))
     return accepted
+
+
+@lru_cache(maxsize=ORACLE_MAX_LEVEL + 1)
+def _oracle_level(n: int) -> tuple[DiagLadder, list[list[float]]]:
+    """The ladder of level n and the inverse of its generator's rows: what the
+    oracle needs of a level, built once per level."""
+    d = 1 << n
+    ladder = build_diag_ladder(Level(n))
+    identity = [[float(i == j) for j in range(d)] for i in range(d)]
+    inv, _ = _eliminate(_generator_rows(ladder, d), identity)
+    return ladder, inv
 
 
 def _in_box(box: Box, x) -> bool:

@@ -886,11 +886,13 @@ class TestKernels:
             lambda: walker.stream(lower, upper, diag[:2], n, LatticePoint, seen.append),
             lambda: walker.map_nodes(X, d, 0.5, v_[:-1], u, 1.0),
             lambda: walker.map_nodes(X, d, 0.5, v, u_[:-1], 1.0),
-            lambda: walker.map_nodes(X_[:-1], d, 0.5, v, u, 1.0),
-            lambda: walker.format_rows(X_[:-1], d, 17),
         ]
         for refusal in refusals:
             with pytest.raises(ValueError):
+                refusal()
+        for refusal in (lambda: walker.map_nodes(X_[:-1], d, 0.5, v, u, 1.0),
+                        lambda: walker.format_rows(X_[:-1], d, 17)):
+            with pytest.raises(ValueError, match="not rows of"):
                 refusal()
         # one node map: v and u are buffers, with no None for the deterministic rule
         for shift in ((None, u), (v, None), (None, None)):
@@ -1264,20 +1266,26 @@ class TestCount:
 
     @pytest.mark.parametrize("n", [0, 2, 6])
     def test_far_boxes_are_refused_at_the_call(self, n):
-        # the walker refuses a corner beyond +-2**48 when the walk is made:
-        # enumerate_batches raises before a batch is asked for
+        # the walker refuses a corner at or beyond +-2**48 when the walk is
+        # made: enumerate_batches raises before a batch is asked for
         level = Level(n)
         ladder = build_diag_ladder(level)
         box = Box((0.0,) * level.d, (2.0**48,) * level.d)
         for call in (count_points, enumerate_batches):
-            with pytest.raises(ValueError, match=r"corner beyond \+-2\*\*48"):
+            with pytest.raises(ValueError, match=r"corner at or beyond \+-2\*\*48"):
                 call(level, box, ladder)
-        with pytest.raises(ValueError, match=r"corner beyond \+-2\*\*48"):
+        with pytest.raises(ValueError, match=r"corner at or beyond \+-2\*\*48"):
             enumerate_stream(level, box, ladder, lambda p: None)
         if n < 6:  # no double scale puts a d = 64 standard box that far out
             spec = CubatureSpec(level, 2.0 ** (60 * level.d))
-            with pytest.raises(ValueError, match=r"corner beyond \+-2\*\*48"):
+            with pytest.raises(ValueError, match=r"corner at or beyond \+-2\*\*48"):
                 integrate(spec, lambda x: 1.0, ladder)
+        # one double below the limit, a box of side 3 is taken
+        top = math.nextafter(2.0**48, 0)
+        near = Box((top - 3.0,) * level.d, (top,) * level.d)
+        points = []
+        enumerate_stream(level, near, ladder, points.append)
+        assert count_points(level, near, ladder) == len(points)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_deep_levels_stream_and_count_agree(self, n):

@@ -30,7 +30,8 @@ The grid:
   standard box (quarter walk); the same box with both corners of its last
   coordinate one ulp wider, symmetric about 0 but with unequal halves (half
   walk); and the standard box with its last upper corner one ulp higher
-  (full walk);
+  (full walk); and a seeded ``randomized_box`` at d = 8 and 16, the route
+  of every randomized count and every small-box query (plain walk);
 - ``fill``: every fill of a standard box at the default fill size, at
   d = 2, 8, 16 and 32;
 - ``stream``: boxes of a few points at d = 2, 8, 16 and 32, of about 100
@@ -64,7 +65,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from chebfrolov import CubatureSpec, LatticePoint, Level, build_diag_ladder, standard_box  # noqa: E402
+from chebfrolov import (  # noqa: E402
+    CubatureSpec, LatticePoint, Level, build_diag_ladder, randomized_box, sample_shift, standard_box,
+)
 from chebfrolov import enumeration  # noqa: E402
 
 SOURCE = "src/chebfrolov/_walk.c"
@@ -170,6 +173,10 @@ def cases(walk):
         for label, lower, upper in routes:
             add(f"count {label} d={d} N=2^{log2n}",
                 lambda w, lo=lower, u=upper, f=ladder._flat, n=level.n: w.count(lo, u, f, n))
+        if d < 32:
+            box, _ = randomized_box(CubatureSpec(level, 2.0**log2n), sample_shift(7, d), ladder)
+            add(f"count randomized d={d} N=2^{log2n}",
+                lambda w, b=box, f=ladder._flat, n=level.n: w.count(b.lower, b.upper, f, n))
 
     def fills(w, lower, upper, flat, n):
         state = w.state(lower, upper, flat, n, enumeration._FILL_ROWS)
