@@ -1,4 +1,5 @@
 import _thread
+import copy
 import datetime
 import gc
 import importlib.machinery
@@ -9,6 +10,7 @@ import operator
 import os
 import pickle
 import random
+import re
 import shutil
 import signal
 import struct
@@ -79,14 +81,71 @@ class TestBox:
         assert box.upper == (1.5,) * 4
 
     def test_rejects_nan_and_inf(self):
-        with pytest.raises(ValueError):
-            Box((float("nan"),), (1.0,))
-        with pytest.raises(ValueError):
-            Box((0.0,), (float("inf"),))
+        for bad in (math.nan, math.inf, -math.inf, "nan", "-inf"):
+            for lower, upper in (((bad, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, bad))):
+                with pytest.raises(ValueError, match=r"^box corners must be finite \(no NaN/inf\)$"):
+                    Box(lower, upper)
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^corner lengths differ: 2 vs 1$"):
             Box((0.0, 1.0), (2.0,))
+        with pytest.raises(ValueError, match="^corner lengths differ: 0 vs 3$"):
+            Box((), iter([1.0, 2.0, 3.0]))
+
+    def test_refuses_what_float_refuses_with_its_words(self):
+        for value in ("x", "", None, [1.0], 1j, object()):
+            with pytest.raises((TypeError, ValueError)) as refused:
+                float(value)
+            words = f"^{re.escape(str(refused.value))}$"
+            for lower, upper in (((value, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, value))):
+                with pytest.raises(refused.type, match=words):
+                    Box(lower, upper)
+        for lower, upper in ((5, (1.0,)), ((1.0,), 5)):
+            with pytest.raises(TypeError, match="^'int' object is not iterable$"):
+                Box(lower, upper)
+
+    def test_refusals_come_in_order(self):
+        # what float() refuses, in either corner, before unequal lengths
+        with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+            Box((0.0, "x"), (1.0,))
+        with pytest.raises(ValueError, match="^could not convert string to float: 'y'$"):
+            Box((0.0, 1.0), ("y",))
+        # the lower corner is read whole before the upper one
+        with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+            Box((0.0, "x"), 5)
+        with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+            Box(("x",), ("y",))
+        # unequal lengths before a NaN or an inf, in either corner
+        with pytest.raises(ValueError, match="^corner lengths differ: 2 vs 1$"):
+            Box((math.nan, 0.0), (1.0,))
+        with pytest.raises(ValueError, match="^corner lengths differ: 1 vs 2$"):
+            Box((0.0,), (math.inf, 1.0))
+
+    def test_takes_what_float_takes(self):
+        class Real(float):
+            pass
+
+        class Corner(tuple):
+            pass
+
+        values = [0, True, "1e-3", "-1_000", np.float32(0.5), np.int64(-3), Real(2.5), -0.0]
+        box = Box(Corner(values), (v for v in values))  # a one-shot iterator
+        expected = (0.0, 1.0, 0.001, -1000.0, 0.5, -3.0, 2.5, -0.0)
+        for corner in (box.lower, box.upper):
+            assert type(corner) is tuple and all(type(v) is float for v in corner)
+            assert struct.pack("8d", *corner) == struct.pack("8d", *expected)
+        exact = (0.25, -1.5)
+        assert Box(exact, exact).lower == exact and Box(list(exact), iter(exact)).upper == exact
+
+    def test_compares_hashes_pickles_and_copies_by_its_corners(self):
+        box = Box((-1.0, 0.5), (1.0, 2.0))
+        same = Box([-1, "0.5"], iter((1, 2)))
+        assert same == box and hash(same) == hash(box) and same is not box
+        assert box != Box((-1.0, 0.5), (1.0, 2.5)) and box != (box.lower, box.upper)
+        assert repr(box) == "Box(lower=(-1.0, 0.5), upper=(1.0, 2.0))"
+        for copied in (pickle.loads(pickle.dumps(box)), copy.copy(box), copy.deepcopy(box)):
+            assert type(copied) is Box and copied == box and hash(copied) == hash(box)
+            assert copied.lower == box.lower and copied.upper == box.upper
 
     def test_empty_allowed(self):
         box = Box((1.0,), (-1.0,))
