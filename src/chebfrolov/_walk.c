@@ -18,7 +18,8 @@
  * 128 bits (see their comments below).  The CPython entry points at the
  * end, the module's only interface, wrap them: count and stream walk a whole
  * box, state and fill a resumable walk, and apply_generator runs walk's
- * merge on one vector.
+ * merge on one vector; box reads and checks the corners of each
+ * chebfrolov.enumeration.Box, so the first Box of a process loads the module.
  *
  * At every block the image is (A + D Y, A - D Y), A and Y the images of its
  * halves and D the diagonal one level down, so a box [l, u] on the block
@@ -1090,6 +1091,57 @@ done:
     return image;
 }
 
+/* The values of the iterable obj as a tuple of floats, each taken as float()
+ * takes it, in the order obj yields them: an exact tuple of exact floats is
+ * obj itself.  NULL with float()'s exception, or the iteration's. */
+static PyObject *float_tuple(PyObject *obj)
+{
+    Py_ssize_t f = 0;
+    if (PyTuple_CheckExact(obj)) {
+        while (f < PyTuple_GET_SIZE(obj) && PyFloat_CheckExact(PyTuple_GET_ITEM(obj, f)))
+            f++;
+        if (f == PyTuple_GET_SIZE(obj))
+            return Py_NewRef(obj);
+    }
+    PyObject *it = PyObject_GetIter(obj), *values = it ? PyList_New(0) : NULL, *x, *tuple = NULL;
+    while (values != NULL && (x = PyIter_Next(it)) != NULL) {
+        Py_SETREF(x, PyNumber_Float(x));
+        if (x == NULL || PyList_Append(values, x) < 0)
+            Py_CLEAR(values);
+        Py_XDECREF(x);
+    }
+    if (values != NULL && !PyErr_Occurred())
+        tuple = PyList_AsTuple(values);
+    Py_XDECREF(values);
+    Py_XDECREF(it);
+    return tuple;
+}
+
+/* box(lower, upper): the corners of a Box, each a tuple of floats (see
+ * float_tuple), lower read whole before upper; ValueError, after any error
+ * of float(), if their lengths differ, then if a value is NaN or infinite. */
+static PyObject *py_box(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("box", nargs, 2) < 0)
+        return NULL;
+    PyObject *lo = float_tuple(args[0]), *hi = lo ? float_tuple(args[1]) : NULL, *box = NULL;
+    const Py_ssize_t m = hi ? PyTuple_GET_SIZE(lo) : 0;
+    Py_ssize_t f = 0;
+    if (hi != NULL && m != PyTuple_GET_SIZE(hi)) {
+        PyErr_Format(PyExc_ValueError, "corner lengths differ: %zd vs %zd", m, PyTuple_GET_SIZE(hi));
+    } else if (hi != NULL) {
+        while (f < 2 * m && isfinite(PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(f < m ? lo : hi, f % m))))
+            f++;
+        if (f < 2 * m)
+            PyErr_SetString(PyExc_ValueError, "box corners must be finite (no NaN/inf)");
+        else
+            box = PyTuple_Pack(2, lo, hi);
+    }
+    Py_XDECREF(lo);
+    Py_XDECREF(hi);
+    return box;
+}
+
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef entries[] = {
@@ -1100,6 +1152,7 @@ static PyMethodDef entries[] = {
     ENTRY(map_nodes, "map_nodes(X, d, s, v, u, bound): cubature nodes in place"),
     ENTRY(format_rows, "format_rows(X, d, precision): the CSV text of the rows"),
     ENTRY(apply_generator, "apply_generator(diag, coords, n): the generator image"),
+    ENTRY(box, "box(lower, upper): the corners of a Box, two tuples of finite floats"),
     {NULL, NULL, 0, NULL},
 };
 

@@ -9,7 +9,8 @@ ladder and the box are arguments; its header describes the walk's orders,
 slacks and search tree), a CPython extension module that ``cc`` compiles
 with the interpreter's headers on first use, cached on disk and loaded as
 ``chebfrolov._walk``, not through ctypes; importing the package compiles
-and loads nothing.
+and loads nothing.  The first :class:`Box` of a process loads it, as the
+module reads every box's corners, each value as ``float()`` reads it.
 
 The box is closed: a point is in it iff its :func:`apply_generator` image x
 has ``lower <= x <= upper``.  :func:`count_points`,
@@ -58,7 +59,6 @@ without it.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from functools import lru_cache
@@ -71,17 +71,21 @@ if TYPE_CHECKING:
 
 
 class Box(_Value):
-    """Axis-parallel box [lower, upper]; may be empty in some coordinates."""
+    """Axis-parallel box [lower, upper]; may be empty in some coordinates.
+
+    The walker's module reads the corners, each value as ``float()`` reads
+    it, into two tuples of floats, and refuses in this order: a corner that
+    is not iterable or a value that ``float()`` refuses, with their own
+    errors; corners of unequal lengths (``ValueError``); a NaN or an
+    infinity (``ValueError``).  So the first box of a process loads the
+    module, which compiles it on a cold cache; importing the package still
+    loads nothing.
+    """
 
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: Sequence[float], upper: Sequence[float]) -> None:
-        lo = tuple(map(float, lower))
-        hi = tuple(map(float, upper))
-        if len(lo) != len(hi):
-            raise ValueError(f"corner lengths differ: {len(lo)} vs {len(hi)}")
-        if not all(map(math.isfinite, lo + hi)):
-            raise ValueError("box corners must be finite (no NaN/inf)")
+        lo, hi = _library().box(lower, upper)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

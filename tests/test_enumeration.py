@@ -1163,14 +1163,15 @@ class TestKernels:
                 return entry
 
         low = Level(2)
-        counts = [count_points(low, Box.symmetric(3.0, 4), build_diag_ladder(low))]
+        # the boxes are made first: a Box reads its corners in the walker too
+        box, low_box = Box.symmetric(3.0, level.d), Box.symmetric(3.0, 4)
+        counts = [count_points(low, low_box, build_diag_ladder(low))]
         monkeypatch.setattr(enumeration, "_library", Spy)
-        box = Box.symmetric(3.0, level.d)
         count_points(level, box, ladder)
         enumerate_stream(level, box, ladder, lambda p: None)
         enumerate_batches(level, box, ladder)  # the walk is made at the call
         # a lower level reads the same buffer, its first 2**n - 1 values
-        counts.append(count_points(low, Box.symmetric(3.0, 4), ladder))
+        counts.append(count_points(low, low_box, ladder))
         assert len(passed) == 4 and all(diag is flat for diag in passed)
         assert counts[0] == counts[1] > 1
         # not a field: equal ladders compare, hash, print and pickle by their levels

@@ -40,10 +40,15 @@ The grid:
 - ``apply_generator`` at d = 8 and 64, ``map_nodes`` on the rows of a
   d = 8 standard box, and ``format_rows`` on them at 17 and 5 digits, the
   precisions of the ``points`` digests, and at 17 digits scaled by 2^1000,
-  where every value falls back to ``snprintf``.
+  where every value falls back to ``snprintf``;
+- ``box``, the check of a ``Box``'s corners, on a face box [Gk, Gk + 1] at
+  d = 2, 8 and 16.
 
 Both builds are called with the entry points of the working tree's
-``enumeration`` module, so both revisions must take its signatures.
+``enumeration`` module, so both revisions must take its signatures.  Each
+case's name begins with the entry point it times; a case whose entry point
+one build lacks, such as ``box`` before it was added, is listed as missing
+from that build and not timed.
 """
 
 from __future__ import annotations
@@ -230,7 +235,23 @@ def cases(walk):
     # past the exact digits' 2^127: snprintf writes every value
     far = array("d", [x * 2.0**1000 for x in array("d", X)])
     add(f"format_rows d=8 ({rows} rows, x 2^1000)", lambda w: w.format_rows(far, 8, 17))
+
+    for d in (2, 8, 16):
+        level = Level.from_dimension(d)
+        x = walk.apply_generator(build_diag_ladder(level)._flat, list(range(d)), level.n)
+        add(f"box d={d}", lambda w, lo=x, hi=tuple(v + 1.0 for v in x): w.box(lo, hi))
     return grid
+
+
+def missing(grid, a, b) -> dict[str, str]:
+    """The cases whose entry point, the first word of their name, a build
+    lacks, each with the builds that lack it: ``"A"``, ``"B"`` or ``"A and B"``."""
+    lacking = {}
+    for name, _, _ in grid:
+        entry = name.split()[0]
+        if builds := [label for label, w in (("A", a), ("B", b)) if not hasattr(w, entry)]:
+            lacking[name] = " and ".join(builds)
+    return lacking
 
 
 def differing(grid, a, b) -> list[str]:
@@ -260,6 +281,10 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="chebfrolov-ab-") as tmp:
         a, b = build("a", args.a, Path(tmp)), build("b", args.b, Path(tmp))
     grid = cases(a)
+    lacking = missing(grid, a, b)
+    for name, builds in lacking.items():
+        print(f"{name}: not in {builds}, not timed")
+    grid = [case for case in grid if case[0] not in lacking]
     if names := differing(grid, a, b):
         sys.exit(f"the builds differ on {', '.join(names)}")
     print(f"{'case':<40} {'A best':>10} {'B best':>10} {'A median':>10} {'B median':>10}"
